@@ -60,18 +60,23 @@ Status VideoSource::DoBind(MediaValuePtr value, const std::string& port_name) {
     return Status::InvalidArgument(
         "encoded-chunk output requires an encoded value");
   }
+  frame_offsets_.assign(static_cast<size_t>(video->FrameCount()) + 1, 0);
+  for (int64_t f = 0; f < video->FrameCount(); ++f) {
+    frame_offsets_[static_cast<size_t>(f) + 1] =
+        frame_offsets_[static_cast<size_t>(f)] + video->StoredFrameBytes(f);
+  }
   // Quality fallback needs a layer-scalable representation decoded
   // internally; chunk passthrough must forward the stored bytes verbatim.
-  scalable_stream_ = nullptr;
+  scalable_value_ = nullptr;
   nominal_layers_ = 0;
   active_layers_ = 0;
   if (!emit_encoded_) {
     if (auto view = std::dynamic_pointer_cast<ScalableVideoView>(video)) {
-      scalable_stream_ = &view->encoded();
+      scalable_value_ = view->full_value();
       nominal_layers_ = active_layers_ = view->layers();
     } else if (encoded_ != nullptr &&
                encoded_->encoded().family == EncodingFamily::kScalable) {
-      scalable_stream_ = &encoded_->encoded();
+      scalable_value_ = encoded_;
       nominal_layers_ = active_layers_ =
           encoded_->encoded().params.layer_count;
     }
@@ -120,16 +125,28 @@ int64_t VideoSource::FrameBytes(int64_t i) const {
   return value_->StoredFrameBytes(i);
 }
 
-int64_t VideoSource::FrameOffset(int64_t i) const {
-  // Offsets come from the *bound* value's layout: a degraded view reads a
-  // prefix of each stored frame, it does not repack the blob.
-  int64_t offset = 0;
-  for (int64_t f = 0; f < i; ++f) offset += layout_value_->StoredFrameBytes(f);
-  return offset;
+Result<VideoFrame> VideoSource::DecodeFrame(int64_t index) {
+  if (encoded_ == nullptr || value_ != layout_value_) {
+    return value_->Frame(index);
+  }
+  if (reader_ == nullptr) {
+    AVDB_ASSIGN_OR_RETURN(reader_, encoded_->NewReader());
+  }
+  return reader_->DecodeFrame(index);
+}
+
+void VideoSource::EndStream() {
+  reader_.reset();
+  SelfStop();
+}
+
+Status VideoSource::OnStop() {
+  reader_.reset();
+  return Status::OK();
 }
 
 bool VideoSource::ApplyQualityStep(int delta) {
-  if (scalable_stream_ == nullptr || nominal_layers_ == 0) return false;
+  if (scalable_value_ == nullptr || nominal_layers_ == 0) return false;
   const int target = active_layers_ + delta;
   if (target < 1 || target > nominal_layers_) return false;
   if (target == nominal_layers_) {
@@ -138,7 +155,7 @@ bool VideoSource::ApplyQualityStep(int delta) {
     active_layers_ = target;
     return true;
   }
-  auto view = ScalableVideoView::Create(*scalable_stream_, target);
+  auto view = ScalableVideoView::Create(scalable_value_, target);
   if (!view.ok()) return false;
   value_ = std::move(view).value();
   active_layers_ = target;
@@ -195,7 +212,7 @@ void VideoSource::Tick(int64_t index, int64_t stream_start_ns, int64_t gen) {
     const int64_t ideal = stream_start_ns + index * PeriodNs();
     Emit(out_, StreamElement::EndOfStream(index, ideal));
     Raise(kLastFrame, value_->FrameCount() - 1);
-    SelfStop();
+    EndStream();
     return;
   }
 
@@ -212,7 +229,7 @@ void VideoSource::Tick(int64_t index, int64_t stream_start_ns, int64_t gen) {
                   " consecutive faults");
         Emit(out_, StreamElement::EndOfStream(
                        index, stream_start_ns + index * PeriodNs()));
-        SelfStop();
+        EndStream();
         return;
       }
       case DegradeAction::kPause: {
@@ -297,7 +314,7 @@ void VideoSource::Tick(int64_t index, int64_t stream_start_ns, int64_t gen) {
         return;
       }
       AVDB_LOG(Error) << name() << ": read failed: " << read.status();
-      SelfStop();
+      EndStream();
       return;
     }
     if (read.value().retries > 0) {
@@ -326,7 +343,7 @@ void VideoSource::Tick(int64_t index, int64_t stream_start_ns, int64_t gen) {
     element.encoded = std::make_shared<Buffer>(ef.data);
     element.encoded_is_intra = ef.is_intra;
   } else {
-    auto frame = value_->Frame(index);
+    auto frame = DecodeFrame(index);
     if (!frame.ok()) {
       if (options_.degrade != nullptr) {
         options_.degrade->ReportFault(now_ns);
@@ -335,7 +352,7 @@ void VideoSource::Tick(int64_t index, int64_t stream_start_ns, int64_t gen) {
         return;
       }
       AVDB_LOG(Error) << name() << ": decode failed: " << frame.status();
-      SelfStop();
+      EndStream();
       return;
     }
     if (value_->type().IsCompressed()) {

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "activity/cost_model.h"
 #include "activity/media_activity.h"
@@ -116,11 +117,16 @@ class VideoSource : public MediaActivity {
   int active_layers() const { return active_layers_; }
   int nominal_layers() const { return nominal_layers_; }
 
+  /// True while the source holds a private decode session over its bound
+  /// encoded value: from the first decode until the stream stops.
+  bool holds_decoder() const { return reader_ != nullptr; }
+
   Status ConfigureSync(SyncController* sync,
                        const std::string& track) override;
 
  protected:
   Status OnStart() override;
+  Status OnStop() override;
 
  private:
   VideoSource(const std::string& name, ActivityLocation location,
@@ -135,7 +141,15 @@ class VideoSource : public MediaActivity {
   /// Byte offset of frame `i` within the stored blob (approximate layout:
   /// frames in sequence, at the *bound* value's full frame sizes — quality
   /// steps change how many bytes are read, never where frames live).
-  int64_t FrameOffset(int64_t i) const;
+  int64_t FrameOffset(int64_t i) const {
+    return frame_offsets_[static_cast<size_t>(i)];
+  }
+  /// Decodes frame `index` of the active representation. While playing the
+  /// bound encoded value this goes through the source's own reader, opened
+  /// on first use; other representations decode through the value.
+  Result<VideoFrame> DecodeFrame(int64_t index);
+  /// Stops the stream from inside and releases the reader.
+  void EndStream();
   /// Steps the active scalable view by `delta` layers (-1 lower, +1 raise).
   /// Returns false when the value is not scalable or already at the bound.
   [[nodiscard]] bool ApplyQualityStep(int delta);
@@ -152,8 +166,13 @@ class VideoSource : public MediaActivity {
   /// the nominal quality the ladder recovers toward.
   VideoValuePtr layout_value_;
   std::shared_ptr<EncodedVideoValue> encoded_;  // set when value is encoded
-  /// Scalable stream backing quality steps (nullptr when not scalable).
-  const EncodedVideo* scalable_stream_ = nullptr;
+  /// This stream's decode position in `encoded_` (see DecodeFrame).
+  std::unique_ptr<VideoDecoderSession> reader_;
+  /// Prefix sums of layout_value_'s frame sizes, computed at bind.
+  std::vector<int64_t> frame_offsets_;
+  /// Full-quality value whose stream backs quality steps (nullptr when not
+  /// scalable).
+  std::shared_ptr<const EncodedVideoValue> scalable_value_;
   int nominal_layers_ = 0;
   int active_layers_ = 0;
   ServiceQueue decode_unit_;

@@ -49,6 +49,7 @@ void VideoDecoderActivity::OnElement(Port* in, const StreamElement& element) {
   AVDB_DCHECK(in == in_);
   if (element.end_of_stream) {
     Emit(out_, element);
+    reader_.reset();
     SelfStop();
     return;
   }
@@ -56,7 +57,15 @@ void VideoDecoderActivity::OnElement(Port* in, const StreamElement& element) {
     AVDB_LOG(Error) << name() << ": element before bind";
     return;
   }
-  auto frame = value_->Frame(element.index);
+  if (reader_ == nullptr) {
+    auto reader = value_->NewReader();
+    if (!reader.ok()) {
+      AVDB_LOG(Error) << name() << ": decode failed: " << reader.status();
+      return;
+    }
+    reader_ = std::move(reader).value();
+  }
+  auto frame = reader_->DecodeFrame(element.index);
   if (!frame.ok()) {
     AVDB_LOG(Error) << name() << ": decode failed: " << frame.status();
     return;
@@ -78,6 +87,11 @@ void VideoDecoderActivity::OnElement(Port* in, const StreamElement& element) {
                          if (state() != State::kRunning) return;
                          Emit(out_, out_element);
                        });
+}
+
+Status VideoDecoderActivity::OnStop() {
+  reader_.reset();
+  return Status::OK();
 }
 
 // --------------------------------------------------- VideoEncoderActivity --

@@ -36,6 +36,9 @@ class VideoDecoderActivity : public MediaActivity {
 
   int64_t frames_decoded() const { return frames_decoded_; }
 
+ protected:
+  Status OnStop() override;
+
  private:
   VideoDecoderActivity(const std::string& name, ActivityLocation location,
                        ActivityEnv env, CostModel costs);
@@ -45,6 +48,9 @@ class VideoDecoderActivity : public MediaActivity {
   CostModel costs_;
   ServiceQueue decode_unit_;
   std::shared_ptr<EncodedVideoValue> value_;
+  /// This decoder's own position in `value_`: opened on the first chunk,
+  /// dropped when the stream stops.
+  std::unique_ptr<VideoDecoderSession> reader_;
   int64_t frames_decoded_ = 0;
 };
 

@@ -106,7 +106,7 @@ class DeltaDecoderSession final : public VideoDecoderSession {
   int64_t FramesDecodedInternally() const override { return decoded_; }
 
  private:
-  const EncodedVideo video_;
+  const EncodedVideo& video_;
   VideoFrame ref_;
   bool have_ref_ = false;
   int64_t next_index_ = 0;

@@ -24,27 +24,74 @@ Result<std::shared_ptr<EncodedVideoValue>> EncodedVideoValue::Create(
       DecodedTypeFor(video), std::move(codec), std::move(video)));
 }
 
-Result<VideoFrame> EncodedVideoValue::Frame(int64_t index) const {
-  if (session_ == nullptr) {
-    auto session = codec_->NewDecoder(video_);
-    if (!session.ok()) return session.status();
-    session_ = std::move(session).value();
+/// A reader's session: the codec's own session over the value's stream,
+/// holding the value alive and forwarding each frame it decodes to the
+/// value's count.
+class EncodedVideoValue::Reader final : public VideoDecoderSession {
+ public:
+  Reader(std::shared_ptr<const EncodedVideoValue> owner,
+         std::unique_ptr<VideoDecoderSession> inner)
+      : owner_(std::move(owner)), inner_(std::move(inner)) {}
+
+  Result<VideoFrame> DecodeFrame(int64_t index) override {
+    Result<VideoFrame> frame = inner_->DecodeFrame(index);
+    Count();
+    return frame;
   }
-  return session_->DecodeFrame(index);
+
+  Result<std::vector<VideoFrame>> DecodeRange(int64_t first,
+                                              int64_t count) override {
+    Result<std::vector<VideoFrame>> frames = inner_->DecodeRange(first, count);
+    Count();
+    return frames;
+  }
+
+  int64_t FramesDecodedInternally() const override {
+    return inner_->FramesDecodedInternally();
+  }
+
+ private:
+  void Count() {
+    const int64_t decoded = inner_->FramesDecodedInternally();
+    owner_->reader_decodes_.fetch_add(decoded - counted_,
+                                      std::memory_order_relaxed);
+    counted_ = decoded;
+  }
+
+  std::shared_ptr<const EncodedVideoValue> owner_;
+  std::unique_ptr<VideoDecoderSession> inner_;
+  int64_t counted_ = 0;
+};
+
+Result<std::unique_ptr<VideoDecoderSession>> EncodedVideoValue::NewReader()
+    const {
+  AVDB_ASSIGN_OR_RETURN(std::unique_ptr<VideoDecoderSession> inner,
+                        codec_->NewDecoder(video_));
+  return std::unique_ptr<VideoDecoderSession>(
+      new Reader(shared_from_this(), std::move(inner)));
+}
+
+Result<VideoDecoderSession*> EncodedVideoValue::SharedSession() const {
+  if (session_ == nullptr) {
+    AVDB_ASSIGN_OR_RETURN(session_, codec_->NewDecoder(video_));
+  }
+  return session_.get();
+}
+
+Result<VideoFrame> EncodedVideoValue::Frame(int64_t index) const {
+  AVDB_ASSIGN_OR_RETURN(VideoDecoderSession * session, SharedSession());
+  return session->DecodeFrame(index);
 }
 
 Result<std::vector<VideoFrame>> EncodedVideoValue::Frames(
     int64_t first, int64_t count) const {
-  if (session_ == nullptr) {
-    auto session = codec_->NewDecoder(video_);
-    if (!session.ok()) return session.status();
-    session_ = std::move(session).value();
-  }
-  return session_->DecodeRange(first, count);
+  AVDB_ASSIGN_OR_RETURN(VideoDecoderSession * session, SharedSession());
+  return session->DecodeRange(first, count);
 }
 
 int64_t EncodedVideoValue::FramesDecodedInternally() const {
-  return session_ == nullptr ? 0 : session_->FramesDecodedInternally();
+  return (session_ == nullptr ? 0 : session_->FramesDecodedInternally()) +
+         reader_decodes_.load(std::memory_order_relaxed);
 }
 
 std::string EncodedVideoValue::Describe() const {

@@ -1,6 +1,7 @@
 #ifndef AVDB_CODEC_ENCODED_VALUE_H_
 #define AVDB_CODEC_ENCODED_VALUE_H_
 
+#include <atomic>
 #include <memory>
 
 #include "codec/audio_codec.h"
@@ -14,14 +15,27 @@ namespace avdb {
 /// analogue of the paper's `JPEG_VideoValue` / `MPEG_VideoValue` /
 /// `DVI_VideoValue` subclasses (§4.1). Applications use it through the
 /// generic `VideoValue` interface and stay "screened from underlying
-/// differences in representation"; `Frame(i)` decodes on demand through a
-/// cached decoder session (so sequential access is cheap even for
-/// predictive streams).
-class EncodedVideoValue final : public VideoValue {
+/// differences in representation".
+///
+/// The stored stream is immutable; decode state belongs to the reader.
+/// `Frame(i)` decodes on demand through one cached session, which suits a
+/// single sequential reader (sequential access is cheap even for
+/// predictive streams). Concurrent readers — several streams playing one
+/// title — must each take their own session from `NewReader()`: taking
+/// turns on the shared one would re-enter a GOP on every frame.
+class EncodedVideoValue final
+    : public VideoValue,
+      public std::enable_shared_from_this<EncodedVideoValue> {
  public:
   /// Wraps an encoded stream; the codec must match the stream family.
   static Result<std::shared_ptr<EncodedVideoValue>> Create(
       std::shared_ptr<const VideoCodec> codec, EncodedVideo video);
+
+  /// Opens a private decode session over this value's stream through the
+  /// value's codec (so decorator codecs still wrap it). The session shares
+  /// the stored frames, keeps the value alive, and counts every frame it
+  /// decodes in FramesDecodedInternally().
+  Result<std::unique_ptr<VideoDecoderSession>> NewReader() const;
 
   int64_t ElementCount() const override {
     return static_cast<int64_t>(video_.frames.size());
@@ -40,12 +54,15 @@ class EncodedVideoValue final : public VideoValue {
   const EncodedVideo& encoded() const { return video_; }
   const VideoCodec& codec() const { return *codec_; }
 
-  /// Frames the internal session has decoded (exposes GOP seek cost).
+  /// Frames decoded by the shared session and every reader, including GOP
+  /// re-entry work (exposes seek cost).
   int64_t FramesDecodedInternally() const;
 
   std::string Describe() const override;
 
  private:
+  class Reader;
+
   EncodedVideoValue(MediaDataType decoded_type,
                     std::shared_ptr<const VideoCodec> codec,
                     EncodedVideo video)
@@ -53,9 +70,13 @@ class EncodedVideoValue final : public VideoValue {
         codec_(std::move(codec)),
         video_(std::move(video)) {}
 
+  /// The cached session behind Frame/Frames, opened on first use.
+  Result<VideoDecoderSession*> SharedSession() const;
+
   std::shared_ptr<const VideoCodec> codec_;
-  EncodedVideo video_;
+  const EncodedVideo video_;
   mutable std::unique_ptr<VideoDecoderSession> session_;
+  mutable std::atomic<int64_t> reader_decodes_{0};
 };
 
 /// An `AudioValue` stored as an encoded stream; decodes chunks on demand.

@@ -290,7 +290,7 @@ class InterDecoderSession final : public VideoDecoderSession {
     return frame;
   }
 
-  const EncodedVideo video_;
+  const EncodedVideo& video_;
   VideoFrame ref_;
   bool have_ref_ = false;
   int64_t next_index_ = 0;

@@ -63,7 +63,7 @@ class IntraDecoderSession final : public VideoDecoderSession {
   int64_t FramesDecodedInternally() const override { return decoded_; }
 
  private:
-  const EncodedVideo video_;
+  const EncodedVideo& video_;
   int64_t decoded_ = 0;
 };
 

@@ -299,7 +299,7 @@ class ScalableDecoderSession final : public VideoDecoderSession {
     return frame;
   }
 
-  const EncodedVideo video_;
+  const EncodedVideo& video_;
   const int layers_;
   int64_t decoded_ = 0;
 };
@@ -396,40 +396,35 @@ Result<int64_t> ScalableCodec::BytesPerFrameAtLayers(const EncodedVideo& video,
 }
 
 Result<std::shared_ptr<ScalableVideoView>> ScalableVideoView::Create(
-    EncodedVideo video, int layers) {
-  if (video.family != EncodingFamily::kScalable) {
+    std::shared_ptr<const EncodedVideoValue> value, int layers) {
+  if (value == nullptr ||
+      value->encoded().family != EncodingFamily::kScalable) {
     return Status::InvalidArgument("view requires a scalable stream");
   }
-  if (layers < 1 || layers > video.params.layer_count) {
+  if (layers < 1 || layers > value->encoded().params.layer_count) {
     return Status::InvalidArgument("requested layer count not stored");
   }
-  MediaDataType type = MediaDataType::CompressedVideo(
-      EncodingFamily::kScalable, video.raw_type.width(),
-      video.raw_type.height(), video.raw_type.depth_bits(),
-      video.raw_type.element_rate());
   return std::shared_ptr<ScalableVideoView>(
-      new ScalableVideoView(std::move(type), std::move(video), layers));
+      new ScalableVideoView(std::move(value), layers));
+}
+
+Result<VideoDecoderSession*> ScalableVideoView::Session() const {
+  if (session_ == nullptr) {
+    AVDB_ASSIGN_OR_RETURN(session_,
+                          ScalableCodec().NewDecoderWithLayers(video_, layers_));
+  }
+  return session_.get();
 }
 
 Result<VideoFrame> ScalableVideoView::Frame(int64_t index) const {
-  if (session_ == nullptr) {
-    ScalableCodec codec;
-    auto session = codec.NewDecoderWithLayers(video_, layers_);
-    if (!session.ok()) return session.status();
-    session_ = std::move(session).value();
-  }
-  return session_->DecodeFrame(index);
+  AVDB_ASSIGN_OR_RETURN(VideoDecoderSession * session, Session());
+  return session->DecodeFrame(index);
 }
 
 Result<std::vector<VideoFrame>> ScalableVideoView::Frames(
     int64_t first, int64_t count) const {
-  if (session_ == nullptr) {
-    ScalableCodec codec;
-    auto session = codec.NewDecoderWithLayers(video_, layers_);
-    if (!session.ok()) return session.status();
-    session_ = std::move(session).value();
-  }
-  return session_->DecodeRange(first, count);
+  AVDB_ASSIGN_OR_RETURN(VideoDecoderSession * session, Session());
+  return session->DecodeRange(first, count);
 }
 
 int64_t ScalableVideoView::StoredBytes() const {

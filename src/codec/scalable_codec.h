@@ -1,6 +1,7 @@
 #ifndef AVDB_CODEC_SCALABLE_CODEC_H_
 #define AVDB_CODEC_SCALABLE_CODEC_H_
 
+#include "codec/encoded_value.h"
 #include "codec/video_codec.h"
 
 namespace avdb {
@@ -54,9 +55,11 @@ class ScalableCodec final : public VideoCodec {
 /// admission cost the reduced stream, not the full one.
 class ScalableVideoView final : public VideoValue {
  public:
-  /// Wraps `video` (must be scalable) at `layers` (1..stored count).
+  /// Views `value`'s stream (must be scalable) at `layers` (1..stored
+  /// count). The view shares the value's stored frames instead of copying
+  /// them, keeps the value alive, and decodes through its own session.
   static Result<std::shared_ptr<ScalableVideoView>> Create(
-      EncodedVideo video, int layers);
+      std::shared_ptr<const EncodedVideoValue> value, int layers);
 
   int64_t ElementCount() const override {
     return static_cast<int64_t>(video_.frames.size());
@@ -71,16 +74,26 @@ class ScalableVideoView final : public VideoValue {
 
   int layers() const { return layers_; }
   const EncodedVideo& encoded() const { return video_; }
+  /// The full-quality value whose stream this view restricts.
+  const std::shared_ptr<const EncodedVideoValue>& full_value() const {
+    return value_;
+  }
 
   std::string Describe() const override;
 
  private:
-  ScalableVideoView(MediaDataType type, EncodedVideo video, int layers)
-      : VideoValue(std::move(type)),
-        video_(std::move(video)),
+  ScalableVideoView(std::shared_ptr<const EncodedVideoValue> value,
+                    int layers)
+      : VideoValue(value->type()),
+        value_(std::move(value)),
+        video_(value_->encoded()),
         layers_(layers) {}
 
-  EncodedVideo video_;
+  /// The restricted session behind Frame/Frames, opened on first use.
+  Result<VideoDecoderSession*> Session() const;
+
+  std::shared_ptr<const EncodedVideoValue> value_;
+  const EncodedVideo& video_;  ///< value_'s stream
   int layers_;
   mutable std::unique_ptr<VideoDecoderSession> session_;
 };

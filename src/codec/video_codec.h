@@ -104,7 +104,9 @@ class VideoCodec {
   virtual Result<EncodedVideo> Encode(const VideoValue& value,
                                       const VideoCodecParams& params) const = 0;
 
-  /// Opens a decode session over a stream this codec produced.
+  /// Opens a decode session over a stream this codec produced. The session
+  /// reads `video` in place rather than copying it, so the stream must
+  /// outlive the session.
   virtual Result<std::unique_ptr<VideoDecoderSession>> NewDecoder(
       const EncodedVideo& video) const = 0;
 };

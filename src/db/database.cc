@@ -536,8 +536,7 @@ Result<MediaActivityPtr> AvDatabase::MakeSource(
         encoded_value->encoded().family == EncodingFamily::kScalable) {
       const int layers = ScalableCodec::LayersForResolution(
           current.stored_type, quality->width(), quality->height());
-      auto view =
-          ScalableVideoView::Create(encoded_value->encoded(), layers);
+      auto view = ScalableVideoView::Create(encoded_value, layers);
       if (!view.ok()) return view.status();
       value = MediaValuePtr(view.value());
     }

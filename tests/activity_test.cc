@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "activity/composite.h"
 #include "activity/graph.h"
 #include "activity/sinks.h"
@@ -174,10 +176,12 @@ struct Playback {
 };
 
 std::unique_ptr<Playback> MakePlayback(VideoValuePtr value,
-                                       ChannelPtr channel = nullptr) {
+                                       ChannelPtr channel = nullptr,
+                                       SourceOptions options = {}) {
   auto p = std::make_unique<Playback>();
   ActivityEnv env{&p->engine, nullptr};
-  p->source = VideoSource::Create("src", ActivityLocation::kDatabase, env);
+  p->source = VideoSource::Create("src", ActivityLocation::kDatabase, env,
+                                  std::move(options));
   EXPECT_TRUE(p->source->Bind(value, VideoSource::kPortOut).ok());
   const auto& t = p->source->FindPort(VideoSource::kPortOut).value()->data_type();
   p->window = VideoWindow::Create(
@@ -290,6 +294,274 @@ TEST(PlaybackTest, EncodedValuePlaysThroughGenericSource) {
   const double mae =
       p->window->last_frame().MeanAbsoluteError(raw->Frame(9).value()).value();
   EXPECT_LT(mae, 12.0);
+}
+
+// ------------------------------------------------------- Per-stream readers --
+
+std::shared_ptr<EncodedVideoValue> InterTitle(int frames, int gop_size = 12) {
+  auto codec =
+      CodecRegistry::Default().VideoCodecFor(EncodingFamily::kInter).value();
+  VideoCodecParams params;
+  params.gop_size = gop_size;
+  return EncodedVideoValue::Create(
+             codec, codec->Encode(*SmallVideo(frames), params).value())
+      .value();
+}
+
+std::vector<VideoFrame> ReferenceDecode(const EncodedVideoValue& value) {
+  auto session = value.codec().NewDecoder(value.encoded()).value();
+  std::vector<VideoFrame> frames;
+  for (int64_t i = 0; i < value.FrameCount(); ++i) {
+    frames.push_back(session->DecodeFrame(i).value());
+  }
+  return frames;
+}
+
+TEST(VideoSourceReaderTest, StaggeredStreamsOnOneTitleDecodeEachFrameOnce) {
+  // Four streams on one inter title (GOP 12), started out of phase so their
+  // ticks interleave mid-GOP. Each decodes through its own reader: frames
+  // match a fresh decode and the title pays one decode per presented frame.
+  auto title = InterTitle(30);
+  const std::vector<VideoFrame> reference = ReferenceDecode(*title);
+  EventEngine engine;
+  ActivityEnv env{&engine, nullptr};
+  ActivityGraph graph(env);
+  std::vector<std::shared_ptr<VideoSource>> sources;
+  int64_t presented = 0;
+  int64_t mismatches = 0;
+  for (int64_t offset_ms : {0, 130, 470, 1250}) {
+    SourceOptions options;
+    options.start_offset = WorldTime::FromMillis(offset_ms);
+    auto source = VideoSource::Create("src" + std::to_string(offset_ms),
+                                      ActivityLocation::kDatabase, env,
+                                      options);
+    ASSERT_TRUE(source->Bind(title, VideoSource::kPortOut).ok());
+    auto window = VideoWindow::Create("win" + std::to_string(offset_ms),
+                                      ActivityLocation::kClient, env,
+                                      MatchingQuality(SmallVideoType()));
+    ASSERT_TRUE(window
+                    ->Catch(VideoWindow::kEachFrame,
+                            [&, w = window.get()](const ActivityEvent& e) {
+                              ++presented;
+                              if (!(w->last_frame() ==
+                                    reference[static_cast<size_t>(
+                                        e.element_index)])) {
+                                ++mismatches;
+                              }
+                            })
+                    .ok());
+    ASSERT_TRUE(graph.Add(source).ok());
+    ASSERT_TRUE(graph.Add(window).ok());
+    ASSERT_TRUE(graph
+                    .Connect(source.get(), VideoSource::kPortOut,
+                             window.get(), VideoWindow::kPortIn)
+                    .ok());
+    sources.push_back(source);
+  }
+  ASSERT_TRUE(graph.StartAll().ok());
+  graph.RunUntilIdle();
+  EXPECT_EQ(presented, 4 * 30);
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(title->FramesDecodedInternally(), presented);
+  for (const auto& source : sources) {
+    EXPECT_EQ(source->state(), MediaActivity::State::kStopped);
+    EXPECT_FALSE(source->holds_decoder()) << source->name();
+  }
+}
+
+TEST(VideoSourceReaderTest, ReaderIsReleasedOnEveryStop) {
+  auto title = InterTitle(20);
+  // Opened lazily: binding alone holds no decoder.
+  {
+    auto p = MakePlayback(title);
+    EXPECT_FALSE(p->source->holds_decoder());
+    // Stop mid-stream.
+    ASSERT_TRUE(p->graph.StartAll().ok());
+    p->graph.RunUntil(WorldTime::FromMillis(500));
+    EXPECT_TRUE(p->source->holds_decoder());
+    ASSERT_TRUE(p->source->Stop().ok());
+    EXPECT_FALSE(p->source->holds_decoder());
+  }
+  // Abort: every fetch after the third fails and one fault is fatal.
+  {
+    int fetches = 0;
+    auto failing_fetcher = [&fetches](const std::string&, int64_t,
+                                      int64_t length, int64_t)
+        -> Result<MediaStore::ReadResult> {
+      if (++fetches > 3) return Status::Unavailable("replica down");
+      return MediaStore::ReadResult{Buffer(static_cast<size_t>(length)),
+                                    WorldTime::FromMillis(1), 0};
+    };
+    DegradationPolicy policy;
+    policy.max_consecutive_faults = 1;
+    DegradationController degrade(policy);
+    SourceOptions options;
+    options.fetcher = failing_fetcher;
+    options.degrade = &degrade;
+    auto p = MakePlayback(title, nullptr, options);
+    bool aborted = false;
+    ASSERT_TRUE(p->source
+                    ->Catch(VideoSource::kStreamAborted,
+                            [&](const ActivityEvent&) { aborted = true; })
+                    .ok());
+    ASSERT_TRUE(p->graph.StartAll().ok());
+    p->graph.RunUntilIdle();
+    EXPECT_TRUE(aborted);
+    EXPECT_EQ(p->source->state(), MediaActivity::State::kStopped);
+    EXPECT_FALSE(p->source->holds_decoder());
+
+    // A terminal fetch failure without the ladder stops the stream too.
+    fetches = 0;
+    SourceOptions plain;
+    plain.fetcher = failing_fetcher;
+    auto q = MakePlayback(title, nullptr, plain);
+    ASSERT_TRUE(q->graph.StartAll().ok());
+    q->graph.RunUntilIdle();
+    EXPECT_EQ(q->window->stats().elements_presented, 3);
+    EXPECT_FALSE(q->source->holds_decoder());
+  }
+  // A decode failure (a truncated P-frame) stops the stream.
+  {
+    EncodedVideo damaged = title->encoded();
+    damaged.frames[5].data = Buffer(std::vector<uint8_t>{0x80});
+    auto value = EncodedVideoValue::Create(
+                     CodecRegistry::Default()
+                         .VideoCodecFor(EncodingFamily::kInter)
+                         .value(),
+                     std::move(damaged))
+                     .value();
+    auto p = MakePlayback(value);
+    ASSERT_TRUE(p->graph.StartAll().ok());
+    p->graph.RunUntilIdle();
+    EXPECT_EQ(p->window->stats().elements_presented, 5);
+    EXPECT_FALSE(p->source->holds_decoder());
+  }
+  // End of stream.
+  {
+    auto p = MakePlayback(title);
+    ASSERT_TRUE(p->graph.StartAll().ok());
+    p->graph.RunUntilIdle();
+    EXPECT_EQ(p->window->stats().elements_presented, 20);
+    EXPECT_FALSE(p->source->holds_decoder());
+  }
+}
+
+TEST(VideoSourceReaderTest, DecoderActivitiesOnOneTitleDecodeEachFrameOnce) {
+  // Two read -> decode -> display chains on one inter title, out of phase:
+  // each decoder activity keeps its own position in the title.
+  auto title = InterTitle(24);
+  const std::vector<VideoFrame> reference = ReferenceDecode(*title);
+  EventEngine engine;
+  ActivityEnv env{&engine, nullptr};
+  ActivityGraph graph(env);
+  std::vector<std::shared_ptr<VideoWindow>> windows;
+  for (int64_t offset_ms : {0, 250}) {
+    const std::string id = std::to_string(offset_ms);
+    SourceOptions options;
+    options.start_offset = WorldTime::FromMillis(offset_ms);
+    auto reader = VideoSource::Create("read" + id, ActivityLocation::kDatabase,
+                                      env, options, /*emit_encoded=*/true);
+    ASSERT_TRUE(reader->Bind(title, VideoSource::kPortOut).ok());
+    auto decoder = VideoDecoderActivity::Create(
+        "decode" + id, ActivityLocation::kDatabase, env);
+    ASSERT_TRUE(decoder->Bind(title, VideoDecoderActivity::kPortIn).ok());
+    auto window = VideoWindow::Create("display" + id, ActivityLocation::kClient,
+                                      env, MatchingQuality(SmallVideoType()));
+    ASSERT_TRUE(graph.Add(reader).ok());
+    ASSERT_TRUE(graph.Add(decoder).ok());
+    ASSERT_TRUE(graph.Add(window).ok());
+    ASSERT_TRUE(graph
+                    .Connect(reader.get(), VideoSource::kPortOut,
+                             decoder.get(), VideoDecoderActivity::kPortIn)
+                    .ok());
+    ASSERT_TRUE(graph
+                    .Connect(decoder.get(), VideoDecoderActivity::kPortOut,
+                             window.get(), VideoWindow::kPortIn)
+                    .ok());
+    windows.push_back(window);
+  }
+  ASSERT_TRUE(graph.StartAll().ok());
+  graph.RunUntilIdle();
+  for (const auto& window : windows) {
+    EXPECT_EQ(window->stats().elements_presented, 24);
+    EXPECT_TRUE(window->last_frame() == reference.back());
+  }
+  EXPECT_EQ(title->FramesDecodedInternally(), 2 * 24);
+}
+
+// Every fetch names the frame's byte offset in the stored blob: the sum of
+// the stored sizes of the frames before it.
+std::vector<int64_t> NaiveOffsets(const VideoValue& value) {
+  std::vector<int64_t> offsets;
+  int64_t offset = 0;
+  for (int64_t f = 0; f < value.FrameCount(); ++f) {
+    offsets.push_back(offset);
+    offset += value.StoredFrameBytes(f);
+  }
+  return offsets;
+}
+
+struct Fetch {
+  int64_t offset;
+  int64_t length;
+};
+
+RangeFetcher RecordingFetcher(std::vector<Fetch>* fetches) {
+  return [fetches](const std::string&, int64_t offset, int64_t length,
+                   int64_t) -> Result<MediaStore::ReadResult> {
+    fetches->push_back({offset, length});
+    return MediaStore::ReadResult{Buffer(static_cast<size_t>(length)),
+                                  WorldTime::FromMillis(1), 0};
+  };
+}
+
+TEST(VideoSourceReaderTest, FetchOffsetsArePrefixSumsOfStoredFrames) {
+  auto title = InterTitle(30);
+  std::vector<Fetch> fetches;
+  SourceOptions options;
+  options.fetcher = RecordingFetcher(&fetches);
+  auto p = MakePlayback(title, nullptr, options);
+  ASSERT_TRUE(p->graph.StartAll().ok());
+  p->graph.RunUntilIdle();
+  const std::vector<int64_t> naive = NaiveOffsets(*title);
+  ASSERT_EQ(fetches.size(), naive.size());
+  for (size_t i = 0; i < naive.size(); ++i) {
+    EXPECT_EQ(fetches[i].offset, naive[i]) << "frame " << i;
+    EXPECT_EQ(fetches[i].length,
+              title->StoredFrameBytes(static_cast<int64_t>(i)));
+  }
+}
+
+TEST(VideoSourceReaderTest, FetchOffsetsKeepTheStoredLayoutAcrossAQualityStep) {
+  auto codec = std::make_shared<ScalableCodec>();
+  VideoCodecParams params;
+  params.layer_count = 3;
+  auto title = EncodedVideoValue::Create(
+                   codec, codec->Encode(*SmallVideo(20), params).value())
+                   .value();
+  std::vector<Fetch> fetches;
+  DegradationController degrade;
+  degrade.ReportLateness(0, 100 * 1000 * 1000);  // lower quality at once
+  SourceOptions options;
+  options.fetcher = RecordingFetcher(&fetches);
+  options.degrade = &degrade;
+  auto p = MakePlayback(title, nullptr, options);
+  ASSERT_TRUE(p->graph.StartAll().ok());
+  p->graph.RunUntilIdle();
+
+  // Stepped-down fetches read a prefix of each stored frame, at the offset
+  // the full-quality layout gives it.
+  const std::vector<int64_t> naive = NaiveOffsets(*title);
+  ASSERT_FALSE(fetches.empty());
+  int64_t reduced = 0;
+  for (const Fetch& f : fetches) {
+    auto it = std::find(naive.begin(), naive.end(), f.offset);
+    ASSERT_NE(it, naive.end()) << "offset " << f.offset << " starts no frame";
+    const int64_t frame = it - naive.begin();
+    EXPECT_LE(f.length, title->StoredFrameBytes(frame));
+    if (f.length < title->StoredFrameBytes(frame)) ++reduced;
+  }
+  EXPECT_GT(reduced, 0);
 }
 
 // --------------------------------------------------------- Reader->decoder --

@@ -491,6 +491,121 @@ TEST(EncodedVideoValueTest, CodecFamilyMismatchRejected) {
   EXPECT_FALSE(EncodedVideoValue::Create(inter, encoded).ok());
 }
 
+/// Decorator codec counting the sessions opened through it.
+class CountingCodec final : public VideoCodec {
+ public:
+  explicit CountingCodec(std::shared_ptr<const VideoCodec> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  EncodingFamily family() const override { return inner_->family(); }
+  Result<EncodedVideo> Encode(const VideoValue& value,
+                              const VideoCodecParams& params) const override {
+    return inner_->Encode(value, params);
+  }
+  Result<std::unique_ptr<VideoDecoderSession>> NewDecoder(
+      const EncodedVideo& video) const override {
+    ++sessions_opened;
+    return inner_->NewDecoder(video);
+  }
+  mutable int sessions_opened = 0;
+
+ private:
+  std::shared_ptr<const VideoCodec> inner_;
+};
+
+TEST(EncodedVideoValueTest, ReadersKeepTheirOwnPositionAndCountDecodes) {
+  const auto type = MediaDataType::RawVideo(32, 32, 8, Rational(10));
+  auto raw = GenerateVideo(type, 24, VideoPattern::kMovingBox).value();
+  auto codec = std::make_shared<CountingCodec>(
+      CodecRegistry::Default().VideoCodecFor(EncodingFamily::kInter).value());
+  VideoCodecParams params;
+  params.gop_size = 12;
+  auto value =
+      EncodedVideoValue::Create(codec, codec->Encode(*raw, params).value())
+          .value();
+  std::vector<VideoFrame> reference;
+  auto session = InterCodec().NewDecoder(value->encoded()).value();
+  for (int64_t i = 0; i < 24; ++i) {
+    reference.push_back(session->DecodeFrame(i).value());
+  }
+
+  auto a = value->NewReader().value();
+  auto b = value->NewReader().value();
+  EXPECT_EQ(codec->sessions_opened, 2);  // readers go through the decorator
+  // Two interleaved sequential readers, one frame apart: each keeps its own
+  // reference frame, so neither re-enters the GOP.
+  for (int64_t i = 0; i < 24; ++i) {
+    EXPECT_TRUE(a->DecodeFrame(i).value() == reference[static_cast<size_t>(i)])
+        << "frame " << i;
+    if (i > 0) {
+      EXPECT_TRUE(b->DecodeFrame(i - 1).value() ==
+                  reference[static_cast<size_t>(i - 1)])
+          << "frame " << i - 1;
+    }
+  }
+  EXPECT_EQ(a->FramesDecodedInternally(), 24);
+  EXPECT_EQ(b->FramesDecodedInternally(), 23);
+  EXPECT_EQ(value->FramesDecodedInternally(), 24 + 23);
+  // A dropped reader's decodes stay counted; the shared session adds its own.
+  a.reset();
+  EXPECT_EQ(value->FramesDecodedInternally(), 24 + 23);
+  ASSERT_TRUE(value->Frame(0).ok());
+  EXPECT_EQ(value->FramesDecodedInternally(), 24 + 23 + 1);
+}
+
+// Sessions read their stream in place: each family must decode correctly
+// when the only copy of the stream is the one its value owns (run under
+// ASan, a session that outlived or copied-then-dangled its stream fails).
+TEST(EncodedVideoValueTest, ReaderDecodesWhileOnlyItsValueHoldsTheStream) {
+  const auto type = MediaDataType::RawVideo(32, 24, 8, Rational(10));
+  auto raw = GenerateVideo(type, 8, VideoPattern::kMovingBox).value();
+  for (auto family :
+       {EncodingFamily::kIntra, EncodingFamily::kInter, EncodingFamily::kDelta,
+        EncodingFamily::kScalable}) {
+    auto codec = CodecRegistry::Default().VideoCodecFor(family).value();
+    VideoCodecParams params;
+    params.gop_size = 3;
+    EncodedVideo encoded = codec->Encode(*raw, params).value();
+    std::vector<VideoFrame> reference;
+    {
+      auto session = codec->NewDecoder(encoded).value();
+      for (int64_t i = 0; i < 8; ++i) {
+        reference.push_back(session->DecodeFrame(i).value());
+      }
+    }
+    auto value = EncodedVideoValue::Create(codec, std::move(encoded)).value();
+    auto reader = value->NewReader().value();
+    value.reset();  // the reader now holds the only reference to the value
+    for (int64_t i = 0; i < 8; ++i) {
+      auto frame = reader->DecodeFrame(i);
+      ASSERT_TRUE(frame.ok()) << EncodingFamilyName(family) << " frame " << i;
+      EXPECT_TRUE(frame.value() == reference[static_cast<size_t>(i)])
+          << EncodingFamilyName(family) << " frame " << i;
+    }
+  }
+}
+
+TEST(ScalableVideoViewTest, ViewSharesItsValuesStream) {
+  const auto type = MediaDataType::RawVideo(48, 32, 8, Rational(10));
+  auto raw = GenerateVideo(type, 6, VideoPattern::kMovingGradient).value();
+  auto codec = std::make_shared<ScalableCodec>();
+  VideoCodecParams params;
+  params.layer_count = 3;
+  auto value =
+      EncodedVideoValue::Create(codec, codec->Encode(*raw, params).value())
+          .value();
+  auto view = ScalableVideoView::Create(value, 2).value();
+  EXPECT_EQ(view->full_value(), value);
+  // Same frame storage, not a copy of it.
+  EXPECT_EQ(&view->encoded(), &value->encoded());
+  EXPECT_EQ(view->encoded().frames.data(), value->encoded().frames.data());
+  auto restricted = codec->NewDecoderWithLayers(value->encoded(), 2).value();
+  for (int64_t i = 0; i < 6; ++i) {
+    EXPECT_TRUE(view->Frame(i).value() == restricted->DecodeFrame(i).value())
+        << "frame " << i;
+  }
+}
+
 // --------------------------------------------------------------- Registry --
 
 TEST(CodecRegistryTest, AllFamiliesResolvable) {

@@ -141,10 +141,12 @@ TEST(GraphReconfigureTest, EmissionToDisconnectedPortCountsDrops) {
 TEST(ScalableViewTest, ViewDecodesAndReportsReducedBytes) {
   const auto type = MediaDataType::RawVideo(64, 48, 8, Rational(10));
   auto raw = GenerateVideo(type, 6, VideoPattern::kMovingGradient).value();
-  ScalableCodec codec;
+  auto codec = std::make_shared<ScalableCodec>();
   VideoCodecParams params;
   params.layer_count = 3;
-  auto encoded = codec.Encode(*raw, params).value();
+  auto encoded =
+      EncodedVideoValue::Create(codec, codec->Encode(*raw, params).value())
+          .value();
 
   auto base = ScalableVideoView::Create(encoded, 1).value();
   auto full = ScalableVideoView::Create(encoded, 3).value();
@@ -161,9 +163,14 @@ TEST(ScalableViewTest, ViewDecodesAndReportsReducedBytes) {
   EXPECT_FALSE(ScalableVideoView::Create(encoded, 0).ok());
   EXPECT_FALSE(ScalableVideoView::Create(encoded, 4).ok());
   // Non-scalable stream rejected.
-  EncodedVideo bogus = encoded;
-  bogus.family = EncodingFamily::kIntra;
+  auto intra = CodecRegistry::Default()
+                   .VideoCodecFor(EncodingFamily::kIntra)
+                   .value();
+  auto bogus =
+      EncodedVideoValue::Create(intra, intra->Encode(*raw, params).value())
+          .value();
   EXPECT_FALSE(ScalableVideoView::Create(bogus, 1).ok());
+  EXPECT_FALSE(ScalableVideoView::Create(nullptr, 1).ok());
 }
 
 // ------------------------------------------------------- timecode sweep ----
