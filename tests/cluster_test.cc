@@ -803,6 +803,108 @@ TEST(ReplicatedStoreTest, CrashDuringRepairIsHealedNextRound) {
   EXPECT_TRUE(c.store->Converged());
 }
 
+// The four tests below pin the content-identity decisions of the repair
+// machinery — hint skip, majority vote and donor choice — on versions that
+// share a name and a size but not their bytes.
+
+TEST(ReplicatedStoreTest, HintWhoseBytesLandedReplaysWithoutRewrite) {
+  // A write that persists past its deadline leaves a hint although its
+  // bytes are on the replica; replay must recognise them and not rewrite.
+  TestCluster c(3);
+  FaultSpec slow;
+  slow.node_slow_rate = 1.0;
+  slow.node_slow_factor = 1000.0;
+  c.Inject(0, slow, 3);
+  const Buffer data = MakeBlob(16000);
+  auto put = c.store->Put("clip", data, kSecond);
+  ASSERT_TRUE(put.ok());
+  EXPECT_EQ(put.value().acks, 2);
+  ASSERT_EQ(c.store->HintCount(0), 1);
+  ASSERT_TRUE(c.nodes[0]->store().Contains("clip"));
+  c.nodes[0]->set_fault_injector(nullptr);
+
+  c.clock.Step();
+  auto replay = c.store->ReplayHints(0);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay.value().replayed, 1);
+  EXPECT_EQ(c.nodes[0]->stats().repairs_applied, 0);
+  EXPECT_EQ(c.nodes[0]->store().Get("clip").value().data, data);
+  EXPECT_TRUE(c.store->Converged());
+}
+
+TEST(ReplicatedStoreTest, HintOverSameSizeOtherVersionIsApplied) {
+  // The revived replica holds another version of the same size (one byte
+  // differs); replay must tell the versions apart and rewrite.
+  TestCluster c(3);
+  c.Inject(0, FaultSpec::NodeCrash(1), 5);
+  const Buffer data = MakeBlob(16000);
+  ASSERT_TRUE(c.store->Put("clip", data, kSecond).ok());
+  ASSERT_EQ(c.store->HintCount(0), 1);
+  ASSERT_TRUE(c.nodes[0]->Revive().ok());
+  Buffer stale = data;
+  stale[15000] ^= 0x01;
+  int64_t latency = 0;
+  ASSERT_TRUE(
+      c.nodes[0]->ApplyRepair("clip", stale, c.clock.now_ns, &latency).ok());
+  ASSERT_EQ(c.nodes[0]->stats().repairs_applied, 1);
+
+  c.clock.Step();
+  auto replay = c.store->ReplayHints(0);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay.value().replayed, 1);
+  EXPECT_EQ(c.nodes[0]->stats().repairs_applied, 2);
+  EXPECT_EQ(c.nodes[0]->store().Get("clip").value().data, data);
+  EXPECT_TRUE(c.store->Converged());
+}
+
+TEST(ReplicatedStoreTest, AntiEntropyRewritesOddSameSizeVersionToMajority) {
+  // Replica 0 — the one a lowest-index tie-break would favour — holds an
+  // odd version of the same size. The vote must side with replicas 1 and 2.
+  TestCluster c(3);
+  const int64_t kPage = MediaStore::kCachePageBytes;
+  const Buffer data = MakeBlob(static_cast<size_t>(2 * kPage + 100));
+  ASSERT_TRUE(c.store->Put("clip", data, 10 * kSecond).ok());
+  Buffer odd = data;
+  odd[static_cast<size_t>(kPage + 7)] ^= 0x5A;
+  int64_t latency = 0;
+  ASSERT_TRUE(
+      c.nodes[0]->ApplyRepair("clip", odd, c.clock.now_ns, &latency).ok());
+  EXPECT_FALSE(c.store->Converged());
+
+  c.clock.Step();
+  auto round = c.store->RunAntiEntropy();
+  EXPECT_EQ(round.blobs_streamed, 1);
+  EXPECT_EQ(round.pages_streamed, 1);  // pages 0 and 2 salvaged in place
+  EXPECT_TRUE(round.converged);
+  EXPECT_EQ(c.nodes[0]->store().Get("clip").value().data, data);
+  EXPECT_EQ(c.nodes[1]->stats().repairs_applied, 0);
+  EXPECT_EQ(c.nodes[2]->stats().repairs_applied, 0);
+}
+
+TEST(ReplicatedStoreTest, RepairWithNoPeerAtDamagedVersionIsDataLoss) {
+  // Replica 0 holds another same-size version (page 0 differs) and its
+  // page 1 rots. The peers' page 1 would pass the digest check, but they
+  // hold a different version, so no donor qualifies.
+  TestCluster c(3);
+  const int64_t kPage = MediaStore::kCachePageBytes;
+  const Buffer data = MakeBlob(static_cast<size_t>(2 * kPage));
+  ASSERT_TRUE(c.store->Put("clip", data, 10 * kSecond).ok());
+  Buffer other = data;
+  other[10] ^= 0x01;
+  int64_t latency = 0;
+  ASSERT_TRUE(
+      c.nodes[0]->ApplyRepair("clip", other, c.clock.now_ns, &latency).ok());
+  CorruptPage(c.nodes[0]->store(), "clip", 1);
+
+  c.clock.Step();
+  const Status repaired = c.store->RepairBlob(0, "clip");
+  EXPECT_EQ(repaired.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(c.store->stats().data_loss_events, 1);
+  EXPECT_EQ(c.store->stats().repair_failures, 1);
+  EXPECT_EQ(c.store->stats().repairs, 0);
+  EXPECT_EQ(c.nodes[0]->stats().repairs_applied, 1);  // the planted version
+}
+
 TEST(ReplicatedStoreTest, QuorumWritesAreDeterministic) {
   // Same seeds, same spec => byte-identical outcome, ack counts, and
   // modeled quorum latencies — the property the chaos sweep leans on.
