@@ -21,6 +21,7 @@
 #include <iostream>
 #include <string>
 
+#include "base/buffer.h"
 #include "base/fault_injector.h"
 #include "base/logging.h"
 
@@ -67,9 +68,7 @@ std::shared_ptr<EncodedVideoValue> MakeEncodedClip() {
 }
 
 uint64_t HashFrame(const VideoFrame& frame) {
-  Buffer b;
-  b.AppendBytes(frame.data().data(), frame.data().size());
-  return b.Hash64();
+  return FastHash64(frame.data().data(), frame.data().size());
 }
 
 FlowReport RunFlat(bool print_topology) {

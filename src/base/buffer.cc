@@ -33,15 +33,6 @@ void Buffer::AppendBytes(const uint8_t* p, size_t n) {
   bytes_.insert(bytes_.end(), p, p + n);
 }
 
-uint64_t Buffer::Hash64() const {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (uint8_t b : bytes_) {
-    h ^= b;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 namespace {
 
 inline uint64_t LoadLaneLE(const uint8_t* p) {

@@ -57,19 +57,16 @@ class Buffer {
     return a.bytes_ == b.bytes_;
   }
 
-  /// FNV-1a hash of the contents; used for stored-chunk checksums.
-  uint64_t Hash64() const;
-
  private:
   std::vector<uint8_t> bytes_;
 };
 
-/// Fast 64-bit hash over a byte span: FNV-1a over 8-byte lanes with a
-/// byte-wise tail, folded once at the end. Roughly 8x the throughput of
-/// `Buffer::Hash64`, which matters because the storage layer hashes every
-/// page it reads; the two hashes are distinct functions and must not be
-/// mixed on the same stored field. Deterministic across platforms (lanes
-/// are assembled little-endian).
+/// Fast 64-bit hash over a byte span: four interleaved FNV-style lanes of
+/// 8 bytes, a lane and byte-wise tail, and a final avalanche. It is the
+/// library's only content hash: storage page digests, which every read
+/// verifies and replicas compare, and journal and superblock checksums.
+/// Its values are persisted, so they are part of the on-device format;
+/// deterministic across platforms (lanes are assembled little-endian).
 uint64_t FastHash64(const uint8_t* data, size_t size);
 
 /// Sequential reader over a Buffer (or any byte span). Each Read* returns

@@ -235,12 +235,11 @@ Status ServerNode::Revive() {
   if (store_->mounted()) {
     // Crash-restart: the RAM directory died with the process; rebuild a
     // fresh store over the same media and recover from superblock +
-    // journal. Tuning (retry policy, verification) is node configuration,
-    // so it survives the restart.
+    // journal. The retry policy is node configuration, so it survives the
+    // restart.
     auto fresh = std::make_shared<MediaStore>(store_->device_ptr(),
                                               store_->buffer_cache());
     fresh->set_retry_policy(store_->retry_policy());
-    fresh->set_verify_pages(store_->verify_pages());
     auto recovered = fresh->Recover();
     if (!recovered.ok()) return recovered.status();
     store_ = std::move(fresh);

@@ -230,9 +230,6 @@ Result<ReplicatedStore::WriteResult> ReplicatedStore::Put(
   Hint op;
   op.blob = blob;
   op.data = data;
-  // Matches StoredBlob.checksum (Buffer::Hash64), so hint replay and donor
-  // selection can compare against directory entries directly.
-  op.checksum = data.Hash64();
   return QuorumWrite(op, budget_ns);
 }
 
@@ -252,7 +249,8 @@ Result<MediaStore::ReadResult> ReplicatedStore::Read(const std::string& blob,
   return router_->Fetch(blob, offset, length, budget_ns);
 }
 
-int64_t ReplicatedStore::PickDonor(const std::string& blob, uint64_t checksum,
+int64_t ReplicatedStore::PickDonor(const std::string& blob,
+                                   const StoredBlob& version,
                                    int64_t exclude_idx) const {
   uint64_t mask = 0;
   for (int64_t i = 0; i < replicas_->size(); ++i) {
@@ -261,7 +259,8 @@ int64_t ReplicatedStore::PickDonor(const std::string& blob, uint64_t checksum,
     if (eligible) {
       auto entry = replica.server->store().Lookup(blob);
       eligible = entry.ok() && !entry.value()->quarantined &&
-                 entry.value()->checksum == checksum;
+                 entry.value()->size_bytes == version.size_bytes &&
+                 entry.value()->page_checksums == version.page_checksums;
     }
     if (!eligible) mask |= uint64_t{1} << i;
   }
@@ -373,7 +372,7 @@ Status ReplicatedStore::RepairBlob(int64_t replica_idx,
   if (!entry.ok()) return fail(entry.status());
   const StoredBlob winner = *entry.value();
 
-  const int64_t donor_idx = PickDonor(blob, winner.checksum, replica_idx);
+  const int64_t donor_idx = PickDonor(blob, winner, replica_idx);
   if (donor_idx < 0) {
     ++stats_.data_loss_events;
     return fail(Status::DataLoss("no healthy peer holds '" + blob +
@@ -424,7 +423,10 @@ Status ReplicatedStore::ApplyHint(int64_t idx, const Hint& hint) {
   }
   auto existing = replica.server->store().Lookup(hint.blob);
   if (existing.ok() && !existing.value()->quarantined &&
-      existing.value()->checksum == hint.checksum) {
+      existing.value()->size_bytes ==
+          static_cast<int64_t>(hint.data.size()) &&
+      existing.value()->page_checksums ==
+          MediaStore::PageChecksums(hint.data)) {
     return Status::OK();  // already landed (e.g. a late write after the ack)
   }
   int64_t latency = 0;
@@ -487,7 +489,6 @@ ReplicatedStore::BuildSummary(int64_t replica_idx) const {
     if (!entry.ok()) continue;
     BlobSummary s;
     s.size_bytes = entry.value()->size_bytes;
-    s.checksum = entry.value()->checksum;
     s.pages_digest = FastHash64(
         reinterpret_cast<const uint8_t*>(entry.value()->page_checksums.data()),
         entry.value()->page_checksums.size() * sizeof(uint64_t));
@@ -604,29 +605,29 @@ ReplicatedStore::ResyncReport ReplicatedStore::RunAntiEntropy() {
       continue;
     }
 
-    // Majority vote among healthy holders' checksums; ties break toward
+    // Majority vote among healthy holders' page digests; ties break toward
     // the lowest holder index so every round picks the same winner.
-    uint64_t winner_checksum = 0;
+    uint64_t winner_digest = 0;
     int64_t winner_votes = -1;
     for (int64_t holder : healthy_holders) {
-      const uint64_t checksum =
-          summaries[static_cast<size_t>(holder)].at(blob).checksum;
+      const uint64_t digest =
+          summaries[static_cast<size_t>(holder)].at(blob).pages_digest;
       int64_t votes = 0;
       for (int64_t other : healthy_holders) {
-        if (summaries[static_cast<size_t>(other)].at(blob).checksum ==
-            checksum) {
+        if (summaries[static_cast<size_t>(other)].at(blob).pages_digest ==
+            digest) {
           ++votes;
         }
       }
       if (votes > winner_votes) {
         winner_votes = votes;
-        winner_checksum = checksum;
+        winner_digest = digest;
       }
     }
     int64_t donor_idx = -1;
     for (int64_t holder : healthy_holders) {
-      if (summaries[static_cast<size_t>(holder)].at(blob).checksum ==
-          winner_checksum) {
+      if (summaries[static_cast<size_t>(holder)].at(blob).pages_digest ==
+          winner_digest) {
         donor_idx = holder;
         break;
       }

@@ -141,9 +141,9 @@ class ReplicatedStore {
   };
 
   /// One anti-entropy round: replay pending hints, compare per-replica
-  /// directory + page-digest summaries (checksums already sit in the
-  /// directory entries — nothing is hashed on the hot path), vote per name
-  /// (majority checksum wins; majority-absent deletes), and stream only
+  /// directory + page-digest summaries (the digests already sit in the
+  /// directory entries — no blob bytes are hashed), vote per name
+  /// (majority page digest wins; majority-absent deletes), and stream only
   /// divergent extents to the losers. Down replicas are skipped (and the
   /// round reports non-convergence). Idempotent: a second round over a
   /// converged cluster streams nothing.
@@ -157,12 +157,13 @@ class ReplicatedStore {
   /// across replicas without touching blob bytes.
   struct BlobSummary {
     int64_t size_bytes = 0;
-    uint64_t checksum = 0;      ///< whole-blob hash from the directory
-    uint64_t pages_digest = 0;  ///< FastHash64 over the page-digest vector
+    /// FastHash64 over the entry's page-digest list: the content identity
+    /// the vote compares.
+    uint64_t pages_digest = 0;
     bool quarantined = false;
 
     friend bool operator==(const BlobSummary& a, const BlobSummary& b) {
-      return a.size_bytes == b.size_bytes && a.checksum == b.checksum &&
+      return a.size_bytes == b.size_bytes &&
              a.pages_digest == b.pages_digest &&
              a.quarantined == b.quarantined;
     }
@@ -217,7 +218,6 @@ class ReplicatedStore {
     bool is_delete = false;
     std::string blob;
     Buffer data;
-    uint64_t checksum = 0;  ///< of `data`, to skip already-landed replays
   };
 
   /// One deadline-budgeted, retried write (or delete) against replica
@@ -235,7 +235,8 @@ class ReplicatedStore {
   /// Records a hinted-handoff entry for replica `idx`, superseding any
   /// earlier hint for the same blob.
   void RecordHint(int64_t idx, const Hint& op);
-  /// Applies one hint to a live replica (idempotent).
+  /// Applies one hint to a live replica (idempotent: a replica whose entry
+  /// already has the page digests of `hint.data` is left alone).
   Status ApplyHint(int64_t idx, const Hint& hint);
 
   /// Rebuilds `blob` on replica `target_idx` to match `winner` (a copied
@@ -250,9 +251,10 @@ class ReplicatedStore {
   Result<Buffer> FetchFromDonor(int64_t donor_idx, const std::string& blob,
                                 int64_t offset, int64_t length);
 
-  /// Lowest-EWMA live replica holding a non-quarantined copy of `blob`
-  /// with `checksum`, excluding `exclude_idx`; -1 when none.
-  int64_t PickDonor(const std::string& blob, uint64_t checksum,
+  /// Lowest-EWMA live replica holding a non-quarantined copy of `blob` at
+  /// `version` (same size and page digests), excluding `exclude_idx`; -1
+  /// when none.
+  int64_t PickDonor(const std::string& blob, const StoredBlob& version,
                     int64_t exclude_idx) const;
 
   std::map<std::string, BlobSummary> BuildSummary(int64_t replica_idx) const;

@@ -24,10 +24,10 @@ namespace avdb {
 struct StoredBlob {
   std::string name;
   int64_t size_bytes = 0;
-  uint64_t checksum = 0;  ///< whole-blob FNV (legacy, still verified by Get)
   /// FastHash64 of each kCachePageBytes-sized page of the blob's byte
-  /// space (final page may be short), so ranged reads verify exactly the
-  /// pages they touch.
+  /// space (final page may be short; see MediaStore::PageChecksums). Reads
+  /// verify exactly the pages they touch, and the list is the blob's only
+  /// content identity: equal lists mean equal bytes.
   std::vector<uint64_t> page_checksums;
   /// Set when Scrub found corrupt pages: reads fail fast with DataLoss
   /// while the rest of the store stays serviceable.
@@ -36,9 +36,9 @@ struct StoredBlob {
 };
 
 /// Blob store over one BlockDevice: extent allocation, a write/read path
-/// that charges modeled device time, optional read caching, and checksum
-/// verification (whole-blob on Get, per-page on every verified read). One
-/// MediaStore per device; cross-device placement lives in DeviceManager.
+/// that charges modeled device time, optional read caching, and page
+/// checksum verification on every serving read. One MediaStore per device;
+/// cross-device placement lives in DeviceManager.
 ///
 /// Durability is opt-in via Mount(): a mounted store keeps a checksummed
 /// dual-slot superblock and a begin/commit write-ahead journal on disc 0,
@@ -66,7 +66,12 @@ class MediaStore {
   /// reserved capacity survive it.
   Result<WorldTime> Put(const std::string& name, const Buffer& data);
 
-  /// Reads the whole blob, verifying its per-page and whole-blob checksums
+  /// FastHash64 of each kCachePageBytes-sized page of `data` (the last one
+  /// may be short): the page list Put stores for `data`, so callers can
+  /// compare content against a directory entry without reading the blob.
+  static std::vector<uint64_t> PageChecksums(const Buffer& data);
+
+  /// Reads the whole blob, verifying every page against its checksum
   /// (DataLoss naming the first bad page on mismatch). Returns the data
   /// and the modeled read duration.
   struct ReadResult {
@@ -172,12 +177,6 @@ class MediaStore {
   /// reading, quarantined ones fail fast with DataLoss.
   Result<ScrubReport> Scrub();
 
-  /// Disables per-page checksum verification on reads (Get still checks
-  /// the whole-blob hash). For benchmarking the verification cost and for
-  /// emergency reads of known-damaged media; defaults to on.
-  void set_verify_pages(bool verify) { verify_pages_ = verify; }
-  bool verify_pages() const { return verify_pages_; }
-
   /// Retry discipline applied to every device read issued by this store.
   /// Transient (Unavailable) failures are retried with exponential backoff
   /// charged in modeled time; the per-operation deadline bounds how long a
@@ -239,8 +238,10 @@ class MediaStore {
   /// entry's page checksums for every page fully contained in the range.
   Status VerifyCoveredPages(const StoredBlob& blob, int64_t offset,
                             const Buffer& data);
-  /// Verifies one whole page (index `page`) of the blob.
-  Status VerifyPage(const StoredBlob& blob, int64_t page, const Buffer& data);
+  /// Verifies one whole page (index `page`) of the blob, read in place
+  /// from `size` bytes at `data`.
+  Status VerifyPage(const StoredBlob& blob, int64_t page, const uint8_t* data,
+                    size_t size);
 
   /// Undoes a Put in flight: frees the blob's extents and releases its
   /// reserved capacity.
@@ -279,7 +280,6 @@ class MediaStore {
   obs::Tracer* tracer_ = nullptr;
 
   bool mounted_ = false;
-  bool verify_pages_ = true;
   uint64_t generation_ = 0;      ///< superblock sequence == record generation
   int active_half_ = 0;
   int64_t journal_half_bytes_ = 0;

@@ -391,7 +391,7 @@ TEST(FaultToleranceTest, StoreAbsorbsTransientReadFaults) {
   // hit faults; the retry policy must absorb them invisibly.
   auto read = store.Get("clip");
   ASSERT_TRUE(read.ok()) << read.status();
-  EXPECT_EQ(read.value().data.Hash64(), blob.Hash64());
+  EXPECT_EQ(read.value().data, blob);
   EXPECT_GT(read.value().retries, 0);
   EXPECT_GT(store.stats().retries, 0);
   EXPECT_GT(store.stats().backoff_ns, 0);
@@ -591,8 +591,7 @@ TEST(InvariantTest, BackupIsDeterministic) {
   };
   auto db1 = build();
   auto db2 = build();
-  EXPECT_EQ(db1->SaveBackup().value().Hash64(),
-            db2->SaveBackup().value().Hash64());
+  EXPECT_EQ(db1->SaveBackup().value(), db2->SaveBackup().value());
 }
 
 }  // namespace

@@ -796,8 +796,7 @@ TEST(MediaStoreChecksumTest, CorruptPageFailsOnlyTouchingReads) {
   auto good = store.ReadRange("clip", 0, kPage);
   ASSERT_TRUE(good.ok());
   EXPECT_EQ(good.value().data.size(), static_cast<size_t>(kPage));
-  // Get reads every page, so it must fail too (page check fires before the
-  // legacy whole-blob hash).
+  // Get reads every page, so it must fail too.
   EXPECT_EQ(store.Get("clip").status().code(), StatusCode::kDataLoss);
   EXPECT_GT(store.stats().page_mismatches, 0);
 }
@@ -820,23 +819,6 @@ TEST(MediaStoreChecksumTest, CachedPageHitIsVerified) {
   auto hit = store.ReadRange("clip", 0, kPage);
   ASSERT_FALSE(hit.ok());
   EXPECT_EQ(hit.status().code(), StatusCode::kDataLoss);
-}
-
-TEST(MediaStoreChecksumTest, VerifyPagesKnobDisablesReadChecks) {
-  auto dev = std::make_shared<BlockDevice>("d0", DeviceProfile::RamDisk());
-  MediaStore store(dev, nullptr);
-  const int64_t kPage = MediaStore::kCachePageBytes;
-  Buffer data = MakeBlob(static_cast<size_t>(kPage));
-  ASSERT_TRUE(store.Put("clip", data).ok());
-  auto blob = store.Lookup("clip").value();
-  Buffer junk(1, 0xFF);
-  ASSERT_TRUE(dev->Write(0, blob->extents[0].offset + 10, junk).ok());
-  store.set_verify_pages(false);
-  // Page checks off: the ranged read returns (corrupt) bytes...
-  EXPECT_TRUE(store.ReadRange("clip", 0, kPage).ok());
-  // ...but Get's legacy whole-blob hash still catches it.
-  EXPECT_EQ(store.Get("clip").status().code(), StatusCode::kDataLoss);
-  EXPECT_EQ(store.stats().pages_verified, 0);
 }
 
 TEST(MediaStoreScrubTest, ScrubQuarantinesCorruptBlobAndSurvivesRemount) {
