@@ -416,6 +416,9 @@ Status AudioSource::DoBind(MediaValuePtr value, const std::string& port_name) {
     return Status::InvalidArgument("AudioSource requires an AudioValue");
   }
   value_ = audio;
+  // Approximate layout: fixed-rate bytes at the value's stored rate.
+  stored_bytes_per_block_ =
+      audio->StoredBytes() / std::max<int64_t>(1, BlockCount());
   out_->set_data_type(
       MediaDataType::RawAudio(audio->channels(), audio->sample_rate()));
   next_block_ = 0;
@@ -502,20 +505,17 @@ void AudioSource::Tick(int64_t block_index, int64_t stream_start_ns,
   int64_t ready_ns = engine()->now_ns();
   const int64_t payload_bytes = static_cast<int64_t>(block.value().SizeBytes());
   if (options_.fetcher || options_.store != nullptr) {
-    // Approximate layout: fixed-rate bytes at the value's stored rate.
-    const int64_t stored_bytes_per_block =
-        value_->StoredBytes() / std::max<int64_t>(1, BlockCount());
     const int64_t budget_ns = stream_start_ns + block_index * PeriodNs() +
                               VirtualClock::ToNs(options_.deadline_slack) -
                               ready_ns;
     auto read = options_.fetcher
                     ? options_.fetcher(options_.blob_name,
-                                       block_index * stored_bytes_per_block,
-                                       stored_bytes_per_block, budget_ns)
+                                       block_index * stored_bytes_per_block_,
+                                       stored_bytes_per_block_, budget_ns)
                     : options_.store->ReadRange(
                           options_.blob_name,
-                          block_index * stored_bytes_per_block,
-                          stored_bytes_per_block);
+                          block_index * stored_bytes_per_block_,
+                          stored_bytes_per_block_);
     if (!read.ok()) {
       if (options_.degrade != nullptr) {
         const int64_t now_ns = engine()->now_ns();

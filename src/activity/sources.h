@@ -220,6 +220,8 @@ class AudioSource : public MediaActivity {
   SourceOptions options_;
   Port* out_;
   AudioValuePtr value_;
+  /// Stored bytes fetched per block, computed at bind.
+  int64_t stored_bytes_per_block_ = 0;
   ServiceQueue decode_unit_;
   int64_t next_block_ = 0;
 };

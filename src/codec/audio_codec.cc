@@ -279,35 +279,36 @@ Result<AudioBlock> AdpcmCodec::DecodeChunk(const EncodedAudio& audio,
   const int channels = audio.raw_type.channels();
   const int frames = FramesInChunk(audio, index);
   const Buffer& chunk = audio.chunks[static_cast<size_t>(index)];
-  BufferReader r(chunk);
+  if (channels < 0 || frames < 0) {
+    return Status::DataLoss("adpcm chunk shape is negative");
+  }
+  // Header: per channel, predictor (u16 LE) + step index (u8); then the
+  // codes, two per byte, high nibble first. One length check up front (in
+  // 64 bits, so a corrupt shape cannot overflow it) covers every read
+  // below; trailing bytes are ignored.
+  const int64_t samples = static_cast<int64_t>(frames) * channels;
+  const int64_t header_bytes = 3 * static_cast<int64_t>(channels);
+  if (static_cast<int64_t>(chunk.size()) < header_bytes + (samples + 1) / 2) {
+    return Status::DataLoss("adpcm chunk too short");
+  }
+  const uint8_t* bytes = chunk.data();
   std::vector<AdpcmState> states(static_cast<size_t>(channels));
   for (int c = 0; c < channels; ++c) {
-    auto pred = r.ReadU16();
-    if (!pred.ok()) return pred.status();
-    auto idx = r.ReadU8();
-    if (!idx.ok()) return idx.status();
+    const uint8_t* h = bytes + 3 * c;
+    if (h[2] > 88) return Status::DataLoss("adpcm step index out of range");
     states[static_cast<size_t>(c)].predictor =
-        static_cast<int16_t>(pred.value());
-    states[static_cast<size_t>(c)].index = idx.value();
+        static_cast<int16_t>(h[0] | (h[1] << 8));
+    states[static_cast<size_t>(c)].index = h[2];
   }
   AudioBlock block(channels, frames);
-  uint8_t byte = 0;
-  bool low_nibble = false;
+  const uint8_t* codes = bytes + header_bytes;
+  int16_t* out = block.samples().data();
+  int64_t i = 0;  // sample (and nibble) number, channel-interleaved
   for (int f = 0; f < frames; ++f) {
-    for (int c = 0; c < channels; ++c) {
-      uint8_t code;
-      if (!low_nibble) {
-        auto b = r.ReadU8();
-        if (!b.ok()) return b.status();
-        byte = b.value();
-        code = byte >> 4;
-        low_nibble = true;
-      } else {
-        code = byte & 0x0F;
-        low_nibble = false;
-      }
-      block.Set(f, c,
-                AdpcmDecodeSample(&states[static_cast<size_t>(c)], code));
+    for (int c = 0; c < channels; ++c, ++i) {
+      const uint8_t byte = codes[i >> 1];
+      const uint8_t code = (i & 1) == 0 ? byte >> 4 : byte & 0x0F;
+      out[i] = AdpcmDecodeSample(&states[static_cast<size_t>(c)], code);
     }
   }
   return block;

@@ -1,5 +1,7 @@
 #include "codec/encoded_value.h"
 
+#include <algorithm>
+
 namespace avdb {
 
 namespace {
@@ -127,12 +129,9 @@ Result<AudioBlock> EncodedAudioValue::Samples(int64_t first,
     if (!chunk.ok()) return chunk.status();
     const int64_t available = chunk.value().frame_count() - offset;
     const int64_t take = std::min(available, count - written);
-    for (int64_t f = 0; f < take; ++f) {
-      for (int c = 0; c < channels; ++c) {
-        out.Set(static_cast<int>(written + f), c,
-                chunk.value().At(static_cast<int>(offset + f), c));
-      }
-    }
+    // Frames are channel-interleaved and contiguous on both sides.
+    std::copy_n(chunk.value().samples().begin() + offset * channels,
+                take * channels, out.samples().begin() + written * channels);
     written += take;
   }
   return out;

@@ -5,7 +5,8 @@ namespace avdb {
 BufferCache::BufferCache(int64_t capacity_bytes)
     : capacity_bytes_(capacity_bytes < 0 ? 0 : capacity_bytes) {}
 
-const Buffer* BufferCache::Get(const std::string& key) {
+const Buffer* BufferCache::Get(const std::string& key,
+                               std::optional<uint64_t>* verified_digest) {
   auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
@@ -13,15 +14,19 @@ const Buffer* BufferCache::Get(const std::string& key) {
   }
   ++stats_.hits;
   lru_.splice(lru_.begin(), lru_, it->second);
+  if (verified_digest != nullptr) {
+    *verified_digest = it->second->verified_digest;
+  }
   return &it->second->page;
 }
 
-void BufferCache::Put(const std::string& key, Buffer page) {
+void BufferCache::Put(const std::string& key, Buffer page,
+                      std::optional<uint64_t> verified_digest) {
   const int64_t size = static_cast<int64_t>(page.size());
   if (size > capacity_bytes_) return;
   Erase(key);
   EvictToFit(size);
-  lru_.push_front({key, std::move(page)});
+  lru_.push_front({key, std::move(page), verified_digest});
   index_[key] = lru_.begin();
   used_bytes_ += size;
 }

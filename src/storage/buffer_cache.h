@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <list>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -14,6 +15,11 @@ namespace avdb {
 /// before touching the device model, so hot pages cost no simulated device
 /// time — buffer memory is one of the limited resources §3.3 says clients
 /// contend for, and the admission bench charges against its capacity.
+///
+/// A page may carry a *verified digest* tag: the page digest its bytes were
+/// checked against when MediaStore filled the page from the device. Only
+/// that fill sets a tag; every other Put leaves the page untagged, and the
+/// store re-hashes an untagged page on every hit.
 class BufferCache {
  public:
   /// Cache holding at most `capacity_bytes` of page payload.
@@ -23,11 +29,17 @@ class BufferCache {
   int64_t used_bytes() const { return used_bytes_; }
 
   /// Looks up a page; returns nullptr on miss. Hits refresh LRU position.
-  const Buffer* Get(const std::string& key);
+  /// On a hit, a non-null `verified_digest` receives the page's tag
+  /// (nullopt when the page was put untagged).
+  const Buffer* Get(const std::string& key,
+                    std::optional<uint64_t>* verified_digest = nullptr);
 
   /// Inserts (or replaces) a page, evicting LRU pages to fit. Pages larger
-  /// than the whole cache are not cached.
-  void Put(const std::string& key, Buffer page);
+  /// than the whole cache are not cached. `verified_digest` is for
+  /// MediaStore's fill path alone, which passes the digest the bytes were
+  /// just verified against; a replacement drops any earlier tag.
+  void Put(const std::string& key, Buffer page,
+           std::optional<uint64_t> verified_digest = std::nullopt);
 
   /// Drops a page if present.
   void Erase(const std::string& key);
@@ -52,6 +64,7 @@ class BufferCache {
   struct Entry {
     std::string key;
     Buffer page;
+    std::optional<uint64_t> verified_digest;
   };
 
   void EvictToFit(int64_t incoming);

@@ -1,6 +1,7 @@
 #include "storage/media_store.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "base/logging.h"
@@ -800,36 +801,44 @@ Result<MediaStore::ReadResult> MediaStore::ReadRangeImpl(
   }
   // Page-granular caching: assemble the range from cache pages, fetching
   // missing pages from the device. Every page this range touches is whole
-  // in hand, so each one is verified — at fetch time before it enters the
-  // cache, and again when served from cache (a cheap memory hash that
-  // catches corruption of the cached copy itself).
+  // in hand. A fetched page is hashed once, before it enters the cache
+  // tagged with the digest it matched. A hit whose tag equals the
+  // directory's digest for the page is the very bytes that matched, so it
+  // is served without hashing; any other hit (a page put from outside the
+  // store, or one whose digest has since changed) is hashed again.
+  const StoredBlob& entry = *blob.value();
   ReadResult out;
   const int64_t first_page = offset / kCachePageBytes;
   const int64_t last_page = (offset + length - 1) / kCachePageBytes;
   for (int64_t page = first_page; page <= last_page; ++page) {
     const std::string key =
         device_->name() + "/" + name + "#" + std::to_string(page);
-    const Buffer* cached = cache_->Get(key);
+    std::optional<uint64_t> digest;  // what a fill verifies and tags with
+    if (page < static_cast<int64_t>(entry.page_checksums.size())) {
+      digest = entry.page_checksums[static_cast<size_t>(page)];
+    }
+    std::optional<uint64_t> tag;
+    const Buffer* cached = cache_->Get(key, &tag);
     Buffer fetched_data;
     const Buffer* page_data = nullptr;  // no page copy on either path
     if (cached != nullptr) {
-      AVDB_RETURN_IF_ERROR(
-          VerifyPage(*blob.value(), page, cached->data(), cached->size()));
+      if (!tag.has_value() || tag != digest) {
+        AVDB_RETURN_IF_ERROR(
+            VerifyPage(entry, page, cached->data(), cached->size()));
+      }
       page_data = cached;
     } else {
       const int64_t page_start = page * kCachePageBytes;
       const int64_t page_len =
-          std::min(kCachePageBytes, blob.value()->size_bytes - page_start);
-      auto fetched =
-          ReadRangeUncached(*blob.value(), page_start, page_len, budget);
+          std::min(kCachePageBytes, entry.size_bytes - page_start);
+      auto fetched = ReadRangeUncached(entry, page_start, page_len, budget);
       if (!fetched.ok()) return fetched.status();
       out.duration += fetched.value().duration;
       out.retries += fetched.value().retries;
       fetched_data = std::move(fetched.value().data);
-      AVDB_RETURN_IF_ERROR(VerifyPage(*blob.value(), page,
-                                      fetched_data.data(),
+      AVDB_RETURN_IF_ERROR(VerifyPage(entry, page, fetched_data.data(),
                                       fetched_data.size()));
-      cache_->Put(key, fetched_data);
+      cache_->Put(key, fetched_data, digest);
       page_data = &fetched_data;
     }
     // Copy the requested slice of this page.

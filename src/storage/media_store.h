@@ -84,10 +84,11 @@ class MediaStore {
   Result<ReadResult> Get(const std::string& name);
 
   /// Reads `[offset, offset+length)` of the blob — the streaming fetch path.
-  /// Cached ranges cost zero device time. Every page the range touches is
-  /// verified against its stored checksum (on the cached path both when a
-  /// page is fetched and when it is served from cache); a corrupt page
-  /// surfaces as DataLoss.
+  /// Cached ranges cost zero device time. On the cached path every page the
+  /// range touches is verified against its stored checksum: hashed once when
+  /// fetched from the device, then cached tagged with that digest. A hit
+  /// whose tag equals the directory's digest is served without hashing;
+  /// any other hit is hashed again. A corrupt page surfaces as DataLoss.
   Result<ReadResult> ReadRange(const std::string& name, int64_t offset,
                                int64_t length);
 
@@ -193,6 +194,7 @@ class MediaStore {
     int64_t deadline_fast_fails = 0;  ///< reads refused: budget already spent
     int64_t deadline_timeouts = 0;    ///< reads cut off mid-op by the budget
     int64_t pages_verified = 0;   ///< page checksums checked on reads
+                                  ///< (trusted cache hits are not checked)
     int64_t page_mismatches = 0;  ///< page checks that failed (DataLoss)
     int64_t journal_records = 0;  ///< records appended since mount
     int64_t journal_compactions = 0;

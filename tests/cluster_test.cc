@@ -185,6 +185,34 @@ TEST(ServerNodeTest, ReviveRestoresService) {
   EXPECT_GT(latency, 0);
 }
 
+TEST(ServerNodeTest, RevivedStoreRefillsOnceThenServesUnhashedHits) {
+  // Revive builds a fresh store over the same device and cache. Recovery
+  // drops every cached page (it may predate the crash), so the first read
+  // of a page the old store filled goes back to the device and is hashed;
+  // after that the revived store's own fill is trusted like any other.
+  auto dev =
+      std::make_shared<BlockDevice>("n.dev", DeviceProfile::MagneticDisk());
+  auto cache = std::make_shared<BufferCache>(8 * 1024 * 1024);
+  auto store = std::make_shared<MediaStore>(dev, cache);
+  ASSERT_TRUE(store->Mount().ok());
+  ASSERT_TRUE(store->Put("clip", MakeBlob(kBlobBytes)).ok());
+  auto node = std::make_shared<ServerNode>("n", store);
+  auto before = node->store().ReadRange("clip", 100, 512);
+  ASSERT_TRUE(before.ok());
+  ASSERT_GT(before.value().duration, WorldTime());
+  ASSERT_TRUE(node->Revive().ok());
+  ASSERT_NE(&node->store(), store.get());
+  EXPECT_EQ(node->store().buffer_cache(), cache);
+  EXPECT_EQ(cache->used_bytes(), 0);
+  for (int i = 0; i < 3; ++i) {
+    auto read = node->store().ReadRange("clip", 100, 512);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read.value().data, before.value().data);
+    EXPECT_EQ(read.value().duration == WorldTime(), i > 0) << "read " << i;
+    EXPECT_EQ(node->store().stats().pages_verified, 1) << "read " << i;
+  }
+}
+
 // ------------------------------------------------------------ StreamRouter --
 
 RouterPolicy TestPolicy() {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "base/rng.h"
 #include "codec/audio_codec.h"
@@ -420,6 +423,124 @@ TEST(AdpcmCodecTest, CompressionRatioIsFour) {
   auto encoded = AdpcmCodec().Encode(*audio).value();
   // 4:1 on the body plus a small per-chunk header.
   EXPECT_LT(encoded.TotalBytes(), audio->StoredBytes() / 4 + 32);
+}
+
+// Integer-only PCM (no libm, so the known answers below hold on every
+// platform): a random walk with occasional full-scale jumps, so the step
+// index sweeps its whole range. 3000 frames make a short last chunk.
+constexpr int64_t kKnownAnswerFrames = 3000;
+
+std::shared_ptr<EncodedAudioValue> KnownAnswerAdpcm(int channels) {
+  AudioBlock pcm(channels, static_cast<int>(kKnownAnswerFrames));
+  Rng rng(2024 + static_cast<uint64_t>(channels));
+  for (int c = 0; c < channels; ++c) {
+    int64_t v = 0;
+    for (int f = 0; f < kKnownAnswerFrames; ++f) {
+      if (rng.NextBelow(64) == 0) {
+        v = static_cast<int64_t>(rng.NextBelow(65536)) - 32768;
+      } else {
+        v += static_cast<int64_t>(rng.NextBelow(2049)) - 1024;
+        v = std::min<int64_t>(32767, std::max<int64_t>(-32768, v));
+      }
+      pcm.Set(f, c, static_cast<int16_t>(v));
+    }
+  }
+  auto raw = RawAudioValue::FromBlock(
+                 MediaDataType::RawAudio(channels, Rational(8000)),
+                 std::move(pcm))
+                 .value();
+  auto codec = std::make_shared<AdpcmCodec>();
+  return EncodedAudioValue::Create(codec, codec->Encode(*raw).value())
+      .value();
+}
+
+// FastHash64 over the samples as little-endian bytes.
+uint64_t SampleDigest(const std::vector<int16_t>& samples) {
+  Buffer bytes;
+  for (int16_t s : samples) bytes.AppendU16(static_cast<uint16_t>(s));
+  return FastHash64(bytes.data(), bytes.size());
+}
+
+TEST(AdpcmCodecTest, DecodeKnownAnswers) {
+  // Pins decoded ADPCM output: every chunk, and Samples over chunk-aligned,
+  // unaligned, chunk-straddling and short-last-chunk ranges. The answers
+  // were taken from the earlier decoder that read each code byte through a
+  // BufferReader and copied samples one at a time.
+  struct Range {
+    int64_t first;
+    int64_t count;
+  };
+  const Range kRanges[] = {{1024, 1024}, {37, 500}, {1000, 1100}, {2990, 10}};
+  struct Answers {
+    int channels;
+    uint64_t chunks;
+    uint64_t ranges[4];
+  };
+  const Answers kAnswers[] = {
+      {1, 0xFD150EC73C7D9A96ULL,
+       {0x937FFC01C421E729ULL, 0x3CF4A3BFE3A39877ULL, 0xAC81267F9FB8F137ULL,
+        0x3BDCB750AC43E245ULL}},
+      {2, 0x7527152C2EE7D9B4ULL,
+       {0x3EFBA48BFEBCC810ULL, 0x0AFF9937FD184CF2ULL, 0xA7DBAAA46AE73022ULL,
+        0x6DD7AF5EB84DD57DULL}},
+  };
+  AdpcmCodec codec;
+  for (const Answers& want : kAnswers) {
+    auto value = KnownAnswerAdpcm(want.channels);
+    const EncodedAudio& encoded = value->encoded();
+    ASSERT_EQ(encoded.chunks.size(), 3u);
+    std::vector<int16_t> all;
+    for (size_t i = 0; i < encoded.chunks.size(); ++i) {
+      auto chunk = codec.DecodeChunk(encoded, static_cast<int64_t>(i));
+      ASSERT_TRUE(chunk.ok()) << chunk.status();
+      all.insert(all.end(), chunk.value().samples().begin(),
+                 chunk.value().samples().end());
+    }
+    EXPECT_EQ(all.size(),
+              static_cast<size_t>(kKnownAnswerFrames * want.channels));
+    EXPECT_EQ(SampleDigest(all), want.chunks) << want.channels << " ch";
+    for (size_t r = 0; r < 4; ++r) {
+      auto block = value->Samples(kRanges[r].first, kRanges[r].count);
+      ASSERT_TRUE(block.ok()) << block.status();
+      EXPECT_EQ(block.value().frame_count(), kRanges[r].count);
+      EXPECT_EQ(SampleDigest(block.value().samples()), want.ranges[r])
+          << want.channels << " ch, range " << r;
+    }
+  }
+}
+
+TEST(AdpcmCodecTest, ShortChunkIsDataLossAndTrailingBytesAreIgnored) {
+  for (int channels : {1, 2}) {
+    EncodedAudio encoded = KnownAnswerAdpcm(channels)->encoded();
+    AdpcmCodec codec;
+    const AudioBlock whole = codec.DecodeChunk(encoded, 1).value();
+    EncodedAudio longer = encoded;
+    longer.chunks[1].AppendU8(0xAB);
+    EXPECT_EQ(codec.DecodeChunk(longer, 1).value(), whole);
+    // Cut short in the body, and in the header.
+    for (size_t keep : {encoded.chunks[1].size() - 1, size_t{2}}) {
+      EncodedAudio cut = encoded;
+      cut.chunks[1].Resize(keep);
+      EXPECT_EQ(codec.DecodeChunk(cut, 1).status().code(),
+                StatusCode::kDataLoss)
+          << channels << " ch, " << keep << " bytes";
+    }
+  }
+}
+
+TEST(AdpcmCodecTest, StepIndexOutOfRangeIsDataLoss) {
+  // The header's step index selects one of 89 step sizes; a corrupt one
+  // must be refused, not used to index past the table.
+  for (int channels : {1, 2}) {
+    EncodedAudio encoded = KnownAnswerAdpcm(channels)->encoded();
+    AdpcmCodec codec;
+    encoded.chunks[0][3 * static_cast<size_t>(channels) - 1] = 88;
+    EXPECT_TRUE(codec.DecodeChunk(encoded, 0).ok());
+    encoded.chunks[0][3 * static_cast<size_t>(channels) - 1] = 89;
+    EXPECT_EQ(codec.DecodeChunk(encoded, 0).status().code(),
+              StatusCode::kDataLoss)
+        << channels << " ch";
+  }
 }
 
 TEST(EncodedAudioTest, SerializeRoundTrip) {

@@ -821,6 +821,30 @@ TEST(MediaStoreChecksumTest, CachedPageHitIsVerified) {
   EXPECT_EQ(hit.status().code(), StatusCode::kDataLoss);
 }
 
+TEST(MediaStoreChecksumTest, StoreFilledPageHitsAreNotRehashed) {
+  // A page is hashed once, when it comes off the device; hits on the page
+  // the store itself filled are served without hashing it again.
+  auto dev = std::make_shared<BlockDevice>("d0", DeviceProfile::RamDisk());
+  auto cache = std::make_shared<BufferCache>(8 * 1024 * 1024);
+  MediaStore store(dev, cache);
+  const int64_t kPage = MediaStore::kCachePageBytes;
+  Buffer data = MakeBlob(static_cast<size_t>(2 * kPage));
+  ASSERT_TRUE(store.Put("clip", data).ok());
+  auto fill = store.ReadRange("clip", kPage + 100, 512);
+  ASSERT_TRUE(fill.ok());
+  EXPECT_EQ(store.stats().pages_verified, 1);
+  const int64_t hits_before = cache->stats().hits;
+  constexpr int kHits = 5;
+  for (int i = 0; i < kHits; ++i) {
+    auto hit = store.ReadRange("clip", kPage + 100, 512);
+    ASSERT_TRUE(hit.ok());
+    EXPECT_EQ(hit.value().data, fill.value().data);
+    EXPECT_EQ(hit.value().duration, WorldTime());
+  }
+  EXPECT_EQ(cache->stats().hits - hits_before, kHits);
+  EXPECT_EQ(store.stats().pages_verified, 1);
+}
+
 TEST(MediaStoreScrubTest, ScrubQuarantinesCorruptBlobAndSurvivesRemount) {
   auto dev = std::make_shared<BlockDevice>("d0", DeviceProfile::RamDisk());
   Buffer good_data = MakeBlob(80 * 1024, 1);
