@@ -148,6 +148,9 @@ ClusterReport RunCluster(const std::shared_ptr<EncodedVideoValue>& clip,
 
   EventEngine engine;
   ActivityEnv env{&engine, nullptr};
+  // Declared before the graph: a sink detaches its stats from its
+  // controller when the graph destroys it.
+  std::vector<std::unique_ptr<DegradationController>> degraders;
   ActivityGraph graph(env);
   obs::MetricsRegistry registry;
   obs::Tracer tracer(8192);
@@ -170,7 +173,6 @@ ClusterReport RunCluster(const std::shared_ptr<EncodedVideoValue>& clip,
   replicas[0].node->set_fault_injector(replicas[0].node_faults.get());
 
   std::vector<std::unique_ptr<StreamRouter>> routers;
-  std::vector<std::unique_ptr<DegradationController>> degraders;
   std::vector<std::shared_ptr<VideoSource>> sources;
   std::vector<std::shared_ptr<VideoWindow>> windows;
 

@@ -108,8 +108,9 @@ inline void IgnoreStatus(const Status&) {}
 
 /// Explicitly discards a Status with a reviewer-facing justification:
 ///   AVDB_IGNORE_STATUS(store.Flush(), "best-effort flush on shutdown");
-/// The justification must be a non-empty string literal; avdb-lint flags
-/// bare (void)-casts of fallible calls so this stays the only escape hatch.
+/// The justification must be a non-empty string literal; avdb-analyze's
+/// `void-cast-call` rule flags bare (void)-casts of fallible calls so this
+/// stays the only escape hatch.
 #define AVDB_IGNORE_STATUS(expr, justification)             \
   do {                                                      \
     static_assert(sizeof(justification) > 1,                \

@@ -90,7 +90,7 @@ class ServerNode {
   /// leaves a torn repair for the next anti-entropy round. Runs without a
   /// deadline (repair is background work); `*latency_ns` reports the
   /// modeled device-arm time. This is the ONLY sanctioned direct
-  /// MediaStore mutation in the cluster layer (see avdb-lint
+  /// MediaStore mutation in the cluster layer (see avdb-analyze
   /// `direct-replica-write`).
   Status ApplyRepair(const std::string& blob, const Buffer& data,
                      int64_t request_ns, int64_t* latency_ns);

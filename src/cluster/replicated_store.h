@@ -56,7 +56,7 @@ struct ReplicationPolicy {
 /// *redundancy*, not a new durability mechanism.
 ///
 /// All mutations of replica stores go through ServerNode's serving arms
-/// (ServeWrite / ServeDelete / ApplyRepair) — avdb-lint's
+/// (ServeWrite / ServeDelete / ApplyRepair) — avdb-analyze's
 /// `direct-replica-write` rule bans any other MediaStore::Put/Delete call
 /// in the cluster layer, so every write is journaled, fault-injected, and
 /// device-arm priced exactly once.

@@ -236,26 +236,6 @@ void ReconstructU8Sse2(const uint8_t* pred, const int16_t* res, uint8_t* out,
   }
 }
 
-void SubI16Sse2(const int16_t* a, const int16_t* b, int16_t* out, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    StoreU(out + i, _mm_sub_epi16(LoadU(a + i), LoadU(b + i)));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<int16_t>(static_cast<int32_t>(a[i]) - b[i]);
-  }
-}
-
-void AddI16Sse2(const int16_t* a, const int16_t* b, int16_t* out, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    StoreU(out + i, _mm_add_epi16(LoadU(a + i), LoadU(b + i)));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<int16_t>(static_cast<int32_t>(a[i]) + b[i]);
-  }
-}
-
 inline uint32_t ReduceSad(__m128i acc) {
   return static_cast<uint32_t>(_mm_cvtsi128_si32(acc)) +
          static_cast<uint32_t>(
@@ -300,8 +280,10 @@ const CodecKernels& Sse2Kernels() {
     k.i16_center_to_u8 = I16CenterToU8Sse2;
     k.residual_u8 = ResidualU8Sse2;
     k.reconstruct_u8 = ReconstructU8Sse2;
-    k.sub_i16 = SubI16Sse2;
-    k.add_i16 = AddI16Sse2;
+    // Scalar wins for the two int16 add/subtract kernels at this level
+    // (bench_codec_micro), so the table dispatches scalar for them.
+    k.sub_i16 = ScalarKernels().sub_i16;
+    k.add_i16 = ScalarKernels().add_i16;
     k.sad_u8 = SadU8Sse2;
     k.sad16xh_u8 = Sad16xHU8Sse2;
     return k;

@@ -69,16 +69,13 @@ Status CheckQuality(const std::optional<VideoQuality>& vq,
 
 AvDatabase::AvDatabase(AvDatabaseConfig config)
     : config_(config),
+      metrics_(std::make_unique<obs::MetricsRegistry>()),
+      tracer_(std::make_unique<obs::Tracer>()),
       graph_(ActivityEnv{&engine_, nullptr}),
       devices_(config.cache_bytes) {
-  if (config_.observability) {
-    metrics_ = std::make_unique<obs::MetricsRegistry>();
-    tracer_ = std::make_unique<obs::Tracer>(
-        static_cast<size_t>(config_.trace_capacity));
-    tracer_->SetClock([engine = &engine_] { return engine->now_ns(); });
-    admission_.BindObservability(metrics_.get(), tracer_.get());
-    engine_.BindObservability(metrics_.get());
-  }
+  tracer_->SetClock([engine = &engine_] { return engine->now_ns(); });
+  admission_.BindObservability(metrics_.get(), tracer_.get());
+  engine_.BindObservability(metrics_.get());
   if (config_.jitter_seed != 0) {
     jitter_ = std::make_unique<JitterModel>(
         JitterModel::Workstation(config_.jitter_seed));
@@ -103,15 +100,9 @@ Result<BlockDevice*> AvDatabase::AddDevice(const std::string& name,
   const int64_t bandwidth = profile.transfer_bytes_per_sec;
   auto device = devices_.CreateDevice(name, std::move(profile));
   if (!device.ok()) return device.status();
-  if (config_.durable_storage) {
-    auto mounted = devices_.MountStore(name, config_.journal_bytes);
-    if (!mounted.ok()) return mounted.status();
-  }
-  if (metrics_ != nullptr) {
-    auto store = devices_.GetStore(name);
-    if (store.ok()) {
-      store.value()->BindObservability(metrics_.get(), tracer_.get());
-    }
+  auto store = devices_.GetStore(name);
+  if (store.ok()) {
+    store.value()->BindObservability(metrics_.get(), tracer_.get());
   }
   AVDB_RETURN_IF_ERROR(admission_.RegisterPool(
       name + ".bandwidth", static_cast<double>(bandwidth)));
@@ -130,9 +121,7 @@ Result<ChannelPtr> AvDatabase::AddChannel(const std::string& name,
   // Channels keep their own reservation ledger (Channel::ReserveBandwidth);
   // no admission pool is duplicated for them.
   auto channel = std::make_shared<Channel>(name, profile);
-  if (metrics_ != nullptr) {
-    channel->BindObservability(metrics_.get(), tracer_.get());
-  }
+  channel->BindObservability(metrics_.get(), tracer_.get());
   channels_[name] = channel;
   return channel;
 }

@@ -43,21 +43,6 @@ struct AvDatabaseConfig {
   CostModel costs = CostModel::Accelerated();
   /// Fetch lead time handed to database-resident sources.
   WorldTime source_preroll = WorldTime::FromMillis(80);
-  /// When true every added device's store is mounted for durability: its
-  /// directory is journaled on-device (format on first open, recover on
-  /// reopen) and survives crashes. Off by default — an unmounted store is
-  /// byte-identical to the pre-journal storage format.
-  bool durable_storage = false;
-  /// Journal region size per device when `durable_storage` is set.
-  int64_t journal_bytes = MediaStore::kDefaultJournalBytes;
-  /// When true (the default) the database owns a MetricsRegistry and a
-  /// virtual-time Tracer, and every layer it assembles — admission, jitter,
-  /// stores, channels, activities — is bound to them. Off, nothing is
-  /// allocated and every instrumented path degrades to one null check.
-  bool observability = true;
-  /// Trace ring capacity (events) when `observability` is set.
-  int64_t trace_capacity =
-      static_cast<int64_t>(obs::Tracer::kDefaultCapacity);
 };
 
 /// A started stream: the admission ticket and reservations it holds, so
@@ -101,7 +86,9 @@ class AvDatabase {
     return ActivityEnv{&engine_, jitter_.get(), metrics_.get(), tracer_.get()};
   }
 
-  /// Shared instruments; nullptr when config().observability is off.
+  /// Shared instruments. The database owns a MetricsRegistry and a
+  /// virtual-time Tracer, and binds every layer it assembles — admission,
+  /// jitter, stores, channels, activities — to them.
   obs::MetricsRegistry* metrics() { return metrics_.get(); }
   obs::Tracer* tracer() { return tracer_.get(); }
 

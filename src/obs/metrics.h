@@ -23,8 +23,9 @@ std::string JsonEscape(std::string_view s);
 
 /// True when `name` follows the repo-wide instrument convention
 /// `avdb_<layer>_<metric>` — lowercase, digits and underscores only, at
-/// least three segments. avdb-lint additionally checks that `<layer>`
-/// matches the include-DAG layer of the defining file.
+/// least three segments. avdb-analyze's `metric-prefix` rule additionally
+/// checks that `<layer>` matches the include-DAG layer of the defining
+/// file.
 bool ValidMetricName(std::string_view name);
 
 /// Monotone event count. Value() sums two kinds of count:

@@ -40,15 +40,6 @@ Result<MediaStore*> DeviceManager::GetStore(const std::string& device_name) {
   return it->second.store.get();
 }
 
-Result<MediaStore::RecoveryReport> DeviceManager::MountStore(
-    const std::string& device_name, int64_t journal_bytes) {
-  auto it = devices_.find(device_name);
-  if (it == devices_.end()) {
-    return Status::NotFound("device: " + device_name);
-  }
-  return it->second.store->Mount(journal_bytes);
-}
-
 std::vector<std::string> DeviceManager::DeviceNames() const {
   std::vector<std::string> names;
   names.reserve(devices_.size());

@@ -34,13 +34,6 @@ class DeviceManager {
   Result<MediaStore*> GetStore(const std::string& device_name);
   std::vector<std::string> DeviceNames() const;
 
-  /// Mounts the device's store for durability (format-or-recover; see
-  /// MediaStore::Mount). Call right after AddDevice, before any blob is
-  /// stored on it.
-  Result<MediaStore::RecoveryReport> MountStore(
-      const std::string& device_name,
-      int64_t journal_bytes = MediaStore::kDefaultJournalBytes);
-
   /// Stores `data` under `blob_name` on `device_name`. Returns modeled time.
   Result<WorldTime> Store(const std::string& blob_name, const Buffer& data,
                           const std::string& device_name);

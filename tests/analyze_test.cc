@@ -1,7 +1,8 @@
-// Black-box tests for tools/avdb_analyze.py: the analyzer is part of the
-// repo's correctness surface (ctest -L lint gates on it), so its contract —
-// clean tree, in-sync lock order, exact fixture classification, allowlist
-// staleness detection — is pinned here the same way any library API would
+// Black-box tests for tools/avdb_analyze.py, the repo's one static-analysis
+// tool: it is part of the correctness surface (ctest -L lint gates on it),
+// so its contract — clean tree, in-sync lock order, exact fixture
+// classification, one allowlist with staleness detection for every rule,
+// each rule's scope — is pinned here the same way any library API would
 // be. Each test shells out to the real script; AVDB_PROJECT_ROOT and
 // AVDB_PYTHON3 are injected by tests/CMakeLists.txt.
 
@@ -55,13 +56,14 @@ std::string ReadFile(const std::string& path) {
   return out.str();
 }
 
-// A throwaway analyzer root: src/ with one locked class (so the lock-order
-// document is non-trivial) and an initially empty allowlist; tests that
-// need allowlist entries overwrite the file after syncing the lock order.
+// A fresh throwaway analyzer root: src/ with one locked class (so the
+// lock-order document is non-trivial) and an initially empty allowlist;
+// tests that need allowlist entries overwrite the file after syncing the
+// lock order.
 std::string MakeScratchRoot(const std::string& name) {
   const std::string root = testing::TempDir() + "avdb_analyze_" + name;
-  const std::string mk = "mkdir -p \"" + root + "/src/base\" \"" + root +
-                         "/tools\"";
+  const std::string mk = "rm -rf \"" + root + "\" && mkdir -p \"" + root +
+                         "/src/base\" \"" + root + "/tools\"";
   EXPECT_EQ(std::system(mk.c_str()), 0);
   WriteFile(root + "/src/base/counter.cc",
             "class Counter {\n"
@@ -102,8 +104,10 @@ TEST(AnalyzeTool, TreeIsCleanAndJsonReportsZeroFindings) {
   // is checked in; spot-check a lock every developer knows exists.
   EXPECT_NE(json.find("Tracer::mu_"), std::string::npos) << json;
   for (const char* rule :
-       {"budget-propagation", "determinism", "lease-escape",
-        "lock-foreign-call", "lock-order"}) {
+       {"budget-propagation", "check-in-hot-path", "determinism",
+        "direct-replica-write", "layer-cycle", "lease-escape",
+        "lock-foreign-call", "lock-order", "metric-prefix", "naked-new",
+        "naked-retry", "plane-copy", "void-cast-call", "wallclock"}) {
     EXPECT_NE(json.find(std::string("\"") + rule + "\": 0"),
               std::string::npos)
         << "summary missing zeroed rule " << rule << "\n"
@@ -165,20 +169,57 @@ TEST(AnalyzeTool, StaleAnalyzeAllowlistEntryFailsTheRun) {
   EXPECT_NE(out.find("stale allowlist entry"), std::string::npos) << out;
 }
 
-TEST(AnalyzeTool, OtherToolsStaleEntriesAreNotThisToolsProblem) {
-  // The allowlist file is shared with avdb_lint. A lint-rule entry that
-  // matches nothing is avdb_lint's staleness to report; the analyzer must
-  // neither apply it nor fail on it.
-  const std::string root = MakeScratchRoot("foreign");
+TEST(AnalyzeTool, StaleWallclockAllowlistEntryFailsTheRun) {
+  // One allowlist, one staleness check: an entry for a line rule that
+  // matches nothing fails the run just like a semantic rule's entry.
+  const std::string root = MakeScratchRoot("stale_wallclock");
   SyncLockOrder(root);
   WriteFile(root + "/tools/avdb_lint_allowlist.json",
             "{\"entries\": ["
             "{\"rule\": \"wallclock\", \"file\": \"src/*.cc\","
             " \"pattern\": \"never_matches_anything\","
-            " \"justification\": \"belongs to avdb_lint\"}]}\n");
+            " \"justification\": \"left behind by deleted code\"}]}\n");
   std::string out;
-  EXPECT_EQ(RunAnalyzer("--root \"" + root + "\"", &out), 0) << out;
-  EXPECT_NE(out.find("avdb-analyze: clean"), std::string::npos) << out;
+  EXPECT_EQ(RunAnalyzer("--root \"" + root + "\"", &out), 1) << out;
+  EXPECT_NE(out.find("stale allowlist entry"), std::string::npos) << out;
+  EXPECT_NE(out.find("rule=wallclock"), std::string::npos) << out;
+}
+
+TEST(AnalyzeTool, LineRulesCoverTestsAndSemanticRulesStayOnSrc) {
+  // The same file, once under tests/ and once under src/: wallclock
+  // applies to both, the pointer-keyed-map determinism rule only to src/.
+  const std::string root = MakeScratchRoot("scope");
+  SyncLockOrder(root);
+  const std::string text =
+      "#include <chrono>\n"
+      "#include <map>\n"
+      "\n"
+      "void Stamp() {\n"
+      "  auto now = std::chrono::steady_clock::now();\n"
+      "}\n"
+      "\n"
+      "int SumByAddress() {\n"
+      "  std::map<const int*, int> by_address;\n"
+      "  int total = 0;\n"
+      "  for (const auto& [key, value] : by_address) total += value;\n"
+      "  return total;\n"
+      "}\n";
+  ASSERT_EQ(std::system(("mkdir -p \"" + root + "/tests\"").c_str()), 0);
+  WriteFile(root + "/tests/stamp_test.cc", text);
+  std::string out;
+  EXPECT_EQ(RunAnalyzer("--root \"" + root + "\"", &out), 1) << out;
+  EXPECT_NE(out.find("tests/stamp_test.cc:5: [wallclock]"), std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("[determinism]"), std::string::npos) << out;
+  EXPECT_NE(out.find("1 finding(s)"), std::string::npos) << out;
+
+  WriteFile(root + "/src/base/stamp.cc", text);
+  EXPECT_EQ(RunAnalyzer("--root \"" + root + "\"", &out), 1) << out;
+  EXPECT_NE(out.find("src/base/stamp.cc:5: [wallclock]"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("src/base/stamp.cc:11: [determinism]"),
+            std::string::npos)
+      << out;
 }
 
 TEST(AnalyzeTool, UnknownAllowlistRuleFailsTheRun) {

@@ -889,15 +889,15 @@ TEST(DeviceManagerTest, MountStoreFormatsAndRecovers) {
   {
     DeviceManager dm;
     ASSERT_TRUE(dm.AddDevice(dev).ok());
-    auto mounted = dm.MountStore("disk0");
+    auto mounted = dm.GetStore("disk0").value()->Mount();
     ASSERT_TRUE(mounted.ok());
     EXPECT_TRUE(mounted.value().formatted);
     ASSERT_TRUE(dm.Store("clip", MakeBlob(16 * 1024), "disk0").ok());
-    EXPECT_FALSE(dm.MountStore("nope").ok());
+    EXPECT_FALSE(dm.GetStore("nope").ok());
   }
   DeviceManager reopened;
   ASSERT_TRUE(reopened.AddDevice(dev).ok());
-  auto recovered = reopened.MountStore("disk0");
+  auto recovered = reopened.GetStore("disk0").value()->Mount();
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(recovered.value().formatted);
   EXPECT_EQ(recovered.value().blobs, 1);

@@ -1,10 +1,63 @@
 #!/usr/bin/env python3
-"""avdb-analyze: semantic whole-tree analyzer over src/**.
+"""avdb-analyze: the repo's static analysis, for the rules the compiler
+can't enforce (see DESIGN.md §15 "Static analysis model").
 
-Where avdb-lint is a line-regex tool, avdb-analyze tokenizes every source
-file, builds a declaration index (classes, members, virtual methods,
-function signatures) and a per-function scope model, and checks four
-semantic rules (see DESIGN.md §15 "Semantic static analysis model"):
+Every source file under src/, tests/, bench/ and examples/ is tokenized
+once. Fourteen rules run over the tokens.
+
+Line rules look at one file at a time; each finding names one line:
+
+  wallclock          No std::chrono::{system,steady,high_resolution}_clock,
+                     sleep_for/sleep_until/usleep/nanosleep, gettimeofday,
+                     clock_gettime, std::clock() or std::time() anywhere
+                     in the tree. All delay must be charged in virtual time
+                     (base/virtual_clock) so schedules are deterministic and
+                     fault traces replay; benches that report host time are
+                     allowlisted.
+  naked-new          No raw `new` / malloc-family calls in src/ outside
+                     src/base/buffer*. A `new` immediately owned by a
+                     unique_ptr/shared_ptr constructor (the private-ctor
+                     factory idiom) is allowed.
+  check-in-hot-path  No AVDB_CHECK / AVDB_DCHECK in the streaming hot-path
+                     layers (src/storage, src/net, src/codec): data-
+                     dependent failures there must surface as Status, not
+                     abort the process. Constructor preconditions and
+                     encode-side self-checks are allowlisted individually.
+  layer-cycle        `#include "dir/…"` across src/ layers must follow the
+                     layer DAG (base → time → obs|media → codec|sched →
+                     storage|net → activity → cluster → db → hyper|vworld).
+                     An include into a higher or sibling layer is a cycle.
+  void-cast-call     No `(void)call(...)` in src/: a void-cast of a call is
+                     an invisible status drop. Use AVDB_IGNORE_STATUS with
+                     a justification instead.
+  metric-prefix      Instrument-name string literals in src/ must follow
+                     `avdb_<layer>_<metric>` where `<layer>` is the layer
+                     (include-DAG directory) of the defining file, so a
+                     metric's name always says which layer owns it.
+  plane-copy         No per-frame byte-plane copies in the codec/activity
+                     hot paths (src/codec, src/activity): the copying
+                     frame accessors (ExtractPlane / ExtractPlaneInto /
+                     SetPlane) and by-value `std::vector<uint8_t>` objects
+                     allocate per frame. Use PlaneView / PlaneSpan over the
+                     frame's planar storage, or lease scratch from
+                     BufferPool (BytesLease / AcquireBuffer).
+  naked-retry        In src/cluster and src/storage, every retry loop (see
+                     below) must be driven by a RetryState named in the
+                     loop or just above it, so every retry charges virtual
+                     time, honors the deadline budget, and applies the
+                     configured backoff+jitter. A naked loop retries for
+                     free and forever.
+  direct-replica-write
+                     No MediaStore::Put/Delete called directly from
+                     src/cluster/: every replica mutation must ride
+                     ServerNode's serving arms (ServeWrite / ServeDelete /
+                     ApplyRepair) so it is fault-injected, priced in
+                     virtual time, and journaled exactly once. The serving
+                     arms themselves are allowlisted.
+
+Semantic rules run over src/ only. They build a declaration index
+(classes, members, virtual methods, function signatures) and a
+per-function scope model:
 
   lock-order           Extracts the lock-acquisition graph from
                        avdb::MutexLock scopes tree-wide, including locks
@@ -25,14 +78,13 @@ semantic rules (see DESIGN.md §15 "Semantic static analysis model"):
                        PlaneView / PlaneSpan is a borrow: it must not be
                        stored in a member (including member containers of
                        borrow type), captured by an escaping lambda, or
-                       returned when its owner is a function-local (the
-                       PR 6 pooled-BitWriter bug class, generalized).
+                       returned when its owner is a function-local.
                        Borrows of parameters/members may be returned —
                        the caller owns the backing storage.
   budget-propagation   A function in src/storage, src/net or src/cluster
                        that accepts a DeadlineBudget must use it: charge
                        it, test it, or forward it. Every retry loop in
-                       such a function must consult the budget, and a call
+                       such a function must name the budget, and a call
                        to a callee that has a budget-taking overload must
                        forward a budget rather than silently selecting the
                        budget-free overload. A deliberately background
@@ -45,8 +97,14 @@ semantic rules (see DESIGN.md §15 "Semantic static analysis model"):
                        pointer-keyed std::map/std::set is flagged
                        unconditionally (pointer order varies run to run).
 
-Suppressions share tools/avdb_lint_allowlist.json with avdb-lint: each
-tool applies and staleness-checks only its own rules' entries.
+A retry loop, for naked-retry and budget-propagation alike, is a for /
+while / do loop whose brace-matched body calls one of RETRYABLE_CALLEES
+through a receiver (`device_->Read(`, `link.Transfer(`).
+
+Suppressions live in tools/avdb_lint_allowlist.json: machine-readable,
+justification required. Every entry is applied to every finding, and an
+entry that matches nothing is stale and fails the run. Never silence a
+rule inline.
 
     python3 tools/avdb_analyze.py --root .                   # analyze tree
     python3 tools/avdb_analyze.py --root . --self-test       # rule fixtures
@@ -55,22 +113,63 @@ tool applies and staleness-checks only its own rules' entries.
 """
 
 import argparse
+import fnmatch
 import json
 import os
 import re
 import sys
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import avdb_lint  # noqa: E402  (shared allowlist, layer ranks, file walk)
-
 RULES = frozenset({
+    "wallclock", "naked-new", "check-in-hot-path", "layer-cycle",
+    "void-cast-call", "metric-prefix", "plane-copy", "naked-retry",
+    "direct-replica-write",
     "lock-order", "lock-foreign-call", "lease-escape",
     "budget-propagation", "determinism",
 })
-assert RULES == avdb_lint.ANALYZE_RULES, "rule registry drift vs avdb_lint"
 
-LAYER_RANK = avdb_lint.LAYER_RANK
+SCAN_DIRS = ("src", "tests", "bench", "examples")
+SOURCE_EXTS = (".cc", ".h", ".cpp", ".hpp")
+
+# Layer ranks: an #include may only point at a strictly lower rank (or the
+# same directory). Keep in sync with DESIGN.md §15.
+LAYER_RANK = {
+    "base": 0,
+    "time": 1,
+    "obs": 2,
+    "media": 2,
+    "codec": 3,
+    "sched": 3,
+    "storage": 4,
+    "net": 4,
+    "activity": 5,
+    "cluster": 6,
+    "db": 7,
+    "hyper": 8,
+    "vworld": 8,
+}
+
+HOT_PATH_DIRS = ("src/storage/", "src/net/", "src/codec/")
+PLANE_COPY_DIRS = ("src/codec/", "src/activity/")
+NAKED_RETRY_DIRS = ("src/cluster/", "src/storage/")
+DIRECT_WRITE_DIRS = ("src/cluster/",)
 BUDGET_DIRS = ("src/storage/", "src/net/", "src/cluster/")
+# How many lines above a retry loop's head a RetryState still governs it.
+NAKED_RETRY_LOOKBACK = 4
+
+WALLCLOCK_CLOCKS = frozenset({
+    "system_clock", "steady_clock", "high_resolution_clock"})
+WALLCLOCK_SLEEPS = frozenset({"sleep_for", "sleep_until"})
+WALLCLOCK_CALLS = frozenset({
+    "usleep", "nanosleep", "gettimeofday", "clock_gettime"})
+# Banned only when qualified: an unqualified clock() is, e.g.,
+# EventEngine::clock(), the virtual clock itself.
+WALLCLOCK_STD_CALLS = frozenset({"clock", "time"})
+ALLOC_CALLS = frozenset({"malloc", "calloc", "realloc", "free"})
+CHECK_MACROS = frozenset({"AVDB_CHECK", "AVDB_DCHECK"})
+PLANE_ACCESSORS = frozenset({"ExtractPlane", "ExtractPlaneInto", "SetPlane"})
+# An instrument name inside a string literal: "avdb_<layer>_..."
+METRIC_LITERAL_RE = re.compile(r'"(avdb_([a-z0-9]+)_[a-z0-9_]+)')
+
 BORROW_TYPES = frozenset({"PlaneView", "PlaneSpan", "BytesLease", "I16Lease"})
 # Methods/factories whose result borrows from the receiver object.
 BORROW_FACTORIES = frozenset({
@@ -94,7 +193,8 @@ SAFE_CALLEES = frozenset({
     "make_unique", "make_shared", "make_pair", "push", "pop", "top",
     "Wait", "NotifyOne", "NotifyAll", "lock", "unlock", "assign",
 })
-# Retryable device/channel operations (mirrors avdb-lint's naked-retry).
+# Retryable device/channel operations. Exact names only: parsing helpers
+# (ReadU32, ReadBytes, ReadString, …) loop legitimately over a buffer.
 RETRYABLE_CALLEES = frozenset({
     "Read", "ReadRange", "Transfer", "TransferWithDeadline", "ServeRead",
     "ServeWrite", "WriteAttempt",
@@ -123,7 +223,12 @@ def is_macro(name):
     method named `AB` out of the macro bucket."""
     return bool(MACRO_RE.match(name)) and "_" in name
 
-SOURCE_EXTS = avdb_lint.SOURCE_EXTS
+
+def layer_of(rel_path):
+    parts = rel_path.split("/")
+    if len(parts) >= 2 and parts[0] == "src":
+        return parts[1]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +239,7 @@ class Tok:
     __slots__ = ("kind", "text", "line")
 
     def __init__(self, kind, text, line):
-        self.kind = kind    # 'id' | 'num' | 'str' | 'punct'
+        self.kind = kind    # 'id' | 'num' | 'str' | 'punct' | 'include'
         self.text = text
         self.line = line
 
@@ -153,10 +258,14 @@ _PUNCT2 = {"::", "->", "+=", "-=", "*=", "/=", "|=", "&=", "^=", "==",
            "!=", "<=", ">=", "&&", "||", "++", "--"}
 
 
+_INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
+
+
 def tokenize(text):
-    """Tokenizes C++ source. Comments and preprocessor lines are dropped
-    (continuation lines of a macro definition included); string and char
-    literals become single 'str' tokens."""
+    """Tokenizes C++ source. Comments are dropped. A `#include "path"` line
+    becomes one 'include' token carrying the path; every other
+    preprocessor line is dropped (continuation lines of a macro definition
+    included). String and char literals become single 'str' tokens."""
     toks = []
     i, n, line = 0, len(text), 1
     at_line_start = True
@@ -171,8 +280,10 @@ def tokenize(text):
             i += 1
             continue
         if at_line_start and c == "#":
-            # Preprocessor directive: skip to end of line, honoring
-            # backslash continuations.
+            m = _INCLUDE_RE.match(text, i)
+            if m:
+                toks.append(Tok("include", m.group(1), line))
+            # Skip to end of line, honoring backslash continuations.
             while i < n:
                 if text[i] == "\\" and i + 1 < n and text[i + 1] == "\n":
                     line += 1
@@ -276,8 +387,48 @@ def match_back(toks, i, closer, opener):
     return 0
 
 
+def statement_end(toks, i, end):
+    """Index of the last token of the statement starting at toks[i]: the
+    matching '}' of a block, else the first ';' outside brackets."""
+    if toks[i].text == "{":
+        return match_forward(toks, i, "{", "}")
+    depth = 0
+    for j in range(i, end):
+        t = toks[j].text
+        if t in "([{":
+            depth += 1
+        elif t in ")]}":
+            depth -= 1
+        elif t == ";" and depth <= 0:
+            return j
+    return end - 1
+
+
+def retry_loops(toks, start, end):
+    """Yields (head, last, call) for every for/while loop in
+    toks[start:end] whose head or brace-matched body calls a
+    RETRYABLE_CALLEES operation through a receiver. head indexes the loop
+    keyword, last the body's final token, call is the callee token."""
+    for i in range(start, end - 1):
+        t = toks[i]
+        if t.kind != "id" or t.text not in ("for", "while") \
+                or toks[i + 1].text != "(":
+            continue
+        body = match_forward(toks, i + 1, "(", ")") + 1
+        if body >= end:
+            continue
+        last = statement_end(toks, body, end)
+        for j in range(i + 2, last):
+            c = toks[j]
+            if c.kind == "id" and c.text in RETRYABLE_CALLEES \
+                    and toks[j + 1].text == "(" \
+                    and toks[j - 1].text in (".", "->"):
+                yield i, last, c
+                break
+
+
 # ---------------------------------------------------------------------------
-# Declaration index
+# Line rules
 # ---------------------------------------------------------------------------
 
 class Finding:
@@ -294,6 +445,132 @@ class Finding:
         return {"rule": self.rule, "path": self.path,
                 "line": self.line_no, "message": self.text}
 
+
+def _smart_ptr_owned(toks, new_at):
+    """A `new` that is the argument of a unique_ptr/shared_ptr constructor
+    (the private-ctor factory idiom), possibly split over three lines."""
+    if new_at == 0 or toks[new_at - 1].text != "(":
+        return False
+    first_line = toks[new_at].line - 2
+    for j in range(new_at - 2, -1, -1):
+        t = toks[j]
+        if t.line < first_line or t.text in (";", "{", "}"):
+            return False
+        if t.text in ("unique_ptr", "shared_ptr") and toks[j + 1].text == "<":
+            return True
+    return False
+
+
+def _is_call(toks, j):
+    """toks[j:] reads as a call: `f(`, `a.b->c(` or `ns::f(`."""
+    while j + 1 < len(toks) and toks[j].kind == "id":
+        sep = toks[j + 1].text
+        if sep == "(":
+            return True
+        if sep not in ("::", ".", "->"):
+            return False
+        j += 2
+    return False
+
+
+def _on_store(texts, i):
+    """texts[i] is called on a MediaStore-named receiver: `store_->`,
+    `x_store.` or `store().`."""
+    sep = texts[i - 1]
+    if sep not in (".", "->"):
+        return False
+    recv = texts[i - 2]
+    return recv == "store_" or recv.endswith("_store") or (
+        sep == "." and texts[i - 4:i - 1] == ["store", "(", ")"])
+
+
+def line_findings(path, toks, lines):
+    """Runs the nine line rules over one file's tokens. A finding's text is
+    its source line, so allowlist patterns match code; layer-cycle,
+    metric-prefix and naked-retry findings explain themselves instead."""
+    in_src = path.startswith("src/")
+    layer = layer_of(path)
+    new_banned = in_src and not os.path.basename(path).startswith("buffer")
+    hot_path = path.startswith(HOT_PATH_DIRS)
+    plane_path = path.startswith(PLANE_COPY_DIRS)
+    write_path = path.startswith(DIRECT_WRITE_DIRS)
+    texts = [t.text for t in toks] + [""]
+    found = {}
+
+    def hit(rule, line, text=None):
+        text = text or lines[line - 1].strip()
+        found.setdefault((rule, line, text), Finding(rule, path, line, text))
+
+    def after(i, words):
+        return i >= len(words) and texts[i - len(words):i] == words
+
+    for i, t in enumerate(toks):
+        if t.kind == "include":
+            target = t.text.split("/")[0]
+            if layer in LAYER_RANK and target in LAYER_RANK \
+                    and target != layer \
+                    and LAYER_RANK[target] >= LAYER_RANK[layer]:
+                hit("layer-cycle", t.line,
+                    f'#include "{t.text}" from layer {layer!r} '
+                    f"(rank {LAYER_RANK[layer]}) into layer {target!r} "
+                    f"(rank {LAYER_RANK[target]}) breaks the layer DAG")
+            continue
+        if t.kind == "str":
+            m = METRIC_LITERAL_RE.match(t.text)
+            if in_src and m and m.group(2) != layer:
+                hit("metric-prefix", t.line,
+                    f'instrument "{m.group(1)}" claims layer '
+                    f"{m.group(2)!r} but is defined in layer {layer!r}")
+            continue
+        if t.text == "(":
+            if in_src and texts[i + 1:i + 3] == ["void", ")"] \
+                    and _is_call(toks, i + 3):
+                hit("void-cast-call", t.line)
+            continue
+        if t.kind != "id":
+            continue
+        w = t.text
+        call = texts[i + 1] == "("
+        if ((w in WALLCLOCK_CLOCKS
+             and after(i, ["std", "::", "chrono", "::"]))
+                or w in WALLCLOCK_SLEEPS
+                or (call and w in WALLCLOCK_CALLS)
+                or (call and w in WALLCLOCK_STD_CALLS
+                    and after(i, ["std", "::"]))):
+            hit("wallclock", t.line)
+        if new_banned and (
+                (w == "new" and not call and not _smart_ptr_owned(toks, i))
+                or (call and w in ALLOC_CALLS)):
+            hit("naked-new", t.line)
+        if hot_path and call and w in CHECK_MACROS:
+            hit("check-in-hot-path", t.line)
+        # A by-value byte plane; references borrow and are fine.
+        if plane_path and (
+                (call and w in PLANE_ACCESSORS)
+                or (w == "std" and texts[i + 1:i + 6] == [
+                    "::", "vector", "<", "uint8_t", ">"]
+                    and texts[i + 6] not in ("&", "&&"))):
+            hit("plane-copy", t.line)
+        if write_path and call and w in ("Put", "Delete") \
+                and _on_store(texts, i):
+            hit("direct-replica-write", t.line)
+
+    if path.startswith(NAKED_RETRY_DIRS):
+        for head, last, call in retry_loops(toks, 0, len(toks)):
+            first = head
+            while first > 0 and toks[first - 1].line >= \
+                    toks[head].line - NAKED_RETRY_LOOKBACK:
+                first -= 1
+            if "RetryState" not in texts[first:last + 1]:
+                hit("naked-retry", toks[head].line,
+                    f"loop retries `{lines[call.line - 1].strip()}` "
+                    "without RetryState: unbudgeted, unjittered retry")
+    return list(found.values())
+
+
+# ---------------------------------------------------------------------------
+# Declaration index
+# ---------------------------------------------------------------------------
 
 class ClassInfo:
     def __init__(self, name, path, line):
@@ -329,13 +606,12 @@ class FuncDef:
 
 
 class CallSite:
-    def __init__(self, callee, qual, receiver, line, held, in_loop, args):
+    def __init__(self, callee, qual, receiver, line, held, args):
         self.callee = callee          # last identifier of the callee chain
         self.qual = qual              # 'Cls' when written Cls::callee(...)
         self.receiver = receiver     # head id of recv chain (x->f(): 'x')
         self.line = line
         self.held = held              # tuple of canonical locks held here
-        self.in_loop = in_loop
         self.args = args              # flat arg token texts
 
 
@@ -537,7 +813,7 @@ def index_file(path, toks):
     """Pass over one file: collects classes/members, finds function
     definitions (recording body ranges), maintains a class scope stack.
     Returns the file's FuncDefs (already appended to the globals)."""
-    layer = avdb_lint.layer_of(path)
+    layer = layer_of(path)
     scopes = []                   # (kind, name) with kind class|ns|block|enum
     pending = None                # scope to open at the next '{'
     stmt = []                     # member-decl accumulator inside a class
@@ -691,13 +967,11 @@ def canonical_lock(expr_toks, fd):
 
 
 class _Block:
-    __slots__ = ("locks", "borrows", "is_loop", "loop_start")
+    __slots__ = ("locks", "borrows")
 
-    def __init__(self, is_loop=False, loop_start=0):
+    def __init__(self):
         self.locks = []         # canonical names acquired in this block
         self.borrows = {}       # borrow local name -> (source_id, line)
-        self.is_loop = is_loop
-        self.loop_start = loop_start
 
 
 def _receiver_of(toks, call_at):
@@ -742,7 +1016,6 @@ def analyze_function(fd, toks, findings):
     unordered_locals = {}
     ptrkey_locals = {}
     fn_locals = set()            # local std::function variables
-    pending_loop = 0             # '{' at this depth opens a loop block
     param_names = {p[1] for p in fd.params}
     ret_type_ids = set()
     # Return type ids: tokens before the name on the decl line — approximate
@@ -765,8 +1038,7 @@ def analyze_function(fd, toks, findings):
         txt = t.text
 
         if txt == "{":
-            blocks.append(_Block(is_loop=pending_loop > 0, loop_start=i))
-            pending_loop = 0
+            blocks.append(_Block())
             i += 1
             continue
         if txt == "}":
@@ -779,13 +1051,11 @@ def analyze_function(fd, toks, findings):
             i += 1
             continue
 
-        # for/while: remember that the next block is a loop; handle
-        # range-for iteration for the determinism rule.
+        # for/while: range-for iteration for the determinism rule.
         if t.kind == "id" and txt in ("for", "while") and i + 1 < end \
                 and toks[i + 1].text == "(":
             close = match_forward(toks, i + 1, "(", ")")
             head = toks[i + 2:close]
-            pending_loop = 1
             if txt == "for":
                 colon_at = None
                 depth = 0
@@ -877,9 +1147,8 @@ def analyze_function(fd, toks, findings):
             if nxt is not None and nxt.text == "(" and not prev_is_type:
                 recv, qual = _receiver_of(toks, i)
                 args, close = _collect_args(toks, i + 1)
-                in_loop = any(b.is_loop for b in blocks)
                 site = CallSite(txt, qual, recv, t.line,
-                                tuple(h[0] for h in held), in_loop, args)
+                                tuple(h[0] for h in held), args)
                 fd.calls.append(site)
                 _check_call_under_lock(fd, cls, site, fn_locals, findings)
                 i += 1      # step into the arg tokens (nested calls)
@@ -1194,19 +1463,12 @@ def _check_budget(fd, toks, findings):
         i += 1
     if not budget_names:
         return
-    # Retry loops must consult a budget carrier.
-    for site in fd.calls:
-        if not site.in_loop or site.callee not in RETRYABLE_CALLEES \
-                or site.receiver is None:
-            continue
-        # Coarse by design: a budget mention anywhere in the body
-        # satisfies the loop (per-loop precision is handled by keeping
-        # functions small; see DESIGN.md §15 soundness caveats).
-        loop_ok = any(b in body_id_set for b in budget_names)
-        if not loop_ok:
+    # Every retry loop must name a budget carrier in its head or body.
+    for head, last, call in retry_loops(toks, start + 1, end):
+        if not any(t.text in budget_names for t in toks[head:last + 1]):
             findings.append(Finding(
-                "budget-propagation", fd.path, site.line,
-                f"retry loop calls {site.callee}() without consulting "
+                "budget-propagation", fd.path, call.line,
+                f"retry loop calls {call.text}() without consulting "
                 f"the DeadlineBudget: retries are budget-free"))
     # Calls that drop the budget at a hop: callee has a budget-taking
     # overload, caller holds a budget, none is passed.
@@ -1412,15 +1674,18 @@ def lock_order_document():
 # ---------------------------------------------------------------------------
 
 def analyze_tree(files):
-    """Runs the whole pipeline over {relpath: source text}. Returns the
-    finding list (unfiltered by the allowlist)."""
+    """Runs every rule over {relpath: source text}: the line rules on every
+    file, the semantic rules on the src/ files. Returns the finding list
+    (unfiltered by the allowlist)."""
     reset_index()
     findings = []
     tokenized = {}
     for rel in sorted(files):
         toks = tokenize(files[rel])
-        tokenized[rel] = toks
-        index_file(rel, toks)
+        findings.extend(line_findings(rel, toks, files[rel].split("\n")))
+        if rel.startswith("src/"):
+            tokenized[rel] = [t for t in toks if t.kind != "include"]
+            index_file(rel, tokenized[rel])
     for cls in CLASSES.values():
         for m in cls.mutex_members:
             MUTEX_OWNERS.setdefault(m, []).append(cls.name)
@@ -1433,24 +1698,65 @@ def analyze_tree(files):
 
 
 def tree_files(root):
+    """{relpath: text} for every source file under SCAN_DIRS, skipping
+    build trees and tests/compile_fail (deliberately broken programs)."""
     files = {}
-    for rel in avdb_lint.iter_source_files(root):
-        if not rel.startswith("src/"):
-            continue
-        with open(os.path.join(root, rel), encoding="utf-8",
-                  errors="replace") as f:
-            files[rel] = f.read()
+    for top in SCAN_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = [d for d in dirnames
+                           if d not in ("build", "compile_fail")]
+            for name in filenames:
+                if name.endswith(SOURCE_EXTS):
+                    full = os.path.join(dirpath, name)
+                    rel = os.path.relpath(full, root).replace(os.sep, "/")
+                    with open(full, encoding="utf-8", errors="replace") as f:
+                        files[rel] = f.read()
     return files
 
 
+def load_allowlist(root):
+    path = os.path.join(root, "tools", "avdb_lint_allowlist.json")
+    with open(path, encoding="utf-8") as f:
+        entries = json.load(f)["entries"]
+    errors = []
+    for i, e in enumerate(entries):
+        for key in ("rule", "file", "pattern", "justification"):
+            if not e.get(key):
+                errors.append(
+                    f"allowlist entry #{i} missing non-empty {key!r}: {e}")
+        if e.get("rule") and e["rule"] not in RULES:
+            errors.append(
+                f"allowlist entry #{i} names unknown rule {e['rule']!r}")
+        e["_used"] = False
+        e["_re"] = re.compile(e.get("pattern") or r"(?!)")
+    return entries, errors
+
+
+def apply_allowlist(findings, entries):
+    """Drops every finding an entry matches. Returns the kept findings and
+    the stale entries (those that matched nothing)."""
+    kept = []
+    for v in findings:
+        entry = next((e for e in entries
+                      if e.get("rule") == v.rule
+                      and fnmatch.fnmatch(v.path, e.get("file") or "")
+                      and e["_re"].search(v.text)), None)
+        if entry is None:
+            kept.append(v)
+        else:
+            entry["_used"] = True
+    return kept, [e for e in entries if not e["_used"]]
+
+
 def run_analyze(root, json_out=None, write_lock_order=False):
-    entries, errors = avdb_lint.load_allowlist(root)
+    entries, errors = load_allowlist(root)
     findings = analyze_tree(tree_files(root))
-    kept, stale = avdb_lint.apply_allowlist(findings, entries, RULES)
+    kept, stale = apply_allowlist(findings, entries)
     for e in stale:
         errors.append(
             f"stale allowlist entry (matched nothing — remove it): "
-            f"rule={e['rule']} file={e['file']} pattern={e['pattern']}")
+            f"rule={e.get('rule')} file={e.get('file')} "
+            f"pattern={e.get('pattern')}")
 
     doc = lock_order_document()
     lock_path = os.path.join(root, "tools", "lock_order.json")
@@ -1509,14 +1815,14 @@ FIXTURE_EXPECT_RE = re.compile(r"//\s*analyze-expect:\s*([\w,-]+)")
 
 
 def run_self_test(root):
-    """Each fixture under tools/lint_fixtures/analyze_fail must trip
-    exactly the rules its `// analyze-expect:` header names, analyzed
-    as-if at its `// analyze-fixture-as:` path; each fixture under
-    analyze_pass must be clean. Every fixture is its own one-file tree."""
+    """Each fixture under tools/lint_fixtures/fail must trip exactly the
+    rules its `// analyze-expect:` header names, analyzed as-if at its
+    `// analyze-fixture-as:` path; each fixture under pass/ must be clean.
+    Every fixture is its own one-file tree, checked by all the rules."""
     fixture_root = os.path.join(root, "tools", "lint_fixtures")
     failures = []
     checked = 0
-    for kind in ("analyze_fail", "analyze_pass"):
+    for kind in ("fail", "pass"):
         kind_dir = os.path.join(fixture_root, kind)
         for name in sorted(os.listdir(kind_dir)):
             if not name.endswith(SOURCE_EXTS):
@@ -1528,7 +1834,7 @@ def run_self_test(root):
             as_m = FIXTURE_AS_RE.search(header)
             rel = as_m.group(1) if as_m else f"src/base/{name}"
             got = sorted({v.rule for v in analyze_tree({rel: text})})
-            if kind == "analyze_pass":
+            if kind == "pass":
                 want = []
             else:
                 exp_m = FIXTURE_EXPECT_RE.search(header)
@@ -1551,7 +1857,7 @@ def run_self_test(root):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="semantic whole-tree analyzer (see module docstring)")
+        description="static analysis of the tree (see module docstring)")
     parser.add_argument("--root", default=".",
                         help="repository root (contains src/, tools/)")
     parser.add_argument("--self-test", action="store_true",

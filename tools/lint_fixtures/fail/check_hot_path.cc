@@ -1,5 +1,5 @@
-// lint-fixture-as: src/storage/bad_check.cc
-// lint-expect: check-in-hot-path
+// analyze-fixture-as: src/storage/bad_check.cc
+// analyze-expect: check-in-hot-path
 // Fixture: aborting on data-dependent state in a storage hot path instead
 // of returning Status.
 #include "base/logging.h"

@@ -1,5 +1,5 @@
-// lint-fixture-as: src/cluster/rogue_writer.cc
-// lint-expect: direct-replica-write
+// analyze-fixture-as: src/cluster/rogue_writer.cc
+// analyze-expect: direct-replica-write
 // Fixture: a cluster-layer component mutating a replica's MediaStore
 // directly. The write skips ServeWrite's fault model, virtual-time
 // pricing, and the quorum accounting — replicas silently diverge.

@@ -1,5 +1,5 @@
-// lint-fixture-as: src/sched/metric_prefix.cc
-// lint-expect: metric-prefix
+// analyze-fixture-as: src/sched/metric_prefix.cc
+// analyze-expect: metric-prefix
 // A sched-layer file defining an instrument that claims the net layer:
 // the name's layer segment must match the defining file's layer.
 struct Registry;

@@ -1,5 +1,5 @@
-// lint-fixture-as: src/net/bad_everything.cc
-// lint-expect: naked-new,wallclock
+// analyze-fixture-as: src/net/bad_everything.cc
+// analyze-expect: naked-new,wallclock
 // Fixture: several rules at once — the report must name each distinct
 // rule that fires, not stop at the first.
 #include <chrono>

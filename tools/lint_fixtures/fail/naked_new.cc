@@ -1,5 +1,5 @@
-// lint-fixture-as: src/media/bad_alloc.cc
-// lint-expect: naked-new
+// analyze-fixture-as: src/media/bad_alloc.cc
+// analyze-expect: naked-new
 // Fixture: raw owning allocations outside buffer code.
 #include <cstdlib>
 

@@ -1,5 +1,5 @@
-// lint-fixture-as: src/storage/bad_retry.cc
-// lint-expect: naked-retry
+// analyze-fixture-as: src/storage/bad_retry.cc
+// analyze-expect: naked-retry
 // Fixture: an unbounded while-loop around a device read — retries forever,
 // for free, with no backoff. Must go through RetryState.
 #include "base/status.h"

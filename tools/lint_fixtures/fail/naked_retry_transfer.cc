@@ -1,5 +1,5 @@
-// lint-fixture-as: src/cluster/bad_retry.cc
-// lint-expect: naked-retry
+// analyze-fixture-as: src/cluster/bad_retry.cc
+// analyze-expect: naked-retry
 // Fixture: a hand-rolled retry loop around a channel transfer. Retries
 // charge no virtual time and ignore the deadline budget and jitter policy.
 #include "base/status.h"

@@ -1,5 +1,5 @@
-// lint-fixture-as: src/codec/bad_plane_copy.cc
-// lint-expect: plane-copy
+// analyze-fixture-as: src/codec/bad_plane_copy.cc
+// analyze-expect: plane-copy
 // Fixture: the copy-per-frame idioms the zero-copy pipeline removed — a
 // copying frame accessor and a by-value byte-plane temporary in a codec
 // hot path. Borrow PlaneView/PlaneSpan or lease from BufferPool instead.

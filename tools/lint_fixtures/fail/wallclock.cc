@@ -1,5 +1,5 @@
-// lint-fixture-as: src/sched/bad_clock.cc
-// lint-expect: wallclock
+// analyze-fixture-as: src/sched/bad_clock.cc
+// analyze-expect: wallclock
 // Fixture: library code reading the wall clock and sleeping for real —
 // both violate the virtual-time discipline.
 #include <chrono>

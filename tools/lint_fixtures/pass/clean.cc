@@ -1,4 +1,4 @@
-// lint-fixture-as: src/storage/clean.cc
+// analyze-fixture-as: src/storage/clean.cc
 // Fixture: idiomatic avdb code none of the rules should flag — smart-
 // pointer-owned `new` (private-ctor factory idiom), downward includes,
 // Status-returning failure handling, rule names quoted in comments and

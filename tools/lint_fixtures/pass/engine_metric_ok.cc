@@ -1,4 +1,4 @@
-// lint-fixture-as: src/sched/engine_metric_ok.cc
+// analyze-fixture-as: src/sched/engine_metric_ok.cc
 // The session-scale engine instruments belong to the sched layer, so a
 // sched-layer file registering them is clean; other layers' names in
 // comments (avdb_db_streams_open) are prose, not definitions.

@@ -1,4 +1,4 @@
-// lint-fixture-as: src/net/metric_ok.cc
+// analyze-fixture-as: src/net/metric_ok.cc
 // Correctly prefixed instrument for its layer; mentions of other layers'
 // instruments in comments (e.g. avdb_sched_stream_misses_total) are prose,
 // not definitions, and must not fire.

@@ -1,4 +1,4 @@
-// lint-fixture-as: src/codec/plane_ok.cc
+// analyze-fixture-as: src/codec/plane_ok.cc
 // Fixture: the sanctioned zero-copy idioms stay accepted in the codec hot
 // path — borrowing plane views, leasing pooled scratch, and passing byte
 // planes by reference.

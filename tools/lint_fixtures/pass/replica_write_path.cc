@@ -1,4 +1,4 @@
-// lint-fixture-as: src/cluster/quorum_writer.cc
+// analyze-fixture-as: src/cluster/quorum_writer.cc
 // Fixture: the sanctioned shapes. Replica mutations ride the serving arms
 // (ServeWrite / ServeDelete / ApplyRepair) so they are fault-injected and
 // priced; directory reads through store() are not mutations and are fine.

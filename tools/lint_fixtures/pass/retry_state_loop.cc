@@ -1,4 +1,4 @@
-// lint-fixture-as: src/storage/good_retry.cc
+// analyze-fixture-as: src/storage/good_retry.cc
 // Fixture: the sanctioned shapes. A retry loop driven by RetryState (each
 // attempt charges virtual time and honors backoff/jitter/deadline), and a
 // parsing loop over a buffer whose ReadU32-style helpers are not retries.
