@@ -1,7 +1,8 @@
 // Parallel codec throughput: sweeps the codec concurrency knob over the
-// intra, inter and scalable codecs, verifies the parallel output is
-// byte-identical to serial, and writes BENCH_parallel_codec.json with
-// throughput, speedup-vs-serial and buffer-pool allocation stats. The
+// intra, inter and scalable codecs, verifies that every width's stream
+// (and every width's intra DecodeRange output) equals the width-1 result,
+// and writes BENCH_parallel_codec.json with throughput, speedup over width
+// 1 and buffer-pool allocation stats. Exits 1 when any width differs. The
 // speedup a given machine can show is bounded by its core count — the
 // JSON records hardware_concurrency and the pool size so numbers from
 // single-core CI boxes are read in context.
@@ -119,19 +120,23 @@ int main() {
   }
 
   // Decode sweep over the intra codec (DecodeRange fan-out).
-  std::printf("\n%10s %6s %10s %9s\n", "decode", "width", "fps", "speedup");
+  std::printf("\n%10s %6s %10s %9s %11s\n", "decode", "width", "fps",
+              "speedup", "identical");
   {
     VideoCodecParams params;
     params.quality = 75;
     EncodedVideo encoded = intra.Encode(*video, params).value();
+    std::vector<VideoFrame> reference =
+        intra.NewDecoder(encoded).value()->DecodeRange(0, kFrames).value();
     double serial_fps = 0;
     for (int width : widths) {
       encoded.params.concurrency = width;
       auto session = intra.NewDecoder(encoded).value();
       const auto start = std::chrono::steady_clock::now();
       int reps = 0;
+      std::vector<VideoFrame> last;
       do {
-        session->DecodeRange(0, kFrames).value();
+        last = session->DecodeRange(0, kFrames).value();
         ++reps;
       } while (SecondsSince(start) < 0.5);
       const double fps = reps * kFrames / SecondsSince(start);
@@ -142,9 +147,10 @@ int main() {
       run.concurrency = width;
       run.fps = fps;
       run.speedup = serial_fps > 0 ? fps / serial_fps : 1.0;
+      run.byte_identical = last == reference;
       runs.push_back(run);
-      std::printf("%10s %6d %10.1f %8.2fx\n", "intra", width, fps,
-                  run.speedup);
+      std::printf("%10s %6d %10.1f %8.2fx %11s\n", "intra", width, fps,
+                  run.speedup, run.byte_identical ? "yes" : "NO");
     }
   }
 

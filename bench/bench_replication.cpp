@@ -485,7 +485,7 @@ SelfHealReport RunSelfHeal(double fault_rate, uint64_t seed) {
   // a stream). A second poll at the same instant must be interval-gated.
   report.resync_paced = true;
   for (int round = 0; round < 8; ++round) {
-    now_ns += policy.resync_interval_ns;
+    now_ns += ReplicatedStore::kResyncIntervalNs;
     if (store.MaybeRunAntiEntropy() && store.MaybeRunAntiEntropy()) {
       report.resync_paced = false;  // ran twice at one instant: pacing broke
     }

@@ -6,6 +6,11 @@ namespace avdb {
 
 namespace {
 
+// Tolerated presentation lateness behind a routed fetch's deadline budget.
+// An element this late is still worth producing; beyond it the fetch is
+// doomed work.
+constexpr int64_t kDeadlineSlackNs = 100 * 1000 * 1000;  // 100 ms
+
 int64_t RateToPeriodNs(Rational rate) {
   AVDB_CHECK(rate > Rational(0)) << "element rate must be positive";
   return (Rational(1000000000) / rate).Rounded();
@@ -293,9 +298,7 @@ void VideoSource::Tick(int64_t index, int64_t stream_start_ns, int64_t gen) {
   // A routed fetch (options_.fetcher) additionally carries the element's
   // remaining presentation budget so every hop below can cancel doomed work.
   if (options_.fetcher || options_.store != nullptr) {
-    const int64_t budget_ns = ideal +
-                              VirtualClock::ToNs(options_.deadline_slack) -
-                              ready_ns;
+    const int64_t budget_ns = ideal + kDeadlineSlackNs - ready_ns;
     auto read = options_.fetcher
                     ? options_.fetcher(options_.blob_name, FrameOffset(index),
                                        FrameBytes(index), budget_ns)
@@ -506,8 +509,7 @@ void AudioSource::Tick(int64_t block_index, int64_t stream_start_ns,
   const int64_t payload_bytes = static_cast<int64_t>(block.value().SizeBytes());
   if (options_.fetcher || options_.store != nullptr) {
     const int64_t budget_ns = stream_start_ns + block_index * PeriodNs() +
-                              VirtualClock::ToNs(options_.deadline_slack) -
-                              ready_ns;
+                              kDeadlineSlackNs - ready_ns;
     auto read = options_.fetcher
                     ? options_.fetcher(options_.blob_name,
                                        block_index * stored_bytes_per_block_,

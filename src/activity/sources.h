@@ -48,14 +48,10 @@ struct SourceOptions {
   ServiceQueue* device_queue = nullptr;
   /// When set, fetches go through this hook instead of `store` (which is
   /// then ignored). Each call carries the element's deadline budget:
-  /// ideal presentation time + `deadline_slack` − now, so every hop below
-  /// (router, channel, replica device) can cancel work that can no longer
-  /// present on time.
+  /// ideal presentation time + 100 ms of tolerated lateness − now, so
+  /// every hop below (router, channel, replica device) can cancel work that
+  /// can no longer present on time.
   RangeFetcher fetcher;
-  /// Tolerated presentation lateness used to derive the fetch deadline
-  /// budget when `fetcher` is set. An element this late is still worth
-  /// producing; beyond it the fetch is doomed work.
-  WorldTime deadline_slack = WorldTime::FromMillis(100);
   /// When set with `sync_track`, the source consults the controller before
   /// each element and skips elements a lagging track is told to drop.
   SyncController* sync = nullptr;

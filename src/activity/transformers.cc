@@ -1,7 +1,6 @@
 #include "activity/transformers.h"
 
 #include "base/logging.h"
-#include "codec/registry.h"
 
 namespace avdb {
 
@@ -134,10 +133,7 @@ void VideoEncoderActivity::OnElement(Port* in, const StreamElement& element) {
     AVDB_LOG(Error) << name() << ": element without frame payload";
     return;
   }
-  // Plane-parallel when the process-wide codec concurrency default says
-  // so; the default of 1 keeps the virtual-time engine fully serial.
-  Buffer bits = IntraCodec::EncodeFrame(*element.frame, quality_,
-                                        CodecRegistry::default_concurrency());
+  Buffer bits = IntraCodec::EncodeFrame(*element.frame, quality_);
   const int64_t pixels = static_cast<int64_t>(element.frame->width()) *
                          element.frame->height();
   const int64_t ready_ns =

@@ -22,37 +22,8 @@ Result<MediaStore::ReadResult> ServerNode::ServeRead(const std::string& blob,
                                                      DeadlineBudget* budget,
                                                      int64_t* latency_ns) {
   ++stats_.requests;
-  *latency_ns = 0;
-
   double slow_factor = 1.0;
-  if (injector_ != nullptr) {
-    const NodeFaultDecision decision = injector_->OnNodeOp();
-    if (decision.fail && decision.unresponsive) {
-      // Partition: the node is alive but unreachable. Nothing comes back
-      // until the caller's deadline gives up on it — the whole remaining
-      // budget is lost (or a fixed stall when the request carries none).
-      const int64_t stall = budget->unlimited()
-                                ? kDefaultPartitionStallNs
-                                : budget->remaining_ns();
-      *latency_ns = stall > 0 ? stall : 0;
-      budget->Charge(*latency_ns);
-      ++stats_.partition_stalls;
-      return Status::DeadlineExceeded("node " + name_ +
-                                      " partitioned; request timed out");
-    }
-    if (decision.fail) {
-      // Crash / node-down: connection refused. Cheap to discover.
-      *latency_ns = kRefusalNs;
-      budget->Charge(*latency_ns);
-      ++stats_.refused;
-      return Status::Unavailable("node " + name_ + " is down (" +
-                                 decision.kind + ")");
-    }
-    if (decision.slow_factor > 1.0) {
-      slow_factor = decision.slow_factor;
-      ++stats_.slow_serves;
-    }
-  }
+  AVDB_RETURN_IF_ERROR(AdmitRequest(budget, latency_ns, &slow_factor));
 
   auto read = store_->ReadRange(blob, offset, length, *budget);
   if (!read.ok()) {
@@ -97,6 +68,9 @@ Status ServerNode::AdmitRequest(DeadlineBudget* budget, int64_t* latency_ns,
   if (injector_ == nullptr) return Status::OK();
   const NodeFaultDecision decision = injector_->OnNodeOp();
   if (decision.fail && decision.unresponsive) {
+    // Partition: the node is alive but unreachable. Nothing comes back
+    // until the caller's deadline gives up on it — the whole remaining
+    // budget is lost (or a fixed stall when the request carries none).
     const int64_t stall = budget->unlimited() ? kDefaultPartitionStallNs
                                               : budget->remaining_ns();
     *latency_ns = stall > 0 ? stall : 0;
@@ -106,6 +80,7 @@ Status ServerNode::AdmitRequest(DeadlineBudget* budget, int64_t* latency_ns,
                                     " partitioned; request timed out");
   }
   if (decision.fail) {
+    // Crash / node-down: connection refused. Cheap to discover.
     *latency_ns = kRefusalNs;
     budget->Charge(*latency_ns);
     ++stats_.refused;

@@ -81,7 +81,7 @@ Status ReplicatedStore::WriteAttempt(int64_t idx, const Hint& op,
 
   if (link != nullptr) {
     const int64_t payload =
-        policy_.router.request_bytes +
+        StreamRouter::kRequestBytes +
         (op.is_delete ? 0 : static_cast<int64_t>(op.data.size()));
     auto up = link->TransferWithDeadline(at_ns, payload, *budget);
     if (!up.ok()) {
@@ -107,9 +107,8 @@ Status ReplicatedStore::WriteAttempt(int64_t idx, const Hint& op,
 
   if (link != nullptr) {
     const int64_t ack_at = at_ns + elapsed;
-    auto down =
-        link->TransferWithDeadline(ack_at, policy_.router.request_bytes,
-                                   *budget);
+    auto down = link->TransferWithDeadline(
+        ack_at, StreamRouter::kRequestBytes, *budget);
     if (!down.ok()) {
       *latency_ns = elapsed;
       return down.status();
@@ -277,7 +276,7 @@ Result<Buffer> ReplicatedStore::FetchFromDonor(int64_t donor_idx,
   int64_t elapsed = 0;
   Channel* link = donor.channel.get();
   if (link != nullptr) {
-    auto up = link->TransferWithDeadline(at_ns, policy_.router.request_bytes,
+    auto up = link->TransferWithDeadline(at_ns, StreamRouter::kRequestBytes,
                                          budget);
     if (!up.ok()) return up.status();
     elapsed = up.value() - at_ns;
@@ -677,7 +676,7 @@ ReplicatedStore::ResyncReport ReplicatedStore::RunAntiEntropy() {
 bool ReplicatedStore::MaybeRunAntiEntropy() {
   const int64_t now = now_fn_();
   if (last_resync_ns_ >= 0 &&
-      now - last_resync_ns_ < policy_.resync_interval_ns) {
+      now - last_resync_ns_ < kResyncIntervalNs) {
     return false;
   }
   const ResyncReport round = RunAntiEntropy();

@@ -30,17 +30,13 @@ struct ReplicationPolicy {
   /// concurrent writers hitting the same struggling replica desynchronize
   /// (the PR 7 decorrelated-jitter schedule).
   RetryPolicy retry;
-  /// Routing policy of the embedded self-healing read router. Its
-  /// `request_bytes` also prices the write request envelope; its breaker
+  /// Routing policy of the embedded self-healing read router. Its breaker
   /// settings are ignored when the replica set is shared (the set owns the
   /// breaker policy).
   RouterPolicy router;
   /// Hinted-handoff queue cap per replica; overflow drops the hint (the
   /// write is NOT lost — it acked elsewhere — anti-entropy re-converges).
   int64_t max_hints_per_replica = 4096;
-  /// Virtual-time cadence of the background anti-entropy activity driven
-  /// through MaybeRunAntiEntropy().
-  int64_t resync_interval_ns = 10LL * 1000 * 1000 * 1000;  // 10 s
 };
 
 /// Quorum-replicated client front-end over a ReplicaSet: the write-path
@@ -149,7 +145,10 @@ class ReplicatedStore {
   /// converged cluster streams nothing.
   ResyncReport RunAntiEntropy();
 
-  /// Background-activity driver: runs a round iff `resync_interval_ns` of
+  /// Virtual-time cadence of the background anti-entropy activity.
+  static constexpr int64_t kResyncIntervalNs = 10LL * 1000 * 1000 * 1000;
+
+  /// Background-activity driver: runs a round iff kResyncIntervalNs of
   /// virtual time elapsed since the last round. Returns whether it ran.
   bool MaybeRunAntiEntropy();
 

@@ -8,6 +8,14 @@
 
 namespace avdb {
 
+namespace {
+
+// Lower bound on the hedge delay: never hedge earlier than this even if the
+// p95 estimate collapses.
+constexpr int64_t kHedgeFloorNs = 1000 * 1000;  // 1 ms
+
+}  // namespace
+
 StreamRouter::StreamRouter(std::string name, RouterPolicy policy,
                            std::function<int64_t()> now_fn)
     : StreamRouter(std::move(name), policy, std::move(now_fn),
@@ -41,15 +49,14 @@ void StreamRouter::ObserveAttemptLatency(int64_t latency_ns) {
 }
 
 int64_t StreamRouter::HedgeDelayNs() const {
-  if (!policy_.enable_hedging ||
-      latency_window_.size() < static_cast<size_t>(policy_.min_hedge_samples)) {
+  if (latency_window_.size() < static_cast<size_t>(policy_.min_hedge_samples)) {
     return 0;
   }
   std::vector<int64_t> sorted = latency_window_;
   std::sort(sorted.begin(), sorted.end());
   const size_t idx = (sorted.size() * 95) / 100;
   const int64_t p95 = sorted[std::min(idx, sorted.size() - 1)];
-  return std::max(p95, policy_.hedge_floor_ns);
+  return std::max(p95, kHedgeFloorNs);
 }
 
 void StreamRouter::NoteBreakerOpen(int64_t idx, int64_t now_ns) {
@@ -71,8 +78,7 @@ StreamRouter::AttemptOutcome StreamRouter::Attempt(
   int64_t elapsed = 0;
 
   if (link != nullptr) {
-    auto up = link->TransferWithDeadline(start_ns, policy_.request_bytes,
-                                         budget);
+    auto up = link->TransferWithDeadline(start_ns, kRequestBytes, budget);
     if (!up.ok()) return {up.status(), 0};
     elapsed = up.value() - start_ns;
     budget.Charge(elapsed);

@@ -21,19 +21,12 @@ struct RouterPolicy {
   /// Distinct replicas tried per fetch before the error surfaces.
   int max_attempts = 3;
   BreakerPolicy breaker;
-  /// Modeled size of the request message sent up the link.
-  int64_t request_bytes = 256;
-
   /// Hedged reads: when the primary attempt's latency exceeds the hedge
   /// delay (p95 of recent attempt latencies), a second copy of the request
-  /// is sent to the next-best replica and the faster answer wins.
-  bool enable_hedging = true;
-  /// Attempt-latency samples required before hedging arms (the p95 of a
+  /// is sent to the next-best replica and the faster answer wins. Hedging
+  /// arms once this many attempt latencies are in the window (the p95 of a
   /// near-empty window is noise).
   int min_hedge_samples = 8;
-  /// Lower bound on the hedge delay: never hedge earlier than this even if
-  /// the p95 estimate collapses.
-  int64_t hedge_floor_ns = 1 * 1000 * 1000;  // 1 ms
 };
 
 /// Health-tracked replica selection + mid-stream failover + hedged reads +
@@ -53,6 +46,10 @@ struct RouterPolicy {
 /// of executed.
 class StreamRouter {
  public:
+  /// Modeled size of a request message sent up a link (reads here, write
+  /// envelopes in ReplicatedStore).
+  static constexpr int64_t kRequestBytes = 256;
+
   /// `now_fn` supplies virtual time (the event engine's now); the router
   /// deliberately does not depend on the activity layer.
   StreamRouter(std::string name, RouterPolicy policy,
@@ -97,7 +94,7 @@ class StreamRouter {
                                        int64_t budget_ns);
 
   /// Current hedge delay: p95 of the recent attempt-latency window,
-  /// floored by policy. 0 while the window is too small (hedging unarmed).
+  /// floored at 1 ms. 0 while the window is too small (hedging unarmed).
   int64_t HedgeDelayNs() const;
 
   struct Stats {

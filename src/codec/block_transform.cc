@@ -30,6 +30,52 @@ constexpr int kZigzag[kBlockArea] = {
     35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,  //
     58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63};
 
+bool IsInterior(int width, int height, int bx, int by) {
+  return by + kBlockSize <= height && bx + kBlockSize <= width;
+}
+
+// Copies the 8×8 block at (bx, by) out of a width×height plane. An edge
+// block replicates the plane's last row and column. Both block helpers are
+// marked inline so the per-block copies stay in the encode and decode loops.
+inline void LoadBlock(const int16_t* plane, int width, int height, int bx,
+                      int by, Block* block) {
+  if (IsInterior(width, height, bx, by)) {
+    for (int y = 0; y < kBlockSize; ++y) {
+      std::memcpy(&(*block)[y * kBlockSize],
+                  plane + static_cast<size_t>(by + y) * width + bx,
+                  kBlockSize * sizeof(int16_t));
+    }
+    return;
+  }
+  for (int y = 0; y < kBlockSize; ++y) {
+    const int sy = std::min(by + y, height - 1);
+    for (int x = 0; x < kBlockSize; ++x) {
+      const int sx = std::min(bx + x, width - 1);
+      (*block)[y * kBlockSize + x] =
+          plane[static_cast<size_t>(sy) * width + sx];
+    }
+  }
+}
+
+// Writes the part of an 8×8 block that lies inside the plane back to
+// (bx, by).
+inline void StoreBlock(const Block& block, int width, int height, int bx,
+                       int by, int16_t* plane) {
+  if (IsInterior(width, height, bx, by)) {
+    for (int y = 0; y < kBlockSize; ++y) {
+      std::memcpy(plane + static_cast<size_t>(by + y) * width + bx,
+                  &block[y * kBlockSize], kBlockSize * sizeof(int16_t));
+    }
+    return;
+  }
+  for (int y = 0; y < kBlockSize && by + y < height; ++y) {
+    for (int x = 0; x < kBlockSize && bx + x < width; ++x) {
+      plane[static_cast<size_t>(by + y) * width + bx + x] =
+          block[y * kBlockSize + x];
+    }
+  }
+}
+
 }  // namespace
 
 const simd::QuantTable& QualityQuantTable(int quality) {
@@ -78,14 +124,6 @@ int QuantStep(int index, int quality) {
   return step;
 }
 
-void Quantize(CoeffBlock* coeffs, int quality) {
-  simd::ActiveKernels().quantize(coeffs->data(), QualityQuantTable(quality));
-}
-
-void Dequantize(CoeffBlock* coeffs, int quality) {
-  simd::ActiveKernels().dequantize(coeffs->data(), QualityQuantTable(quality));
-}
-
 void EncodeBlock(const CoeffBlock& coeffs, int32_t* dc_predictor,
                  BitWriter* out) {
   // DC: delta against previous block's DC.
@@ -129,7 +167,7 @@ Result<CoeffBlock> DecodeBlock(int32_t* dc_predictor, BitReader* in) {
 }
 
 void EncodePlane(const int16_t* plane, int width, int height, int quality,
-                 BitWriter* out) {
+                 BitWriter* out, int16_t* recon) {
   const simd::CodecKernels& k = simd::ActiveKernels();
   const simd::QuantTable& qt = QualityQuantTable(quality);
   int32_t dc_predictor = 0;
@@ -137,85 +175,16 @@ void EncodePlane(const int16_t* plane, int width, int height, int quality,
   CoeffBlock coeffs;
   for (int by = 0; by < height; by += kBlockSize) {
     for (int bx = 0; bx < width; bx += kBlockSize) {
-      if (by + kBlockSize <= height && bx + kBlockSize <= width) {
-        // Interior block: straight row copies.
-        for (int y = 0; y < kBlockSize; ++y) {
-          std::memcpy(&block[y * kBlockSize],
-                      plane + static_cast<size_t>(by + y) * width + bx,
-                      kBlockSize * sizeof(int16_t));
-        }
-      } else {
-        // Edge block: replicate the last row/column.
-        for (int y = 0; y < kBlockSize; ++y) {
-          const int sy = std::min(by + y, height - 1);
-          for (int x = 0; x < kBlockSize; ++x) {
-            const int sx = std::min(bx + x, width - 1);
-            block[y * kBlockSize + x] =
-                plane[static_cast<size_t>(sy) * width + sx];
-          }
-        }
-      }
+      LoadBlock(plane, width, height, bx, by, &block);
       k.fdct8x8(block.data(), coeffs.data());
       k.quantize(coeffs.data(), qt);
       EncodeBlock(coeffs, &dc_predictor, out);
-    }
-  }
-}
-
-void EncodePlane(const std::vector<int16_t>& plane, int width, int height,
-                 int quality, BitWriter* out) {
-  AVDB_CHECK(plane.size() == static_cast<size_t>(width) * height);
-  EncodePlane(plane.data(), width, height, quality, out);
-}
-
-void EncodePlaneWithRecon(const int16_t* plane, int width, int height,
-                          int quality, BitWriter* out, int16_t* recon) {
-  const simd::CodecKernels& k = simd::ActiveKernels();
-  const simd::QuantTable& qt = QualityQuantTable(quality);
-  int32_t dc_predictor = 0;
-  Block block;
-  CoeffBlock coeffs;
-  for (int by = 0; by < height; by += kBlockSize) {
-    for (int bx = 0; bx < width; bx += kBlockSize) {
-      const bool interior =
-          by + kBlockSize <= height && bx + kBlockSize <= width;
-      if (interior) {
-        for (int y = 0; y < kBlockSize; ++y) {
-          std::memcpy(&block[y * kBlockSize],
-                      plane + static_cast<size_t>(by + y) * width + bx,
-                      kBlockSize * sizeof(int16_t));
-        }
-      } else {
-        for (int y = 0; y < kBlockSize; ++y) {
-          const int sy = std::min(by + y, height - 1);
-          for (int x = 0; x < kBlockSize; ++x) {
-            const int sx = std::min(bx + x, width - 1);
-            block[y * kBlockSize + x] =
-                plane[static_cast<size_t>(sy) * width + sx];
-          }
-        }
-      }
-      k.fdct8x8(block.data(), coeffs.data());
-      k.quantize(coeffs.data(), qt);
-      EncodeBlock(coeffs, &dc_predictor, out);
-      // The kernels are pure integer, so replaying dequant+idct on the
-      // coefficients just written reproduces the decoder's output exactly —
-      // no need to round-trip the entropy layer.
+      if (recon == nullptr) continue;
+      // Replaying dequantize + IDCT on the coefficients just written is
+      // exactly what the decoder does after the lossless entropy layer.
       k.dequantize(coeffs.data(), qt);
       k.idct8x8(coeffs.data(), block.data());
-      if (interior) {
-        for (int y = 0; y < kBlockSize; ++y) {
-          std::memcpy(recon + static_cast<size_t>(by + y) * width + bx,
-                      &block[y * kBlockSize], kBlockSize * sizeof(int16_t));
-        }
-      } else {
-        for (int y = 0; y < kBlockSize && by + y < height; ++y) {
-          for (int x = 0; x < kBlockSize && bx + x < width; ++x) {
-            recon[static_cast<size_t>(by + y) * width + bx + x] =
-                block[y * kBlockSize + x];
-          }
-        }
-      }
+      StoreBlock(block, width, height, bx, by, recon);
     }
   }
 }
@@ -232,30 +201,10 @@ Status DecodePlaneInto(int width, int height, int quality, BitReader* in,
       if (!coeffs.ok()) return coeffs.status();
       k.dequantize(coeffs.value().data(), qt);
       k.idct8x8(coeffs.value().data(), block.data());
-      if (by + kBlockSize <= height && bx + kBlockSize <= width) {
-        for (int y = 0; y < kBlockSize; ++y) {
-          std::memcpy(out + static_cast<size_t>(by + y) * width + bx,
-                      &block[y * kBlockSize], kBlockSize * sizeof(int16_t));
-        }
-      } else {
-        for (int y = 0; y < kBlockSize && by + y < height; ++y) {
-          for (int x = 0; x < kBlockSize && bx + x < width; ++x) {
-            out[static_cast<size_t>(by + y) * width + bx + x] =
-                block[y * kBlockSize + x];
-          }
-        }
-      }
+      StoreBlock(block, width, height, bx, by, out);
     }
   }
   return Status::OK();
-}
-
-Result<std::vector<int16_t>> DecodePlane(int width, int height, int quality,
-                                         BitReader* in) {
-  std::vector<int16_t> plane(static_cast<size_t>(width) * height, 0);
-  Status s = DecodePlaneInto(width, height, quality, in, plane.data());
-  if (!s.ok()) return s;
-  return plane;
 }
 
 }  // namespace block_transform

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "codec/bitio.h"
 #include "codec/simd/kernels.h"
@@ -42,12 +41,6 @@ const simd::QuantTable& QualityQuantTable(int quality);
 /// the base table, 100 is near-lossless.
 int QuantStep(int index, int quality);
 
-/// Quantizes in place (divide + round toward nearest).
-void Quantize(CoeffBlock* coeffs, int quality);
-
-/// Dequantizes in place (multiply).
-void Dequantize(CoeffBlock* coeffs, int quality);
-
 /// Entropy-codes a quantized block: zigzag scan, DC delta against
 /// `*dc_predictor` (updated), then (run, level) pairs with an end-of-block
 /// marker.
@@ -60,30 +53,18 @@ Result<CoeffBlock> DecodeBlock(int32_t* dc_predictor, BitReader* in);
 /// Splits a width×height int16 plane into 8×8 blocks (edge blocks padded by
 /// replicating the last row/column), transforms, quantizes and entropy-codes
 /// the whole plane. `plane` must hold width*height samples.
+///
+/// A non-null `recon` (width*height samples, caller-owned, may not alias
+/// `plane`) also receives the plane's reconstruction. The transform and
+/// quantizer kernels are pure integer code, so `recon` is bit for bit what
+/// DecodePlaneInto produces from the bits just written: the intra, inter
+/// and scalable coders keep their references without re-parsing a stream.
 void EncodePlane(const int16_t* plane, int width, int height, int quality,
-                 BitWriter* out);
+                 BitWriter* out, int16_t* recon = nullptr);
 
-/// Convenience overload over a vector (size-checked).
-void EncodePlane(const std::vector<int16_t>& plane, int width, int height,
-                 int quality, BitWriter* out);
-
-/// EncodePlane that additionally writes the decoder-exact reconstruction of
-/// the plane into `recon` (width*height samples, caller-owned, may not alias
-/// `plane`). Because the transform/quant kernels are pure integer code,
-/// `recon` is bit-for-bit what DecodePlaneInto would produce from the bits
-/// just written — predictive coders use it to maintain their reference
-/// without re-encoding or re-parsing the stream.
-void EncodePlaneWithRecon(const int16_t* plane, int width, int height,
-                          int quality, BitWriter* out, int16_t* recon);
-
-/// Reverses EncodePlane into caller-owned storage of width*height samples —
-/// the zero-allocation decode path.
+/// Reverses EncodePlane into caller-owned storage of width*height samples.
 [[nodiscard]] Status DecodePlaneInto(int width, int height, int quality,
                                      BitReader* in, int16_t* out);
-
-/// Reverses EncodePlane; output plane is width×height.
-Result<std::vector<int16_t>> DecodePlane(int width, int height, int quality,
-                                         BitReader* in);
 
 }  // namespace block_transform
 }  // namespace avdb

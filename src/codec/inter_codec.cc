@@ -142,7 +142,7 @@ struct PFrameData {
 // residuals transform-coded per plane. Returns the encoded bits and the
 // reconstructed frame (which becomes the next reference). All plane data
 // moves through zero-copy views and pooled scratch; the reference frame's
-// reconstruction comes straight out of EncodePlaneWithRecon, so nothing is
+// reconstruction comes straight out of EncodePlane, so nothing is
 // re-encoded or re-parsed.
 Buffer EncodePFrame(const VideoFrame& cur, const VideoFrame& recon_ref,
                     int quality, int search_range, VideoFrame* recon_out) {
@@ -187,9 +187,8 @@ Buffer EncodePFrame(const VideoFrame& cur, const VideoFrame& recon_ref,
     PredictPlaneInto(ref_plane, mvs, mb_cols, pred->data());
     kernels.residual_u8(cur_plane.data(), pred->data(), residual->data(),
                         pixels);
-    block_transform::EncodePlaneWithRecon(residual->data(), width, height,
-                                          quality, &writer,
-                                          recon_res->data());
+    block_transform::EncodePlane(residual->data(), width, height, quality,
+                                 &writer, recon_res->data());
     const PlaneSpan recon_plane = recon_out->plane_span(p);
     kernels.reconstruct_u8(pred->data(), recon_res->data(),
                            recon_plane.data(), pixels);
@@ -298,11 +297,11 @@ class InterDecoderSession final : public VideoDecoderSession {
 };
 
 // Encodes one closed GOP: frames[0] becomes the I-frame (access point),
-// the rest are P-chained off the running reconstruction. A pure function
-// of the raw frames, so GOPs can encode on any thread in any order and
-// still produce the bytes the serial loop would.
-Result<std::vector<EncodedFrame>> EncodeGop(
-    const std::vector<VideoFrame>& frames, const VideoCodecParams& params) {
+// the rest are P-chained off the running reconstruction, which the encoder
+// writes as it goes. A pure function of the raw frames, so GOPs can encode
+// on any thread in any order and still produce the same bytes.
+std::vector<EncodedFrame> EncodeGop(const std::vector<VideoFrame>& frames,
+                                    const VideoCodecParams& params) {
   std::vector<EncodedFrame> out;
   out.reserve(frames.size());
   VideoFrame recon;
@@ -311,13 +310,8 @@ Result<std::vector<EncodedFrame>> EncodeGop(
     EncodedFrame ef;
     if (k == 0) {
       ef.is_intra = true;
-      ef.data = IntraCodec::EncodeFrame(frame, params.quality);
-      // Reconstruct the I-frame the way the decoder sees it.
-      auto decoded =
-          IntraCodec::DecodeFrame(ef.data, frame.width(), frame.height(),
-                                  frame.depth_bits(), params.quality);
-      if (!decoded.ok()) return decoded.status();
-      recon = std::move(decoded).value();
+      ef.data = IntraCodec::EncodeFrame(frame, params.quality,
+                                        /*concurrency=*/1, &recon);
     } else {
       ef.is_intra = false;
       VideoFrame new_recon;
@@ -375,16 +369,13 @@ Result<EncodedVideo> InterCodec::Encode(const VideoValue& value,
         raw[static_cast<size_t>(g)].push_back(std::move(frame).value());
       }
     }
-    std::vector<Result<std::vector<EncodedFrame>>> encoded =
-        WorkPool::Shared().ParallelMap<Result<std::vector<EncodedFrame>>>(
+    std::vector<std::vector<EncodedFrame>> encoded =
+        WorkPool::Shared().ParallelMap<std::vector<EncodedFrame>>(
             params.concurrency, batch, [&](int64_t g) {
               return EncodeGop(raw[static_cast<size_t>(g)], params);
             });
-    for (auto& gop_frames : encoded) {
-      if (!gop_frames.ok()) return gop_frames.status();
-      for (EncodedFrame& ef : gop_frames.value()) {
-        out.frames.push_back(std::move(ef));
-      }
+    for (std::vector<EncodedFrame>& gop_frames : encoded) {
+      for (EncodedFrame& ef : gop_frames) out.frames.push_back(std::move(ef));
     }
   }
   return out;

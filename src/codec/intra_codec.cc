@@ -13,8 +13,8 @@ namespace avdb {
 namespace {
 
 /// Decoder over independently coded frames. Sequential random access needs
-/// no inter-frame state; bulk ranges fan out across the work pool when the
-/// stream was opened with concurrency > 1.
+/// no inter-frame state, so a single frame spreads its planes over the
+/// stream's concurrency and a range spreads its frames.
 class IntraDecoderSession final : public VideoDecoderSession {
  public:
   explicit IntraDecoderSession(const EncodedVideo& video) : video_(video) {}
@@ -24,45 +24,27 @@ class IntraDecoderSession final : public VideoDecoderSession {
       return Status::InvalidArgument("frame index out of range");
     }
     ++decoded_;
-    const auto& t = video_.raw_type;
-    return IntraCodec::DecodeFrame(video_.frames[index].data, t.width(),
-                                   t.height(), t.depth_bits(),
-                                   video_.params.quality,
-                                   video_.params.concurrency);
+    return DecodeAt(index, video_.params.concurrency);
   }
 
   Result<std::vector<VideoFrame>> DecodeRange(int64_t first,
                                               int64_t count) override {
-    if (first < 0 || count < 0 ||
-        first + count > static_cast<int64_t>(video_.frames.size())) {
-      return Status::InvalidArgument("decode range out of bounds");
-    }
-    const int width = video_.params.concurrency;
-    if (width <= 1 || count <= 1) {
-      return VideoDecoderSession::DecodeRange(first, count);
-    }
-    const auto& t = video_.raw_type;
-    std::vector<Result<VideoFrame>> frames =
-        WorkPool::Shared().ParallelMap<Result<VideoFrame>>(
-            width, count, [&](int64_t i) {
-              return IntraCodec::DecodeFrame(
-                  video_.frames[static_cast<size_t>(first + i)].data,
-                  t.width(), t.height(), t.depth_bits(),
-                  video_.params.quality, /*concurrency=*/1);
-            });
-    std::vector<VideoFrame> out;
-    out.reserve(static_cast<size_t>(count));
-    for (auto& f : frames) {
-      if (!f.ok()) return f.status();
-      out.push_back(std::move(f).value());
-    }
-    decoded_ += count;
-    return out;
+    return DecodeEach(video_, first, count, &decoded_, [this](int64_t i) {
+      return DecodeAt(i, /*plane_concurrency=*/1);
+    });
   }
 
   int64_t FramesDecodedInternally() const override { return decoded_; }
 
  private:
+  Result<VideoFrame> DecodeAt(int64_t index, int plane_concurrency) const {
+    const auto& t = video_.raw_type;
+    const Buffer& data = video_.frames[static_cast<size_t>(index)].data;
+    return IntraCodec::DecodeFrame(data, t.width(), t.height(),
+                                   t.depth_bits(), video_.params.quality,
+                                   plane_concurrency);
+  }
+
   const EncodedVideo& video_;
   int64_t decoded_ = 0;
 };
@@ -70,16 +52,26 @@ class IntraDecoderSession final : public VideoDecoderSession {
 /// Entropy-codes one colour plane into its own byte-aligned buffer. The
 /// plane is read in place through a zero-copy view; the centered scratch
 /// and the output backing store are pooled, so a warm encode allocates
-/// nothing.
-Buffer EncodePlaneBits(const VideoFrame& frame, int p, int quality) {
+/// nothing. A non-null `recon` receives the decoded plane `p`.
+Buffer EncodePlaneBits(const VideoFrame& frame, int p, int quality,
+                       VideoFrame* recon) {
   BufferPool& pool = BufferPool::Shared();
+  const simd::CodecKernels& k = simd::ActiveKernels();
   const PlaneView plane = frame.plane(p);
   BufferPool::I16Lease centered(&pool, plane.size());
-  simd::ActiveKernels().u8_to_i16_center(plane.data(), centered->data(),
-                                         plane.size());
+  k.u8_to_i16_center(plane.data(), centered->data(), plane.size());
   BitWriter writer(pool.AcquireBuffer(plane.size() / 2));
+  if (recon == nullptr) {
+    block_transform::EncodePlane(centered->data(), frame.width(),
+                                 frame.height(), quality, &writer);
+    return writer.Finish();
+  }
+  BufferPool::I16Lease recon_centered(&pool, plane.size());
   block_transform::EncodePlane(centered->data(), frame.width(),
-                               frame.height(), quality, &writer);
+                               frame.height(), quality, &writer,
+                               recon_centered->data());
+  const PlaneSpan out = recon->plane_span(p);
+  k.i16_center_to_u8(recon_centered->data(), out.data(), out.size());
   return writer.Finish();
 }
 
@@ -101,12 +93,14 @@ Status DecodePlaneBits(const uint8_t* bits, size_t size, int p, int quality,
 }  // namespace
 
 Buffer IntraCodec::EncodeFrame(const VideoFrame& frame, int quality,
-                               int concurrency) {
+                               int concurrency, VideoFrame* recon) {
   const int planes = frame.plane_count();
+  if (recon != nullptr) {
+    *recon = VideoFrame(frame.width(), frame.height(), frame.depth_bits());
+  }
   std::vector<Buffer> plane_bits = WorkPool::Shared().ParallelMap<Buffer>(
-      std::min(concurrency, planes), planes,
-      [&](int64_t p) {
-        return EncodePlaneBits(frame, static_cast<int>(p), quality);
+      std::min(concurrency, planes), planes, [&](int64_t p) {
+        return EncodePlaneBits(frame, static_cast<int>(p), quality, recon);
       });
   Buffer out;
   size_t total = 0;
@@ -137,22 +131,14 @@ Result<VideoFrame> IntraCodec::DecodeFrame(const Buffer& data, int width,
     AVDB_RETURN_IF_ERROR(reader.Skip(size.value()));
     spans.emplace_back(offset, size.value());
   }
-  if (concurrency > 1 && planes > 1) {
-    std::vector<Status> statuses = WorkPool::Shared().ParallelMap<Status>(
-        std::min(concurrency, planes), planes, [&](int64_t p) {
-          const auto& span = spans[static_cast<size_t>(p)];
-          return DecodePlaneBits(data.data() + span.first, span.second,
-                                 static_cast<int>(p), quality, &frame);
-        });
-    for (const Status& s : statuses) {
-      if (!s.ok()) return s;
-    }
-  } else {
-    for (int p = 0; p < planes; ++p) {
-      const auto& span = spans[static_cast<size_t>(p)];
-      AVDB_RETURN_IF_ERROR(DecodePlaneBits(data.data() + span.first,
-                                           span.second, p, quality, &frame));
-    }
+  std::vector<Status> statuses = WorkPool::Shared().ParallelMap<Status>(
+      std::min(concurrency, planes), planes, [&](int64_t p) {
+        const auto& span = spans[static_cast<size_t>(p)];
+        return DecodePlaneBits(data.data() + span.first, span.second,
+                               static_cast<int>(p), quality, &frame);
+      });
+  for (const Status& s : statuses) {
+    if (!s.ok()) return s;
   }
   return frame;
 }
@@ -166,45 +152,15 @@ Result<EncodedVideo> IntraCodec::Encode(const VideoValue& value,
   out.raw_type = value.type();
   out.family = family();
   out.params = params;
-  const int64_t n = value.FrameCount();
-  out.frames.reserve(static_cast<size_t>(n));
-  if (params.concurrency <= 1) {
-    for (int64_t i = 0; i < n; ++i) {
-      auto frame = value.Frame(i);
-      if (!frame.ok()) return frame.status();
-      EncodedFrame ef;
-      ef.is_intra = true;
-      ef.data = EncodeFrame(frame.value(), params.quality);
-      out.frames.push_back(std::move(ef));
-    }
-    return out;
-  }
-  // Parallel path: frames are fetched serially (VideoValue::Frame may keep
-  // per-value decode state and is not required to be thread-safe), in
-  // batches to bound raw-frame memory, then encoded across the pool.
-  // Ordered join keeps the output byte-identical to the serial loop.
-  const int64_t batch =
-      std::max<int64_t>(static_cast<int64_t>(params.concurrency) * 4, 16);
-  for (int64_t start = 0; start < n; start += batch) {
-    const int64_t count = std::min(batch, n - start);
-    std::vector<VideoFrame> raw;
-    raw.reserve(static_cast<size_t>(count));
-    for (int64_t i = 0; i < count; ++i) {
-      auto frame = value.Frame(start + i);
-      if (!frame.ok()) return frame.status();
-      raw.push_back(std::move(frame).value());
-    }
-    std::vector<Buffer> encoded = WorkPool::Shared().ParallelMap<Buffer>(
-        params.concurrency, count, [&](int64_t i) {
-          return EncodeFrame(raw[static_cast<size_t>(i)], params.quality);
-        });
-    for (Buffer& bits : encoded) {
-      EncodedFrame ef;
-      ef.is_intra = true;
-      ef.data = std::move(bits);
-      out.frames.push_back(std::move(ef));
-    }
-  }
+  AVDB_RETURN_IF_ERROR(EncodeEach(
+      value, params.concurrency,
+      [&](const VideoFrame& frame) {
+        EncodedFrame ef;
+        ef.is_intra = true;
+        ef.data = EncodeFrame(frame, params.quality);
+        return ef;
+      },
+      &out.frames));
   return out;
 }
 

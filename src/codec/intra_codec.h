@@ -14,28 +14,30 @@ namespace avdb {
 /// Frame layout: each colour plane is entropy-coded into its own
 /// byte-aligned sub-stream prefixed with a u32 byte size. The prefixes
 /// make planes independently addressable, so both encode and decode of a
-/// single frame can fan plane work out across the work pool with output
-/// byte-identical to the serial path.
+/// single frame can spread plane work across the work pool with output
+/// byte-identical at every width.
 class IntraCodec final : public VideoCodec {
  public:
   std::string name() const override { return "avdb-intra"; }
   EncodingFamily family() const override { return EncodingFamily::kIntra; }
 
-  /// Parallel over frames when params.concurrency > 1 (frames are
-  /// independent coding units); output is byte-identical to serial.
+  /// Frames are independent coding units, so they spread across
+  /// params.concurrency pool lanes (VideoCodec::EncodeEach).
   Result<EncodedVideo> Encode(const VideoValue& value,
                               const VideoCodecParams& params) const override;
   Result<std::unique_ptr<VideoDecoderSession>> NewDecoder(
       const EncodedVideo& video) const override;
 
   /// Encodes one frame independently (shared with the inter codec's
-  /// I-frames and the streaming encoder activity). `concurrency` > 1
-  /// spreads the colour planes across the work pool.
+  /// I-frames and the streaming encoder activity), its colour planes
+  /// spread across `concurrency` pool lanes. A non-null `recon` receives
+  /// the frame exactly as DecodeFrame will return it, without decoding.
   static Buffer EncodeFrame(const VideoFrame& frame, int quality,
-                            int concurrency = 1);
+                            int concurrency = 1, VideoFrame* recon = nullptr);
 
-  /// Decodes one independently coded frame of the given geometry;
-  /// `concurrency` > 1 decodes the colour planes in parallel.
+  /// Decodes one independently coded frame of the given geometry, its
+  /// colour planes spread across `concurrency` pool lanes. The first
+  /// failing plane's status is returned.
   static Result<VideoFrame> DecodeFrame(const Buffer& data, int width,
                                         int height, int depth_bits,
                                         int quality, int concurrency = 1);

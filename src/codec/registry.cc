@@ -1,26 +1,11 @@
 #include "codec/registry.h"
 
-#include <atomic>
-
 #include "codec/delta_codec.h"
 #include "codec/inter_codec.h"
 #include "codec/intra_codec.h"
 #include "codec/scalable_codec.h"
 
 namespace avdb {
-
-namespace {
-std::atomic<int> g_default_concurrency{1};
-}  // namespace
-
-int CodecRegistry::default_concurrency() {
-  return g_default_concurrency.load(std::memory_order_relaxed);
-}
-
-void CodecRegistry::set_default_concurrency(int concurrency) {
-  g_default_concurrency.store(concurrency < 1 ? 1 : concurrency,
-                              std::memory_order_relaxed);
-}
 
 const CodecRegistry& CodecRegistry::Default() {
   static const CodecRegistry* registry = new CodecRegistry();

@@ -19,15 +19,6 @@ class CodecRegistry {
   /// Registry pre-populated with every built-in codec.
   static const CodecRegistry& Default();
 
-  /// Process-wide default for VideoCodecParams::concurrency, applied where
-  /// codec work is kicked off without an explicit params value (decoder
-  /// sessions rebuilt from storage, the streaming encoder activity). It is
-  /// an execution policy only — output bytes never depend on it. Defaults
-  /// to 1 (fully serial) so the single-threaded virtual-time EventEngine
-  /// semantics are untouched unless a deployment opts in.
-  static int default_concurrency();
-  static void set_default_concurrency(int concurrency);
-
   CodecRegistry();
 
   Result<std::shared_ptr<const VideoCodec>> VideoCodecFor(

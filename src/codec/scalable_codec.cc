@@ -95,9 +95,9 @@ int LayerDim(int full, int layer) {
   return v;
 }
 
-// Encodes one plane into `layer_count` layers; returns per-layer buffers
-// and the final reconstruction (for potential chaining; unused here since
-// all frames are intra).
+// Encodes one plane into `layer_count` layers and returns their bits, base
+// layer first. Each enhancement layer codes its residual against the
+// upsampled reconstruction of the layers below it.
 std::vector<Buffer> EncodePlaneLayers(const PlaneI16& full, int layer_count,
                                       int quality) {
   std::vector<Buffer> layers;
@@ -116,21 +116,20 @@ std::vector<Buffer> EncodePlaneLayers(const PlaneI16& full, int layer_count,
     BitWriter writer;
     PlaneI16 new_recon{target.width, target.height, std::vector<int16_t>(n)};
     if (l == 0) {
-      // EncodePlaneWithRecon hands back the decoder-exact reconstruction,
-      // so no layer is ever re-parsed to maintain the prediction chain.
-      block_transform::EncodePlaneWithRecon(target.data.data(), target.width,
-                                            target.height, quality, &writer,
-                                            new_recon.data.data());
+      // EncodePlane hands back the decoder-exact reconstruction, so no
+      // layer is ever re-parsed to maintain the prediction chain.
+      block_transform::EncodePlane(target.data.data(), target.width,
+                                   target.height, quality, &writer,
+                                   new_recon.data.data());
     } else {
       const PlaneI16 pred = UpsampleTo(recon, target.width, target.height);
       PlaneI16 residual{target.width, target.height,
                         std::vector<int16_t>(n)};
       k.sub_i16(target.data.data(), pred.data.data(), residual.data.data(),
                 n);
-      block_transform::EncodePlaneWithRecon(residual.data.data(),
-                                            target.width, target.height,
-                                            quality, &writer,
-                                            new_recon.data.data());
+      block_transform::EncodePlane(residual.data.data(), target.width,
+                                   target.height, quality, &writer,
+                                   new_recon.data.data());
       k.add_i16(pred.data.data(), new_recon.data.data(),
                 new_recon.data.data(), n);
     }
@@ -141,28 +140,20 @@ std::vector<Buffer> EncodePlaneLayers(const PlaneI16& full, int layer_count,
 }
 
 // Encodes one full frame into layer_count layers per plane. Enhancement
-// layers chain on the layer below, so layers stay serial; the colour
-// planes are the independent unit and fan out across the pool when
-// plane_concurrency > 1. Pure function of the frame, so whole frames can
-// also run on any pool thread. Packing: layer 0 of all planes goes into
-// `data` (u32-size-prefixed), enhancement layer L plane p lands at
-// layers[(L-1)*planes + p].
+// layers chain on the layer below; planes are independent. A pure function
+// of the frame, so whole frames run on any pool thread (EncodeEach).
+// Packing: layer 0 of all planes goes into `data` (u32-size-prefixed),
+// enhancement layer L plane p lands at layers[(L-1)*planes + p].
 EncodedFrame EncodeScalableFrame(const VideoFrame& frame,
-                                 const VideoCodecParams& params,
-                                 int plane_concurrency) {
+                                 const VideoCodecParams& params) {
   const int planes = frame.plane_count();
   EncodedFrame ef;
   ef.is_intra = true;
   ef.layers.resize(static_cast<size_t>(params.layer_count - 1) * planes);
-  std::vector<std::vector<Buffer>> per_plane =
-      WorkPool::Shared().ParallelMap<std::vector<Buffer>>(
-          std::min(plane_concurrency, planes), planes, [&](int64_t p) {
-            const PlaneI16 full = ToI16(frame.plane(static_cast<int>(p)));
-            return EncodePlaneLayers(full, params.layer_count, params.quality);
-          });
   Buffer base;
   for (int p = 0; p < planes; ++p) {
-    std::vector<Buffer>& layer_bits = per_plane[static_cast<size_t>(p)];
+    std::vector<Buffer> layer_bits = EncodePlaneLayers(
+        ToI16(frame.plane(p)), params.layer_count, params.quality);
     base.AppendU32(static_cast<uint32_t>(layer_bits[0].size()));
     base.AppendBuffer(layer_bits[0]);
     for (int l = 1; l < params.layer_count; ++l) {
@@ -174,28 +165,33 @@ EncodedFrame EncodeScalableFrame(const VideoFrame& frame,
   return ef;
 }
 
-// Decodes `layers` layers of one plane and upsamples to full geometry.
-Result<PlaneI16> DecodePlaneLayers(const std::vector<const Buffer*>& bits,
-                                   int layers, int full_width,
-                                   int full_height, int quality,
-                                   int stored_layers) {
+// One layer's entropy-coded bits, read in place from the stored frame.
+struct LayerBits {
+  const uint8_t* data = nullptr;
+  size_t size = 0;
+};
+
+// Decodes layers [0, bits.size()) of one plane and upsamples to full
+// geometry.
+Result<PlaneI16> DecodePlaneLayers(const std::vector<LayerBits>& bits,
+                                   int full_width, int full_height,
+                                   int quality, int stored_layers) {
   PlaneI16 recon;
-  for (int l = 0; l < layers; ++l) {
-    const int w = LayerDim(full_width, l + (ScalableCodec::kMaxLayers -
-                                            stored_layers));
-    const int h = LayerDim(full_height, l + (ScalableCodec::kMaxLayers -
-                                             stored_layers));
-    BitReader reader(*bits[static_cast<size_t>(l)]);
-    auto decoded = block_transform::DecodePlane(w, h, quality, &reader);
-    if (!decoded.ok()) return decoded.status();
-    if (l == 0) {
-      recon = {w, h, std::move(decoded).value()};
-    } else {
+  for (size_t l = 0; l < bits.size(); ++l) {
+    const int layer = static_cast<int>(l) + ScalableCodec::kMaxLayers -
+                      stored_layers;
+    const int w = LayerDim(full_width, layer);
+    const int h = LayerDim(full_height, layer);
+    BitReader reader(bits[l].data, bits[l].size);
+    PlaneI16 decoded{w, h, std::vector<int16_t>(static_cast<size_t>(w) * h)};
+    AVDB_RETURN_IF_ERROR(block_transform::DecodePlaneInto(
+        w, h, quality, &reader, decoded.data.data()));
+    if (l > 0) {
       const PlaneI16 pred = UpsampleTo(recon, w, h);
-      recon = {w, h, std::move(decoded).value()};
-      simd::ActiveKernels().add_i16(pred.data.data(), recon.data.data(),
-                                    recon.data.data(), recon.data.size());
+      simd::ActiveKernels().add_i16(pred.data.data(), decoded.data.data(),
+                                    decoded.data.data(), decoded.data.size());
     }
+    recon = std::move(decoded);
   }
   return UpsampleTo(recon, full_width, full_height);
 }
@@ -214,29 +210,11 @@ class ScalableDecoderSession final : public VideoDecoderSession {
 
   Result<std::vector<VideoFrame>> DecodeRange(int64_t first,
                                               int64_t count) override {
-    if (first < 0 || count < 0 ||
-        first + count > static_cast<int64_t>(video_.frames.size())) {
-      return Status::InvalidArgument("decode range out of bounds");
-    }
-    const int width = video_.params.concurrency;
-    if (width <= 1 || count <= 1) {
-      return VideoDecoderSession::DecodeRange(first, count);
-    }
     // Every frame is intra-coded, so frames are the parallel grain here
     // (planes stay serial inside each task).
-    std::vector<Result<VideoFrame>> frames =
-        WorkPool::Shared().ParallelMap<Result<VideoFrame>>(
-            width, count, [&](int64_t i) {
-              return DecodeOne(first + i, /*plane_concurrency=*/1);
-            });
-    std::vector<VideoFrame> out;
-    out.reserve(static_cast<size_t>(count));
-    for (auto& f : frames) {
-      if (!f.ok()) return f.status();
-      out.push_back(std::move(f).value());
-    }
-    decoded_ += count;
-    return out;
+    return DecodeEach(video_, first, count, &decoded_, [this](int64_t i) {
+      return DecodeOne(i, /*plane_concurrency=*/1);
+    });
   }
 
   int64_t FramesDecodedInternally() const override { return decoded_; }
@@ -253,22 +231,16 @@ class ScalableDecoderSession final : public VideoDecoderSession {
     const int planes = t.depth_bits() / 8;
 
     VideoFrame frame(t.width(), t.height(), t.depth_bits());
-    // Layer buffers are stored per frame as: data = all planes of layer 0
-    // concatenated? No — per plane per layer. Layout: layer L of plane p is
-    // at ef.layers[(L-1)*planes + p] for L>=1; layer 0 of plane p is packed
-    // inside ef.data sequentially with a u32 size prefix each.
+    // Layer 0 of every plane is packed in ef.data, plane after plane, each
+    // behind a u32 byte size; enhancement layer L >= 1 of plane p is
+    // ef.layers[(L-1)*planes + p]. Every layer is read in place.
     BufferReader base_reader(ef.data);
-    std::vector<Buffer> base_planes;
-    for (int p = 0; p < planes; ++p) {
+    std::vector<LayerBits> base(static_cast<size_t>(planes));
+    for (LayerBits& bits : base) {
       auto size = base_reader.ReadU32();
       if (!size.ok()) return size.status();
-      if (size.value() > base_reader.remaining()) {
-        return Status::DataLoss("base layer size exceeds payload");
-      }
-      Buffer b;
-      b.Resize(size.value());
-      AVDB_RETURN_IF_ERROR(base_reader.ReadBytes(b.data(), size.value()));
-      base_planes.push_back(std::move(b));
+      bits = {ef.data.data() + base_reader.position(), size.value()};
+      AVDB_RETURN_IF_ERROR(base_reader.Skip(size.value()));
     }
     // Planes chain layers internally but are independent of each other;
     // storage is planar, so concurrent plane tasks write disjoint
@@ -276,16 +248,15 @@ class ScalableDecoderSession final : public VideoDecoderSession {
     std::vector<Status> statuses = WorkPool::Shared().ParallelMap<Status>(
         std::min(plane_concurrency, planes), planes, [&](int64_t p64) {
           const int p = static_cast<int>(p64);
-          std::vector<const Buffer*> bits;
-          bits.push_back(&base_planes[static_cast<size_t>(p)]);
+          std::vector<LayerBits> bits = {base[static_cast<size_t>(p)]};
           for (int l = 1; l < use; ++l) {
             const size_t li = static_cast<size_t>(l - 1) * planes + p;
             if (li >= ef.layers.size()) {
               return Status::DataLoss("missing enhancement layer");
             }
-            bits.push_back(&ef.layers[li]);
+            bits.push_back({ef.layers[li].data(), ef.layers[li].size()});
           }
-          auto plane = DecodePlaneLayers(bits, use, t.width(), t.height(),
+          auto plane = DecodePlaneLayers(bits, t.width(), t.height(),
                                          video_.params.quality, stored);
           if (!plane.ok()) return plane.status();
           const PlaneSpan out = frame.plane_span(p);
@@ -318,43 +289,12 @@ Result<EncodedVideo> ScalableCodec::Encode(
   out.raw_type = value.type();
   out.family = family();
   out.params = params;
-
-  const int64_t n = value.FrameCount();
-  out.frames.reserve(static_cast<size_t>(n));
-  if (params.concurrency <= 1) {
-    for (int64_t i = 0; i < n; ++i) {
-      auto frame = value.Frame(i);
-      if (!frame.ok()) return frame.status();
-      out.frames.push_back(
-          EncodeScalableFrame(frame.value(), params, /*plane_concurrency=*/1));
-    }
-    return out;
-  }
-  // Every frame is intra-coded, so frames fan out across the pool; raw
-  // frames are fetched serially in bounded batches first (VideoValue::Frame
-  // is not required to be thread-safe). Ordered join keeps the output
-  // byte-identical to the serial loop.
-  const int64_t batch =
-      std::max<int64_t>(static_cast<int64_t>(params.concurrency) * 4, 16);
-  for (int64_t start = 0; start < n; start += batch) {
-    const int64_t count = std::min(batch, n - start);
-    std::vector<VideoFrame> raw;
-    raw.reserve(static_cast<size_t>(count));
-    for (int64_t i = 0; i < count; ++i) {
-      auto frame = value.Frame(start + i);
-      if (!frame.ok()) return frame.status();
-      raw.push_back(std::move(frame).value());
-    }
-    std::vector<EncodedFrame> encoded =
-        WorkPool::Shared().ParallelMap<EncodedFrame>(
-            params.concurrency, count, [&](int64_t i) {
-              return EncodeScalableFrame(raw[static_cast<size_t>(i)], params,
-                                         /*plane_concurrency=*/1);
-            });
-    for (EncodedFrame& ef : encoded) {
-      out.frames.push_back(std::move(ef));
-    }
-  }
+  AVDB_RETURN_IF_ERROR(EncodeEach(
+      value, params.concurrency,
+      [&](const VideoFrame& frame) {
+        return EncodeScalableFrame(frame, params);
+      },
+      &out.frames));
   return out;
 }
 

@@ -1,5 +1,9 @@
 #include "codec/video_codec.h"
 
+#include <algorithm>
+
+#include "base/work_pool.h"
+
 namespace avdb {
 
 Result<std::vector<VideoFrame>> VideoDecoderSession::DecodeRange(
@@ -15,6 +19,56 @@ Result<std::vector<VideoFrame>> VideoDecoderSession::DecodeRange(
     out.push_back(std::move(frame).value());
   }
   return out;
+}
+
+Result<std::vector<VideoFrame>> VideoDecoderSession::DecodeEach(
+    const EncodedVideo& video, int64_t first, int64_t count,
+    int64_t* decoded,
+    const std::function<Result<VideoFrame>(int64_t)>& decode_one) {
+  const int64_t size = static_cast<int64_t>(video.frames.size());
+  if (first < 0 || count < 0 || first > size || count > size - first) {
+    return Status::InvalidArgument("decode range out of bounds");
+  }
+  std::vector<Result<VideoFrame>> frames =
+      WorkPool::Shared().ParallelMap<Result<VideoFrame>>(
+          video.params.concurrency, count,
+          [&](int64_t i) { return decode_one(first + i); });
+  std::vector<VideoFrame> out;
+  out.reserve(static_cast<size_t>(count));
+  for (Result<VideoFrame>& frame : frames) {
+    if (!frame.ok()) return frame.status();
+    out.push_back(std::move(frame).value());
+  }
+  *decoded += count;
+  return out;
+}
+
+Status VideoCodec::EncodeEach(
+    const VideoValue& value, int concurrency,
+    const std::function<EncodedFrame(const VideoFrame&)>& encode_one,
+    std::vector<EncodedFrame>* out) {
+  const int64_t n = value.FrameCount();
+  const int64_t batch =
+      concurrency <= 1
+          ? 1
+          : std::max<int64_t>(static_cast<int64_t>(concurrency) * 4, 16);
+  out->reserve(out->size() + static_cast<size_t>(n));
+  std::vector<VideoFrame> raw;
+  for (int64_t start = 0; start < n; start += batch) {
+    const int64_t count = std::min(batch, n - start);
+    raw.clear();
+    for (int64_t i = 0; i < count; ++i) {
+      AVDB_ASSIGN_OR_RETURN(VideoFrame frame, value.Frame(start + i));
+      raw.push_back(std::move(frame));
+    }
+    std::vector<EncodedFrame> encoded =
+        WorkPool::Shared().ParallelMap<EncodedFrame>(
+            concurrency, count, [&](int64_t i) {
+              return encode_one(raw[static_cast<size_t>(i)]);
+            });
+    for (EncodedFrame& ef : encoded) out->push_back(std::move(ef));
+  }
+  return Status::OK();
 }
 
 int64_t EncodedFrame::SizeBytes() const {

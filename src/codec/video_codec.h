@@ -1,6 +1,7 @@
 #ifndef AVDB_CODEC_VIDEO_CODEC_H_
 #define AVDB_CODEC_VIDEO_CODEC_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,13 +26,12 @@ struct VideoCodecParams {
   int search_range = 8;
   /// Resolution/detail layers for the scalable codec (1..3).
   int layer_count = 3;
-  /// Codec execution width: how many work-pool lanes encode/decode may use
-  /// (1 = fully serial, the default — virtual-time activity semantics are
-  /// untouched unless a caller opts in). This is an *execution policy*,
-  /// not part of the stream format: it is never serialized, and parallel
-  /// output is guaranteed byte-identical to serial output (frames, GOPs
-  /// and planes are independent coding units). See DESIGN.md,
-  /// "Concurrency model".
+  /// Codec execution width: how many work-pool lanes encode/decode may use.
+  /// Every width runs the same loops; at the default of 1 they run on the
+  /// calling thread alone. This is an *execution policy*, not part of the
+  /// stream format: it is never serialized, and the output is
+  /// byte-identical at every width (frames, GOPs and planes are
+  /// independent coding units). See DESIGN.md, "Concurrency model".
   int concurrency = 1;
 };
 
@@ -80,14 +80,26 @@ class VideoDecoderSession {
   virtual Result<VideoFrame> DecodeFrame(int64_t index) = 0;
 
   /// Bulk decode of frames [first, first+count), returned in order. The
-  /// base implementation is a serial DecodeFrame loop; sessions over
-  /// independently coded frames (intra, scalable) override it with
-  /// work-pool parallel decode when the stream's params.concurrency > 1.
+  /// base implementation is a DecodeFrame loop, which predictive streams
+  /// need because their frames chain. Sessions over independently coded
+  /// frames (intra, scalable) override it with DecodeEach.
   virtual Result<std::vector<VideoFrame>> DecodeRange(int64_t first,
                                                       int64_t count);
 
   /// Frames decoded internally since construction (measures seek overhead).
   virtual int64_t FramesDecodedInternally() const = 0;
+
+ protected:
+  /// DecodeRange over independently coded frames: runs `decode_one(i)` for
+  /// every i in [first, first+count) across `video.params.concurrency`
+  /// pool lanes and joins the frames in order, so every width returns the
+  /// same frames. InvalidArgument when the range leaves the stream, else
+  /// the first failing frame's status; on success adds `count` to
+  /// `*decoded`.
+  static Result<std::vector<VideoFrame>> DecodeEach(
+      const EncodedVideo& video, int64_t first, int64_t count,
+      int64_t* decoded,
+      const std::function<Result<VideoFrame>(int64_t)>& decode_one);
 };
 
 /// A video compression scheme. Implementations are stateless; per-stream
@@ -109,6 +121,19 @@ class VideoCodec {
   /// outlive the session.
   virtual Result<std::unique_ptr<VideoDecoderSession>> NewDecoder(
       const EncodedVideo& video) const = 0;
+
+ protected:
+  /// Encode loop over independently coded frames (intra, scalable): appends
+  /// `encode_one(frame)` for every frame of `value` to `out`. Raw frames
+  /// are fetched serially, since VideoValue::Frame need not be
+  /// thread-safe, in batches that bound raw-frame memory: one frame at
+  /// concurrency 1, else max(4 * concurrency, 16). Each batch is encoded
+  /// across `concurrency` pool lanes and joined in order, so every width
+  /// appends the same frames.
+  static Status EncodeEach(
+      const VideoValue& value, int concurrency,
+      const std::function<EncodedFrame(const VideoFrame&)>& encode_one,
+      std::vector<EncodedFrame>* out);
 };
 
 }  // namespace avdb

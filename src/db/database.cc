@@ -10,6 +10,11 @@ namespace avdb {
 
 namespace {
 
+/// Buffer memory each admitted stream demands from the "db.buffers" pool.
+constexpr int64_t kBufferBytesPerStream = 512 * 1024;
+/// Fetch lead time handed to database-resident sources.
+constexpr int64_t kSourcePrerollMs = 80;
+
 /// Bytes/second a stored representation demands from its device when
 /// streamed at its natural rate. Bound video/audio values know their own
 /// stored footprint (e.g. a scalable layer view reads fewer bytes than the
@@ -532,7 +537,7 @@ Result<MediaActivityPtr> AvDatabase::MakeSource(
   }
 
   SourceOptions options;
-  options.preroll = config_.source_preroll;
+  options.preroll = WorldTime::FromMillis(kSourcePrerollMs);
   options.start_offset = resolved.start_offset;
   options.store = store.value();
   options.blob_name = current.blob_name;
@@ -564,7 +569,7 @@ Result<MediaActivityPtr> AvDatabase::MakeSource(
   demands->push_back({admission_.FindPool(current.device + ".bandwidth"),
                       stored_rate + seek_surcharge});
   demands->push_back({admission_.FindPool("db.buffers"),
-                      static_cast<double>(config_.buffer_bytes_per_stream)});
+                      static_cast<double>(kBufferBytesPerStream)});
   if (current.stored_type.IsCompressed()) {
     demands->push_back({admission_.FindPool("db.decoders"), 1});
   }

@@ -35,14 +35,10 @@ struct AvDatabaseConfig {
   int decoder_units = 4;
   /// Stream buffer memory at the database (admission pool "db.buffers").
   int64_t buffer_pool_bytes = 16 * 1024 * 1024;
-  /// Per-admitted-stream buffer demand.
-  int64_t buffer_bytes_per_stream = 512 * 1024;
   /// Jitter model seed; 0 runs without injected jitter.
   uint64_t jitter_seed = 0;
   /// Processing-cost model of the database platform.
   CostModel costs = CostModel::Accelerated();
-  /// Fetch lead time handed to database-resident sources.
-  WorldTime source_preroll = WorldTime::FromMillis(80);
 };
 
 /// A started stream: the admission ticket and reservations it holds, so

@@ -199,10 +199,6 @@ Result<MediaValuePtr> Deserialize(const Buffer& blob) {
       AVDB_RETURN_IF_ERROR(r.ReadBytes(rest.data(), rest.size()));
       auto encoded = EncodedVideo::Deserialize(rest);
       if (!encoded.ok()) return encoded.status();
-      // Concurrency is an execution policy, not part of the stored stream;
-      // rebuilt values pick up the process-wide default so bulk decodes
-      // through this value can use the work pool.
-      encoded.value().params.concurrency = CodecRegistry::default_concurrency();
       auto codec =
           CodecRegistry::Default().VideoCodecFor(encoded.value().family);
       if (!codec.ok()) return codec.status();

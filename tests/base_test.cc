@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <initializer_list>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "base/buffer.h"
 #include "base/buffer_pool.h"
@@ -13,7 +15,9 @@
 #include "base/status.h"
 #include "base/strings.h"
 #include "base/work_pool.h"
+#include "codec/inter_codec.h"
 #include "codec/intra_codec.h"
+#include "codec/scalable_codec.h"
 #include "media/synthetic.h"
 
 namespace avdb {
@@ -504,27 +508,96 @@ TEST(BufferPoolTest, DropsBeyondMaxFreeAndTrims) {
 
 // -------------------------------------------- Parallel codec determinism --
 
+// Encodes `value` at concurrency 1, 2 and 8 and requires every width to
+// emit the width-1 stream, enhancement layers included.
+void ExpectEncodeIdenticalAcrossConcurrency(const VideoCodec& codec,
+                                            const VideoValue& value,
+                                            VideoCodecParams params) {
+  params.concurrency = 1;
+  auto serial = codec.Encode(value, params);
+  ASSERT_TRUE(serial.ok());
+  for (int concurrency : {2, 8}) {
+    params.concurrency = concurrency;
+    auto parallel = codec.Encode(value, params);
+    ASSERT_TRUE(parallel.ok());
+    ASSERT_EQ(parallel.value().frames.size(), serial.value().frames.size());
+    for (size_t i = 0; i < serial.value().frames.size(); ++i) {
+      const EncodedFrame& want = serial.value().frames[i];
+      const EncodedFrame& got = parallel.value().frames[i];
+      EXPECT_EQ(got.is_intra, want.is_intra) << "frame " << i;
+      EXPECT_EQ(got.data, want.data)
+          << codec.name() << " frame " << i << " differs at concurrency "
+          << concurrency;
+      EXPECT_EQ(got.layers, want.layers)
+          << codec.name() << " frame " << i << " layers differ at concurrency "
+          << concurrency;
+    }
+  }
+}
+
+// Bulk-decodes `value`'s stream at concurrency 4 and compares each frame
+// with a one-at-a-time decode at concurrency 1.
+void ExpectDecodeRangeMatchesSerialFrames(const VideoCodec& codec,
+                                          const VideoValue& value) {
+  VideoCodecParams params;
+  params.quality = 60;
+  params.concurrency = 4;
+  auto encoded = codec.Encode(value, params);
+  ASSERT_TRUE(encoded.ok());
+  const int64_t n = value.FrameCount();
+
+  auto parallel_session = codec.NewDecoder(encoded.value());
+  ASSERT_TRUE(parallel_session.ok());
+  auto range = parallel_session.value()->DecodeRange(0, n);
+  ASSERT_TRUE(range.ok());
+  ASSERT_EQ(range.value().size(), static_cast<size_t>(n));
+  EXPECT_EQ(parallel_session.value()->FramesDecodedInternally(), n);
+
+  EncodedVideo serial_video = encoded.value();
+  serial_video.params.concurrency = 1;
+  auto serial_session = codec.NewDecoder(serial_video);
+  ASSERT_TRUE(serial_session.ok());
+  for (int64_t i = 0; i < n; ++i) {
+    auto frame = serial_session.value()->DecodeFrame(i);
+    ASSERT_TRUE(frame.ok());
+    EXPECT_TRUE(range.value()[static_cast<size_t>(i)] == frame.value())
+        << codec.name() << " decoded frame " << i << " differs";
+  }
+}
+
 TEST(ParallelCodecTest, IntraEncodeIsByteIdenticalAcrossConcurrency) {
   auto value = synthetic::GenerateVideo(
                    MediaDataType::RawVideo(48, 32, 24, Rational(10)), 9,
                    synthetic::VideoPattern::kMovingGradient)
                    .value();
-  IntraCodec codec;
   VideoCodecParams params;
   params.quality = 60;
-  params.concurrency = 1;
-  auto serial = codec.Encode(*value, params);
-  ASSERT_TRUE(serial.ok());
-  for (int concurrency : {2, 8}) {
-    params.concurrency = concurrency;
-    auto parallel = codec.Encode(*value, params);
-    ASSERT_TRUE(parallel.ok());
-    ASSERT_EQ(parallel.value().frames.size(), serial.value().frames.size());
-    for (size_t i = 0; i < serial.value().frames.size(); ++i) {
-      EXPECT_EQ(parallel.value().frames[i].data, serial.value().frames[i].data)
-          << "frame " << i << " differs at concurrency " << concurrency;
-    }
-  }
+  ExpectEncodeIdenticalAcrossConcurrency(IntraCodec(), *value, params);
+}
+
+TEST(ParallelCodecTest, InterEncodeIsByteIdenticalAcrossConcurrency) {
+  // 23 frames at gop 4: six GOPs, the last one short, so a width-8 batch
+  // holds GOPs of two lengths.
+  auto value = synthetic::GenerateVideo(
+                   MediaDataType::RawVideo(40, 24, 24, Rational(10)), 23,
+                   synthetic::VideoPattern::kMovingBox)
+                   .value();
+  VideoCodecParams params;
+  params.quality = 60;
+  params.gop_size = 4;
+  ExpectEncodeIdenticalAcrossConcurrency(InterCodec(), *value, params);
+}
+
+TEST(ParallelCodecTest, ScalableEncodeIsByteIdenticalAcrossConcurrency) {
+  // 17 frames: more than one width-2 batch (16 frames) of the encode loop.
+  auto value = synthetic::GenerateVideo(
+                   MediaDataType::RawVideo(36, 28, 24, Rational(10)), 17,
+                   synthetic::VideoPattern::kCheckerboard)
+                   .value();
+  VideoCodecParams params;
+  params.quality = 60;
+  params.layer_count = 3;
+  ExpectEncodeIdenticalAcrossConcurrency(ScalableCodec(), *value, params);
 }
 
 TEST(ParallelCodecTest, ParallelDecodeRangeMatchesSerialFrames) {
@@ -532,27 +605,44 @@ TEST(ParallelCodecTest, ParallelDecodeRangeMatchesSerialFrames) {
                    MediaDataType::RawVideo(48, 32, 24, Rational(10)), 8,
                    synthetic::VideoPattern::kCheckerboard)
                    .value();
-  IntraCodec codec;
-  VideoCodecParams params;
-  params.quality = 60;
-  params.concurrency = 4;
-  auto encoded = codec.Encode(*value, params);
-  ASSERT_TRUE(encoded.ok());
+  ExpectDecodeRangeMatchesSerialFrames(IntraCodec(), *value);
+}
 
-  auto parallel_session = codec.NewDecoder(encoded.value());
-  ASSERT_TRUE(parallel_session.ok());
-  auto range = parallel_session.value()->DecodeRange(0, 8);
-  ASSERT_TRUE(range.ok());
+TEST(ParallelCodecTest, ScalableDecodeRangeMatchesSerialFrames) {
+  auto value = synthetic::GenerateVideo(
+                   MediaDataType::RawVideo(44, 30, 24, Rational(10)), 8,
+                   synthetic::VideoPattern::kMovingBox)
+                   .value();
+  ExpectDecodeRangeMatchesSerialFrames(ScalableCodec(), *value);
+}
 
-  EncodedVideo serial_video = encoded.value();
-  serial_video.params.concurrency = 1;
-  auto serial_session = codec.NewDecoder(serial_video);
-  ASSERT_TRUE(serial_session.ok());
-  for (int64_t i = 0; i < 8; ++i) {
-    auto frame = serial_session.value()->DecodeFrame(i);
-    ASSERT_TRUE(frame.ok());
-    EXPECT_TRUE(range.value()[static_cast<size_t>(i)] == frame.value())
-        << "decoded frame " << i << " differs";
+TEST(ParallelCodecTest, OutOfRangeDecodeRangeIsInvalidArgument) {
+  auto value = synthetic::GenerateVideo(
+                   MediaDataType::RawVideo(24, 16, 8, Rational(10)), 5,
+                   synthetic::VideoPattern::kMovingBox)
+                   .value();
+  const IntraCodec intra;
+  const InterCodec inter;
+  const ScalableCodec scalable;
+  for (const VideoCodec* codec :
+       std::initializer_list<const VideoCodec*>{&intra, &inter, &scalable}) {
+    for (int concurrency : {1, 4}) {
+      VideoCodecParams params;
+      params.concurrency = concurrency;
+      auto encoded = codec->Encode(*value, params);
+      ASSERT_TRUE(encoded.ok());
+      auto session = codec->NewDecoder(encoded.value());
+      ASSERT_TRUE(session.ok());
+      for (const auto& [first, count] :
+           {std::pair<int64_t, int64_t>{-1, 2}, {0, -1}, {4, 2}, {0, 6},
+            {5, 1}}) {
+        EXPECT_EQ(session.value()->DecodeRange(first, count).status().code(),
+                  StatusCode::kInvalidArgument)
+            << codec->name() << " [" << first << ", +" << count
+            << ") at concurrency " << concurrency;
+      }
+      EXPECT_TRUE(session.value()->DecodeRange(5, 0).ok()) << codec->name();
+    }
   }
 }
 

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
+#include "base/buffer.h"
 #include "base/rng.h"
 #include "codec/audio_codec.h"
 #include "codec/bitio.h"
@@ -113,28 +116,36 @@ TEST(BlockTransformTest, PlaneRoundTripAtHighQuality) {
     for (int x = 0; x < w; ++x) plane[y * w + x] = static_cast<int16_t>((x * 9 + y * 5) % 200 - 100);
   }
   BitWriter writer;
-  block_transform::EncodePlane(plane, w, h, 100, &writer);
+  std::vector<int16_t> recon(w * h);
+  block_transform::EncodePlane(plane.data(), w, h, 100, &writer,
+                               recon.data());
   Buffer bits = writer.Finish();
   BitReader reader(bits);
-  auto decoded = block_transform::DecodePlane(w, h, 100, &reader);
-  ASSERT_TRUE(decoded.ok());
+  std::vector<int16_t> decoded(w * h);
+  ASSERT_TRUE(
+      block_transform::DecodePlaneInto(w, h, 100, &reader, decoded.data())
+          .ok());
   double err = 0;
-  for (int i = 0; i < w * h; ++i) err += std::abs(decoded.value()[i] - plane[i]);
+  for (int i = 0; i < w * h; ++i) err += std::abs(decoded[i] - plane[i]);
   EXPECT_LT(err / (w * h), 3.0);
+  // The encoder's reconstruction is the decoder's output, sample for sample.
+  EXPECT_EQ(recon, decoded);
 }
 
 TEST(BlockTransformTest, TruncatedStreamFailsCleanly) {
   std::vector<int16_t> plane(64, 50);
   BitWriter writer;
-  block_transform::EncodePlane(plane, 8, 8, 75, &writer);
+  block_transform::EncodePlane(plane.data(), 8, 8, 75, &writer);
   Buffer bits = writer.Finish();
   Buffer truncated;
   truncated.AppendBytes(bits.data(), bits.size() / 2);
   BitReader reader(truncated);
-  auto decoded = block_transform::DecodePlane(8, 8, 75, &reader);
+  std::vector<int16_t> decoded(64);
+  const Status status =
+      block_transform::DecodePlaneInto(8, 8, 75, &reader, decoded.data());
   // Either decodes by luck of padding or fails with DataLoss — never crashes.
-  if (!decoded.ok()) {
-    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  if (!status.ok()) {
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss);
   }
 }
 
@@ -184,6 +195,82 @@ INSTANTIATE_TEST_SUITE_P(
         CodecCase{EncodingFamily::kScalable, VideoPattern::kMovingGradient,
                   8},
         CodecCase{EncodingFamily::kScalable, VideoPattern::kMovingBox, 24}));
+
+// ----------------------------------------------------------- Known answers --
+
+// FastHash64 of each video codec's serialized stream and of its decoded
+// planes. The 50x38 clip leaves partial 8x8 and 16x16 blocks on both edges,
+// and 26 frames at gop 6 end in a short GOP of two. Concurrency is an
+// execution policy, so both widths must reproduce the same answers. The
+// scalable codec resamples in double precision, so its answers also assume
+// a build that does not contract those multiply-adds (x86-64 without FMA).
+struct KnownAnswer {
+  EncodingFamily family;
+  uint64_t stream_hash;
+  uint64_t frames_hash;
+};
+
+void PrintTo(const KnownAnswer& answer, std::ostream* os) {
+  *os << EncodingFamilyName(answer.family);
+}
+
+class CodecKnownAnswerTest : public ::testing::TestWithParam<KnownAnswer> {};
+
+TEST_P(CodecKnownAnswerTest, StreamAndFramesMatchAtEveryConcurrency) {
+  const KnownAnswer& answer = GetParam();
+  constexpr int64_t kFrames = 26;
+  const auto type = MediaDataType::RawVideo(50, 38, 24, Rational(10));
+  auto video = GenerateVideo(type, kFrames, VideoPattern::kMovingBox).value();
+  auto codec = CodecRegistry::Default().VideoCodecFor(answer.family).value();
+  for (int concurrency : {1, 4}) {
+    VideoCodecParams params;
+    params.quality = 70;
+    params.gop_size = 6;
+    params.layer_count = 3;
+    params.concurrency = concurrency;
+    auto encoded = codec->Encode(*video, params);
+    ASSERT_TRUE(encoded.ok());
+    const Buffer stream = encoded.value().Serialize();
+    EXPECT_EQ(FastHash64(stream.data(), stream.size()), answer.stream_hash)
+        << std::hex << "stream 0x" << FastHash64(stream.data(), stream.size())
+        << std::dec << " at concurrency " << concurrency;
+
+    auto range = codec->NewDecoder(encoded.value()).value()->DecodeRange(
+        0, kFrames);
+    ASSERT_TRUE(range.ok());
+    std::vector<uint8_t> planes;
+    for (const VideoFrame& frame : range.value()) {
+      planes.insert(planes.end(), frame.data().begin(), frame.data().end());
+    }
+    EXPECT_EQ(FastHash64(planes.data(), planes.size()), answer.frames_hash)
+        << std::hex << "frames 0x" << FastHash64(planes.data(), planes.size())
+        << std::dec << " at concurrency " << concurrency;
+
+    // One frame at a time, on a fresh session, decodes the same frames.
+    auto session = codec->NewDecoder(encoded.value()).value();
+    for (int64_t i = 0; i < kFrames; ++i) {
+      auto frame = session->DecodeFrame(i);
+      ASSERT_TRUE(frame.ok());
+      EXPECT_TRUE(frame.value() == range.value()[static_cast<size_t>(i)])
+          << "frame " << i << " at concurrency " << concurrency;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, CodecKnownAnswerTest,
+    ::testing::Values(
+        KnownAnswer{EncodingFamily::kIntra, 0x69f0507f642e6c27,
+                    0x26ef016e90628f9d},
+        KnownAnswer{EncodingFamily::kInter, 0x2960ebc232ef9684,
+                    0x2e98b82f7251ed11},
+        KnownAnswer{EncodingFamily::kScalable, 0x1f1d392faef1101c,
+                    0x7c89f4d63166b2db},
+        KnownAnswer{EncodingFamily::kDelta, 0x4bed6ec5786cd2e7,
+                    0x7e2f22e40622f447}),
+    [](const ::testing::TestParamInfo<KnownAnswer>& info) {
+      return std::string(EncodingFamilyName(info.param.family));
+    });
 
 TEST(IntraCodecTest, EveryFrameIsAccessPoint) {
   const auto type = MediaDataType::RawVideo(16, 16, 8, Rational(10));

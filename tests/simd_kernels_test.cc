@@ -242,9 +242,10 @@ TEST(SimdKernels, StridedSadMatchesScalar) {
 }
 
 TEST(SimdKernels, PlaneStreamsAreByteIdenticalAcrossLevels) {
-  // End-to-end: the full EncodePlane/DecodePlane path (gather, transform,
-  // quant, entropy) must emit identical bytes at every dispatch level, for
-  // plane shapes exercising every edge-block geometry.
+  // End-to-end: the full EncodePlane/DecodePlaneInto path (gather,
+  // transform, quant, entropy) must emit identical bytes at every dispatch
+  // level, for plane shapes exercising every edge-block geometry; the
+  // encoder's reconstruction must equal the decoded plane.
   Rng rng(7007);
   KernelGuard guard;
   const struct {
@@ -260,19 +261,22 @@ TEST(SimdKernels, PlaneStreamsAreByteIdenticalAcrossLevels) {
     for (int quality : {25, 85}) {
       ASSERT_TRUE(simd::ForceKernelsForTest(KernelLevel::kScalar));
       BitWriter ref_writer;
-      block_transform::EncodePlane(plane, shape.width, shape.height, quality,
-                                   &ref_writer);
+      block_transform::EncodePlane(plane.data(), shape.width, shape.height,
+                                   quality, &ref_writer);
       const Buffer ref_bytes = ref_writer.Finish();
       BitReader ref_reader(ref_bytes);
-      auto ref_decoded = block_transform::DecodePlane(
-          shape.width, shape.height, quality, &ref_reader);
-      ASSERT_TRUE(ref_decoded.ok());
+      std::vector<int16_t> ref_decoded(plane.size());
+      ASSERT_TRUE(block_transform::DecodePlaneInto(shape.width, shape.height,
+                                                   quality, &ref_reader,
+                                                   ref_decoded.data())
+                      .ok());
 
       for (KernelLevel level : SimdLevels()) {
         ASSERT_TRUE(simd::ForceKernelsForTest(level));
         BitWriter writer;
-        block_transform::EncodePlane(plane, shape.width, shape.height,
-                                     quality, &writer);
+        std::vector<int16_t> recon(plane.size());
+        block_transform::EncodePlane(plane.data(), shape.width, shape.height,
+                                     quality, &writer, recon.data());
         const Buffer bytes = writer.Finish();
         ASSERT_EQ(ref_bytes.size(), bytes.size())
             << KernelLevelName(level) << " " << shape.width << "x"
@@ -282,11 +286,15 @@ TEST(SimdKernels, PlaneStreamsAreByteIdenticalAcrossLevels) {
             << "encoded stream differs at " << KernelLevelName(level) << " "
             << shape.width << "x" << shape.height << " q" << quality;
         BitReader reader(bytes);
-        auto decoded = block_transform::DecodePlane(shape.width, shape.height,
-                                                    quality, &reader);
-        ASSERT_TRUE(decoded.ok());
-        ASSERT_EQ(ref_decoded.value(), decoded.value())
+        std::vector<int16_t> decoded(plane.size());
+        ASSERT_TRUE(block_transform::DecodePlaneInto(
+                        shape.width, shape.height, quality, &reader,
+                        decoded.data())
+                        .ok());
+        ASSERT_EQ(ref_decoded, decoded)
             << "decoded plane differs at " << KernelLevelName(level);
+        ASSERT_EQ(recon, decoded)
+            << "reconstruction differs at " << KernelLevelName(level);
       }
     }
   }
