@@ -4,12 +4,17 @@
 // Four measurements on the transform-dominated intra config (QCIF):
 //
 //   1. Per-kernel ns/op: every entry of the simd::CodecKernels dispatch
-//      table, scalar reference vs the runtime-dispatched implementation.
-//   2. End-to-end single-thread encode fps vs the pre-PR baseline — the
+//      table at every SIMD level this CPU runs, against the scalar
+//      reference, in interleaved reps. An entry a table fills with the
+//      scalar function is reported as scalar and not timed against
+//      itself. Acceptance gate: every kernel with its own SIMD entry runs
+//      at a median of at least 1.0x scalar (exit 1).
+//   2. End-to-end single-thread encode fps vs the pre-SIMD baseline — the
 //      double-precision DCT + divide quantizer + copy-per-plane pipeline
-//      this PR replaced, kept alive below as LegacyEncodeFrame so the
+//      the kernels replaced, kept alive below as LegacyEncodeFrame so the
 //      speedup is measured against the real thing, not a guess.
-//      Acceptance gate: dispatched fps >= 2x legacy fps (exit 1).
+//      Acceptance gate: dispatched fps >= 2x legacy fps in the median
+//      (exit 1).
 //   3. Byte identity: every kernel level available in this binary must
 //      encode the intra frame and an inter GOP to the exact bytes the
 //      scalar reference emits (exit 1 on any diff).
@@ -17,11 +22,11 @@
 //      inter encode+decode cycle must be served entirely from the shared
 //      BufferPool — zero pool misses (exit 1 otherwise).
 //
-// Output: BENCH_codec_micro.json.
+// Output: BENCH_codec_micro.json; timings, the SIMD levels and the gate
+// verdicts that depend on them sit under its `host` member.
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -35,6 +40,7 @@
 #include "codec/inter_codec.h"
 #include "codec/intra_codec.h"
 #include "codec/simd/kernels.h"
+#include "harness.h"
 #include "media/frame.h"
 #include "media/synthetic.h"
 
@@ -45,29 +51,15 @@ namespace {
 constexpr int kWidth = 176;
 constexpr int kHeight = 144;
 constexpr int kQuality = 75;
-
-double NowNs() {
-  return std::chrono::duration<double, std::nano>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+constexpr int kKernelReps = 41;    // interleaved scalar/SIMD reps per kernel
+constexpr int kKernelIters = 200;  // kernel calls per timed rep
+constexpr int kFpsReps = 21;       // interleaved legacy/current encodes
+constexpr double kKernelGateMinSpeedup = 1.0;
+constexpr double kFpsGateMinSpeedup = 2.0;
 
 // Defeats dead-code elimination without fencing the timed region.
 volatile uint32_t g_sink = 0;
 void Sink(uint32_t v) { g_sink = g_sink + v; }
-
-// Best-of-reps ns per call of `fn` (which must already fold its output
-// into g_sink).
-template <typename Fn>
-double MeasureNs(int iters, int reps, Fn&& fn) {
-  double best = 1e18;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = NowNs();
-    for (int i = 0; i < iters; ++i) fn();
-    best = std::min(best, (NowNs() - t0) / iters);
-  }
-  return best;
-}
 
 // ---------------------------------------------------------------------------
 // Pre-PR baseline, verbatim from the old block_transform.cc: float DCT-II
@@ -165,16 +157,34 @@ Buffer LegacyEncodeFrame(const VideoFrame& frame, int quality) {
 
 struct KernelPoint {
   const char* name;
-  double scalar_ns = 0;
+  const char* level;        // the table's level
+  bool own_entry = false;   // false: the table dispatches the scalar entry
+  double scalar_ns = 0;     // medians
   double simd_ns = 0;
   double speedup() const { return simd_ns > 0 ? scalar_ns / simd_ns : 0; }
 };
 
-// Times every dispatch-table entry under `k` against realistic inputs: a
-// pattern-frame luma plane for the element-wise kernels, a transformed
-// block for quant/dequant/idct.
-std::vector<KernelPoint> MeasureKernels(const simd::CodecKernels& scalar,
-                                        const simd::CodecKernels& active) {
+/// The dispatch table of every SIMD level this binary runs on this CPU,
+/// widest (the dispatched one) first.
+std::vector<const simd::CodecKernels*> SimdTables() {
+  std::vector<const simd::CodecKernels*> tables;
+  for (simd::KernelLevel level : simd::AvailableKernelLevels()) {
+    if (level == simd::KernelLevel::kScalar) continue;
+    if (simd::ForceKernelsForTest(level)) {
+      tables.insert(tables.begin(), &simd::ActiveKernels());
+    }
+  }
+  simd::ResetKernelsForTest();
+  return tables;
+}
+
+// Times every dispatch-table entry of each table against the scalar
+// reference on realistic inputs: a pattern-frame luma plane for the
+// element-wise kernels, a transformed block for quant/dequant/idct.
+// Points come level by level, in the order of `tables`.
+std::vector<KernelPoint> MeasureKernels(
+    const simd::CodecKernels& scalar,
+    const std::vector<const simd::CodecKernels*>& tables) {
   const VideoFrame frame = synthetic::GeneratePatternFrame(
       kWidth, kHeight, 8, 0, synthetic::VideoPattern::kMovingBox);
   const PlaneView luma = frame.plane(0);
@@ -194,16 +204,33 @@ std::vector<KernelPoint> MeasureKernels(const simd::CodecKernels& scalar,
   std::memcpy(block, i16_a.data(), sizeof(block));
   scalar.fdct8x8(block, coeffs);  // valid quantize input by construction
 
-  std::vector<KernelPoint> points;
-  auto bench = [&](const char* name, auto&& make_call) {
-    KernelPoint p;
-    p.name = name;
-    p.scalar_ns = MeasureNs(2000, 5, make_call(scalar));
-    p.simd_ns = MeasureNs(2000, 5, make_call(active));
-    points.push_back(p);
+  using K = simd::CodecKernels;
+  std::vector<std::vector<KernelPoint>> by_table(tables.size());
+  auto measure = [&](const char* name, auto entry, auto&& make_call) {
+    auto repeat = [](auto call) -> std::function<void()> {
+      return [call] {
+        for (int i = 0; i < kKernelIters; ++i) call();
+      };
+    };
+    std::vector<std::function<void()>> variants = {repeat(make_call(scalar))};
+    for (const K* k : tables) {
+      if (k->*entry != scalar.*entry) variants.push_back(repeat(make_call(*k)));
+    }
+    const std::vector<bench::Summary> timings =
+        bench::Measure(kKernelReps, variants);
+    size_t next = 1;
+    for (size_t t = 0; t < tables.size(); ++t) {
+      KernelPoint p;
+      p.name = name;
+      p.level = simd::KernelLevelName(tables[t]->level);
+      p.own_entry = tables[t]->*entry != scalar.*entry;
+      p.scalar_ns = timings[0].median / kKernelIters;
+      if (p.own_entry) p.simd_ns = timings[next++].median / kKernelIters;
+      by_table[t].push_back(p);
+    }
   };
 
-  bench("fdct8x8", [&](const simd::CodecKernels& k) {
+  measure("fdct8x8", &K::fdct8x8, [&](const K& k) {
     return [&k, &block, &coeffs] {
       alignas(32) int32_t out[kBA];
       k.fdct8x8(block, out);
@@ -211,14 +238,14 @@ std::vector<KernelPoint> MeasureKernels(const simd::CodecKernels& scalar,
       (void)coeffs;
     };
   });
-  bench("idct8x8", [&](const simd::CodecKernels& k) {
+  measure("idct8x8", &K::idct8x8, [&](const K& k) {
     return [&k, &coeffs] {
       alignas(32) int16_t out[kBA];
       k.idct8x8(coeffs, out);
       Sink(static_cast<uint32_t>(out[0]));
     };
   });
-  bench("quantize", [&](const simd::CodecKernels& k) {
+  measure("quantize", &K::quantize, [&](const K& k) {
     return [&k, &coeffs, &qt] {
       alignas(32) int32_t work[kBA];
       std::memcpy(work, coeffs, sizeof(work));
@@ -226,7 +253,7 @@ std::vector<KernelPoint> MeasureKernels(const simd::CodecKernels& scalar,
       Sink(static_cast<uint32_t>(work[0]));
     };
   });
-  bench("dequantize", [&](const simd::CodecKernels& k) {
+  measure("dequantize", &K::dequantize, [&](const K& k) {
     return [&k, &coeffs, &qt] {
       alignas(32) int32_t work[kBA];
       std::memcpy(work, coeffs, sizeof(work));
@@ -234,52 +261,56 @@ std::vector<KernelPoint> MeasureKernels(const simd::CodecKernels& scalar,
       Sink(static_cast<uint32_t>(work[0]));
     };
   });
-  bench("u8_to_i16_center", [&](const simd::CodecKernels& k) {
+  measure("u8_to_i16_center", &K::u8_to_i16_center, [&](const K& k) {
     return [&k, &luma, &i16_out, n] {
       k.u8_to_i16_center(luma.data(), i16_out.data(), n);
       Sink(static_cast<uint32_t>(i16_out[0]));
     };
   });
-  bench("i16_center_to_u8", [&](const simd::CodecKernels& k) {
+  measure("i16_center_to_u8", &K::i16_center_to_u8, [&](const K& k) {
     return [&k, &i16_a, &u8_out, n] {
       k.i16_center_to_u8(i16_a.data(), u8_out.data(), n);
       Sink(u8_out[0]);
     };
   });
-  bench("residual_u8", [&](const simd::CodecKernels& k) {
+  measure("residual_u8", &K::residual_u8, [&](const K& k) {
     return [&k, &luma, &u8_out, &i16_out, n] {
       k.residual_u8(luma.data(), u8_out.data(), i16_out.data(), n);
       Sink(static_cast<uint32_t>(i16_out[0]));
     };
   });
-  bench("reconstruct_u8", [&](const simd::CodecKernels& k) {
+  measure("reconstruct_u8", &K::reconstruct_u8, [&](const K& k) {
     return [&k, &luma, &i16_b, &u8_out, n] {
       k.reconstruct_u8(luma.data(), i16_b.data(), u8_out.data(), n);
       Sink(u8_out[0]);
     };
   });
-  bench("sub_i16", [&](const simd::CodecKernels& k) {
+  measure("sub_i16", &K::sub_i16, [&](const K& k) {
     return [&k, &i16_a, &i16_b, &i16_out, n] {
       k.sub_i16(i16_a.data(), i16_b.data(), i16_out.data(), n);
       Sink(static_cast<uint32_t>(i16_out[0]));
     };
   });
-  bench("add_i16", [&](const simd::CodecKernels& k) {
+  measure("add_i16", &K::add_i16, [&](const K& k) {
     return [&k, &i16_a, &i16_b, &i16_out, n] {
       k.add_i16(i16_a.data(), i16_b.data(), i16_out.data(), n);
       Sink(static_cast<uint32_t>(i16_out[0]));
     };
   });
-  bench("sad_u8", [&](const simd::CodecKernels& k) {
+  measure("sad_u8", &K::sad_u8, [&](const K& k) {
     return [&k, &luma, &u8_out, n] {
       Sink(k.sad_u8(luma.data(), u8_out.data(), n));
     };
   });
-  bench("sad16xh_u8", [&](const simd::CodecKernels& k) {
+  measure("sad16xh_u8", &K::sad16xh_u8, [&](const K& k) {
     const uint8_t* a = luma.row(8) + 16;
     const uint8_t* b = luma.row(24) + 40;
     return [&k, a, b] { Sink(k.sad16xh_u8(a, kWidth, b, kWidth, 16)); };
   });
+  std::vector<KernelPoint> points;
+  for (const auto& level_points : by_table) {
+    points.insert(points.end(), level_points.begin(), level_points.end());
+  }
   return points;
 }
 
@@ -292,16 +323,19 @@ struct FpsPoint {
 FpsPoint MeasureIntraFps() {
   const VideoFrame frame = synthetic::GeneratePatternFrame(
       kWidth, kHeight, 8, 0, synthetic::VideoPattern::kMovingBox);
+  const std::vector<bench::Summary> timings = bench::Measure(
+      kFpsReps,
+      {[&frame] {
+         Sink(static_cast<uint32_t>(
+             LegacyEncodeFrame(frame, kQuality).size()));
+       },
+       [&frame] {
+         Sink(static_cast<uint32_t>(
+             IntraCodec::EncodeFrame(frame, kQuality).size()));
+       }});
   FpsPoint p;
-  const double legacy_ns = MeasureNs(20, 3, [&frame] {
-    Sink(static_cast<uint32_t>(LegacyEncodeFrame(frame, kQuality).size()));
-  });
-  const double current_ns = MeasureNs(60, 3, [&frame] {
-    Sink(static_cast<uint32_t>(
-        IntraCodec::EncodeFrame(frame, kQuality).size()));
-  });
-  p.legacy_fps = 1e9 / legacy_ns;
-  p.current_fps = 1e9 / current_ns;
+  p.legacy_fps = 1e9 / timings[0].median;
+  p.current_fps = 1e9 / timings[1].median;
   p.speedup = p.current_fps / p.legacy_fps;
   return p;
 }
@@ -402,105 +436,64 @@ SteadyStatePoint MeasureSteadyState() {
 }  // namespace
 
 int main() {
-  const simd::CodecKernels& scalar = simd::ScalarKernels();
-  const simd::CodecKernels& active = simd::ActiveKernels();
-  std::printf("dispatched kernel level: %s\n\n",
-              simd::KernelLevelName(active.level));
-
-  std::printf("== per-kernel ns/op (scalar vs %s) ==\n",
-              simd::KernelLevelName(active.level));
-  std::printf("%-18s %12s %12s %9s\n", "kernel", "scalar_ns", "simd_ns",
-              "speedup");
-  const std::vector<KernelPoint> kernels = MeasureKernels(scalar, active);
-  for (const KernelPoint& p : kernels) {
-    std::printf("%-18s %12.1f %12.1f %8.2fx\n", p.name, p.scalar_ns,
-                p.simd_ns, p.speedup());
-  }
-
-  std::printf("\n== intra encode fps, %dx%d q%d (legacy double-DCT vs "
-              "dispatched) ==\n",
-              kWidth, kHeight, kQuality);
+  const std::vector<const simd::CodecKernels*> tables = SimdTables();
+  const std::vector<KernelPoint> kernels =
+      MeasureKernels(simd::ScalarKernels(), tables);
   const FpsPoint fps = MeasureIntraFps();
-  std::printf("legacy %.1f fps, current %.1f fps -> %.2fx\n", fps.legacy_fps,
-              fps.current_fps, fps.speedup);
-
-  std::printf("\n== byte identity across kernel levels ==\n");
   const IdentityPoint identity = CheckByteIdentity();
-  std::printf("levels checked beyond scalar: %zu -> %s\n",
-              identity.levels.size(), identity.pass ? "identical" : "DIFFER");
-
-  std::printf("\n== steady-state pool behaviour (warm inter cycle) ==\n");
   const SteadyStatePoint steady = MeasureSteadyState();
-  std::printf("acquires %lld, reuses %lld, allocations %lld "
-              "(%.2f allocations/frame)\n",
-              static_cast<long long>(steady.acquires),
-              static_cast<long long>(steady.reuses),
-              static_cast<long long>(steady.allocations),
-              steady.allocations_per_frame);
 
-  FILE* out = std::fopen("BENCH_codec_micro.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out, "{\n  \"dispatched_level\": \"%s\",\n",
-                 simd::KernelLevelName(active.level));
-    std::fprintf(out, "  \"kernels\": [\n");
-    for (size_t i = 0; i < kernels.size(); ++i) {
-      const KernelPoint& p = kernels[i];
-      std::fprintf(out,
-                   "    {\"name\": \"%s\", \"scalar_ns\": %.1f, "
-                   "\"simd_ns\": %.1f, \"speedup\": %.2f}%s\n",
-                   p.name, p.scalar_ns, p.simd_ns, p.speedup(),
-                   i + 1 < kernels.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n");
-    std::fprintf(out,
-                 "  \"intra_fps\": {\"legacy_fps\": %.1f, \"current_fps\": "
-                 "%.1f, \"speedup\": %.2f, \"gate_min_speedup\": 2.0, "
-                 "\"gate_enforced\": %s},\n",
-                 fps.legacy_fps, fps.current_fps, fps.speedup,
-                 active.level != simd::KernelLevel::kScalar ? "true"
-                                                            : "false");
-    std::fprintf(out, "  \"byte_identity\": {\"levels\": [");
-    for (size_t i = 0; i < identity.levels.size(); ++i) {
-      std::fprintf(out, "\"%s\"%s", identity.levels[i].c_str(),
-                   i + 1 < identity.levels.size() ? ", " : "");
-    }
-    std::fprintf(out, "], \"identical\": %s},\n",
-                 identity.pass ? "true" : "false");
-    std::fprintf(out,
-                 "  \"steady_state\": {\"frames\": %d, \"acquires\": %lld, "
-                 "\"reuses\": %lld, \"allocations\": %lld, "
-                 "\"allocations_per_frame\": %.2f}\n",
-                 steady.frames, static_cast<long long>(steady.acquires),
-                 static_cast<long long>(steady.reuses),
-                 static_cast<long long>(steady.allocations),
-                 steady.allocations_per_frame);
-    std::fprintf(out, "}\n");
-    std::fclose(out);
-    std::printf("\nwrote BENCH_codec_micro.json\n");
-  }
-
-  bool ok = true;
   // The 2x gate prices the *dispatched SIMD* pipeline; in a scalar-only
   // build (AVDB_SIMD=OFF or an unsupported CPU) the fps is reported but
   // not enforced — the identity and zero-allocation gates still are.
-  if (active.level == simd::KernelLevel::kScalar) {
-    std::printf("note: scalar-only dispatch, fps gate reported but not "
-                "enforced (%.2fx)\n",
-                fps.speedup);
-  } else if (fps.speedup < 2.0) {
-    std::printf("GATE FAILED: intra speedup %.2fx < 2.0x over legacy\n",
-                fps.speedup);
-    ok = false;
+  const bool fps_gate_enforced =
+      simd::ActiveKernels().level != simd::KernelLevel::kScalar;
+
+  std::vector<bench::Object> kernel_rows;
+  for (const KernelPoint& p : kernels) {
+    bench::Object row = {{"name", p.name}, {"level", p.level}};
+    if (p.own_entry) {
+      row.insert(row.end(), {{"scalar_ns", bench::Fixed(p.scalar_ns, 1)},
+                             {"simd_ns", bench::Fixed(p.simd_ns, 1)},
+                             {"speedup", bench::Fixed(p.speedup(), 2)}});
+    } else {
+      row.insert(row.end(), {{"entry", "scalar"},
+                             {"scalar_ns", bench::Fixed(p.scalar_ns, 1)}});
+    }
+    kernel_rows.push_back(std::move(row));
   }
-  if (!identity.pass) {
-    std::printf("GATE FAILED: kernel levels are not byte-identical\n");
-    ok = false;
+  const bench::Object doc = {
+      {"intra_fps", bench::Object{{"gate_min_speedup",
+                                   bench::Fixed(kFpsGateMinSpeedup, 1)}}},
+      {"byte_identity", bench::Object{{"identical", identity.pass}}},
+      {"steady_state",
+       bench::Object{{"frames", steady.frames},
+                     {"acquires", steady.acquires},
+                     {"reuses", steady.reuses},
+                     {"allocations", steady.allocations},
+                     {"allocations_per_frame",
+                      bench::Fixed(steady.allocations_per_frame, 2)}}}};
+  const bench::Object host = {
+      {"kernels", kernel_rows},
+      {"intra_fps",
+       bench::Object{{"legacy_fps", bench::Fixed(fps.legacy_fps, 1)},
+                     {"current_fps", bench::Fixed(fps.current_fps, 1)},
+                     {"speedup", bench::Fixed(fps.speedup, 2)},
+                     {"gate_enforced", fps_gate_enforced}}},
+      {"byte_identity", bench::Object{{"levels", identity.levels}}}};
+
+  bench::Gates gates;
+  gates.Check(bench::WriteReport("BENCH_codec_micro.json", doc, host),
+              "BENCH_codec_micro.json written");
+  for (const KernelPoint& p : kernels) {
+    if (!p.own_entry) continue;
+    gates.Check(p.speedup() >= kKernelGateMinSpeedup,
+                std::string(p.name) + " (" + p.level +
+                    ") median at least 1.0x scalar");
   }
-  if (steady.allocations != 0) {
-    std::printf("GATE FAILED: %lld steady-state pool misses (want 0)\n",
-                static_cast<long long>(steady.allocations));
-    ok = false;
-  }
-  std::printf("%s\n", ok ? "ALL GATES PASS" : "GATES FAILED");
-  return ok ? 0 : 1;
+  gates.Check(!fps_gate_enforced || fps.speedup >= kFpsGateMinSpeedup,
+              "intra encode median at least 2.0x over legacy");
+  gates.Check(identity.pass, "kernel levels are byte-identical");
+  gates.Check(steady.allocations == 0, "zero steady-state pool misses");
+  return gates.ExitCode();
 }

@@ -23,7 +23,6 @@
 // unhandled errors, bounded stall, and at least one quality-degradation
 // event; fault injection off must look exactly like the fault-free path).
 
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -35,6 +34,7 @@
 #include "base/logging.h"
 #include "codec/encoded_value.h"
 #include "codec/scalable_codec.h"
+#include "harness.h"
 #include "media/synthetic.h"
 #include "net/channel.h"
 #include "sched/admission.h"
@@ -313,123 +313,64 @@ int main() {
 
   const std::vector<double> rates = {0.0, 0.01, 0.02, 0.05, 0.10};
   std::vector<RunReport> runs;
-  std::printf("%-6s %5s %6s %6s %7s %6s %6s %6s %6s %9s %9s\n", "rate",
-              "done", "shown", "drop", "retry", "exh", "lower", "raise",
-              "pause", "stall(ms)", "max(ms)");
-  for (double rate : rates) {
-    runs.push_back(RunSweepPoint(clip, rate));
-    const RunReport& r = runs.back();
-    std::printf("%-6.2f %5s %6lld %6lld %7lld %6lld %6lld %6lld %6lld %9.1f "
-                "%9.1f\n",
-                r.fault_rate, r.completed ? "yes" : "NO",
-                static_cast<long long>(r.presented),
-                static_cast<long long>(r.dropped),
-                static_cast<long long>(r.retries),
-                static_cast<long long>(r.exhausted),
-                static_cast<long long>(r.quality_lowers),
-                static_cast<long long>(r.quality_raises),
-                static_cast<long long>(r.pauses), r.stall_total_ms,
-                r.stall_max_ms);
-  }
-
+  for (double rate : rates) runs.push_back(RunSweepPoint(clip, rate));
   const RevocationReport rev = RunRevocation(clip);
-  std::printf(
-      "\nrevocation: line %lld -> %lld B/s at t=10 s; excess %lld, pool "
-      "over %.0f,\n  readmitted=%s at %.0f B/s, available floor %lld, "
-      "oversub after %lld,\n  presented %lld, dropped %lld, pauses %lld, "
-      "completed=%s\n",
-      static_cast<long long>(rev.line_rate_before),
-      static_cast<long long>(rev.line_rate_after),
-      static_cast<long long>(rev.excess_on_revoke), rev.pool_over_on_revoke,
-      rev.readmitted ? "yes" : "NO", rev.demand_after,
-      static_cast<long long>(rev.available_floor),
-      static_cast<long long>(rev.oversub_after_readmit),
-      static_cast<long long>(rev.presented),
-      static_cast<long long>(rev.dropped),
-      static_cast<long long>(rev.pauses), rev.completed ? "yes" : "NO");
 
   // ---------------------------------------------------------------- JSON --
-  FILE* out = std::fopen("BENCH_fault_degradation.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out,
-                 "{\n"
-                 "  \"bench\": \"fault_degradation\",\n"
-                 "  \"config\": {\"frames\": %d, \"rate_fps\": 10, "
-                 "\"layers\": 3, \"seed\": %llu},\n"
-                 "  \"sweep\": [\n",
-                 kFrames, static_cast<unsigned long long>(kSeed));
-    for (size_t i = 0; i < runs.size(); ++i) {
-      const RunReport& r = runs[i];
-      std::fprintf(
-          out,
-          "    {\"fault_rate\": %.2f, \"completed\": %s, "
-          "\"frames_presented\": %lld, \"frames_dropped\": %lld, "
-          "\"late_frames\": %lld, \"deadline_misses\": %lld, "
-          "\"stall_total_ms\": %.3f, \"stall_max_ms\": %.3f, "
-          "\"retries\": %lld, \"exhausted_reads\": %lld, "
-          "\"backoff_ms\": %.3f, \"injected_faults\": %lld, "
-          "\"injected_latency_ms\": %.3f, \"fault_retry_events\": %lld, "
-          "\"quality_lowers\": %lld, \"quality_raises\": %lld, "
-          "\"pauses\": %lld, \"aborts\": %lld, \"min_layers\": %d}%s\n",
-          r.fault_rate, r.completed ? "true" : "false",
-          static_cast<long long>(r.presented),
-          static_cast<long long>(r.dropped), static_cast<long long>(r.late),
-          static_cast<long long>(r.deadline_misses), r.stall_total_ms,
-          r.stall_max_ms, static_cast<long long>(r.retries),
-          static_cast<long long>(r.exhausted), r.backoff_ms,
-          static_cast<long long>(r.injected_faults), r.injected_latency_ms,
-          static_cast<long long>(r.fault_retry_events),
-          static_cast<long long>(r.quality_lowers),
-          static_cast<long long>(r.quality_raises),
-          static_cast<long long>(r.pauses), static_cast<long long>(r.aborts),
-          r.min_layers, i + 1 < runs.size() ? "," : "");
-    }
-    std::fprintf(
-        out,
-        "  ],\n"
-        "  \"revocation\": {\"line_rate_before\": %lld, "
-        "\"line_rate_after\": %lld, \"excess_on_revoke\": %lld, "
-        "\"pool_oversubscription\": %.0f, \"readmitted\": %s, "
-        "\"demand_before\": %.0f, \"demand_after\": %.0f, "
-        "\"available_floor\": %lld, \"oversub_after_readmit\": %lld, "
-        "\"frames_presented\": %lld, \"frames_dropped\": %lld, "
-        "\"pauses\": %lld, \"aborts\": %lld, \"stall_max_ms\": %.3f, "
-        "\"completed\": %s}\n"
-        "}\n",
-        static_cast<long long>(rev.line_rate_before),
-        static_cast<long long>(rev.line_rate_after),
-        static_cast<long long>(rev.excess_on_revoke),
-        rev.pool_over_on_revoke, rev.readmitted ? "true" : "false",
-        rev.demand_before, rev.demand_after,
-        static_cast<long long>(rev.available_floor),
-        static_cast<long long>(rev.oversub_after_readmit),
-        static_cast<long long>(rev.presented),
-        static_cast<long long>(rev.dropped),
-        static_cast<long long>(rev.pauses),
-        static_cast<long long>(rev.aborts), rev.stall_max_ms,
-        rev.completed ? "true" : "false");
-    std::fclose(out);
-    std::printf("\nwrote BENCH_fault_degradation.json\n");
+  std::vector<bench::Object> sweep;
+  for (const RunReport& r : runs) {
+    sweep.push_back(
+        {{"fault_rate", bench::Fixed(r.fault_rate, 2)},
+         {"completed", r.completed}, {"frames_presented", r.presented},
+         {"frames_dropped", r.dropped}, {"late_frames", r.late},
+         {"deadline_misses", r.deadline_misses},
+         {"stall_total_ms", bench::Fixed(r.stall_total_ms, 3)},
+         {"stall_max_ms", bench::Fixed(r.stall_max_ms, 3)},
+         {"retries", r.retries}, {"exhausted_reads", r.exhausted},
+         {"backoff_ms", bench::Fixed(r.backoff_ms, 3)},
+         {"injected_faults", r.injected_faults},
+         {"injected_latency_ms", bench::Fixed(r.injected_latency_ms, 3)},
+         {"fault_retry_events", r.fault_retry_events},
+         {"quality_lowers", r.quality_lowers},
+         {"quality_raises", r.quality_raises}, {"pauses", r.pauses},
+         {"aborts", r.aborts}, {"min_layers", r.min_layers}});
   }
+  const bench::Object revocation = {
+      {"line_rate_before", rev.line_rate_before},
+      {"line_rate_after", rev.line_rate_after},
+      {"excess_on_revoke", rev.excess_on_revoke},
+      {"pool_oversubscription", bench::Fixed(rev.pool_over_on_revoke, 0)},
+      {"readmitted", rev.readmitted},
+      {"demand_before", bench::Fixed(rev.demand_before, 0)},
+      {"demand_after", bench::Fixed(rev.demand_after, 0)},
+      {"available_floor", rev.available_floor},
+      {"oversub_after_readmit", rev.oversub_after_readmit},
+      {"frames_presented", rev.presented}, {"frames_dropped", rev.dropped},
+      {"pauses", rev.pauses}, {"aborts", rev.aborts},
+      {"stall_max_ms", bench::Fixed(rev.stall_max_ms, 3)},
+      {"completed", rev.completed}};
+  const bench::Object doc = {
+      {"bench", "fault_degradation"},
+      {"config", bench::Object{{"frames", kFrames}, {"rate_fps", 10},
+                               {"layers", 3}, {"seed", kSeed}}},
+      {"sweep", sweep},
+      {"revocation", revocation}};
 
   // ----------------------------------------------------- acceptance gates --
-  int failures = 0;
-  auto gate = [&failures](bool ok, const char* what) {
-    if (!ok) {
-      std::printf("ACCEPTANCE FAIL: %s\n", what);
-      ++failures;
-    }
-  };
+  bench::Gates gates;
+  gates.Check(bench::WriteReport("BENCH_fault_degradation.json", doc, {}),
+              "BENCH_fault_degradation.json written");
 
   // Gate 1 — injection off is the fault-free path: nothing retried,
   // dropped, degraded, or late.
   const RunReport& clean = runs[0];
-  gate(clean.completed && clean.presented == kFrames,
-       "rate 0: all frames presented");
-  gate(clean.retries == 0 && clean.dropped == 0 && clean.quality_lowers == 0 &&
-           clean.pauses == 0 && clean.aborts == 0,
-       "rate 0: no retries, drops, or ladder actions");
-  gate(clean.stall_max_ms == 0, "rate 0: zero stall");
+  gates.Check(clean.completed && clean.presented == kFrames,
+              "rate 0: all frames presented");
+  gates.Check(clean.retries == 0 && clean.dropped == 0 &&
+                  clean.quality_lowers == 0 && clean.pauses == 0 &&
+                  clean.aborts == 0,
+              "rate 0: no retries, drops, or ladder actions");
+  gates.Check(clean.stall_max_ms == 0, "rate 0: zero stall");
 
   // Gate 2 — the ISSUE's 5% acceptance point: playback completes with zero
   // unhandled errors, stall time bounded, and at least one
@@ -438,33 +379,33 @@ int main() {
   for (const RunReport& r : runs) {
     if (r.fault_rate == 0.05) at5 = &r;
   }
-  gate(at5 != nullptr, "5% sweep point present");
+  gates.Check(at5 != nullptr, "5% sweep point present");
   if (at5 != nullptr) {
-    gate(at5->completed, "5%: playback completes");
-    gate(at5->aborts == 0, "5%: no aborted stream (unhandled error)");
-    gate(at5->presented + at5->dropped == kFrames,
-         "5%: every frame accounted for (presented or deliberately shed)");
-    gate(at5->quality_lowers + at5->pauses >= 1,
-         "5%: at least one quality-degradation event");
-    gate(at5->stall_max_ms > 0 && at5->stall_max_ms < 2000,
-         "5%: stall bounded (0 < max < 2000 ms)");
-    gate(at5->retries > 0, "5%: retry policy absorbed transient faults");
+    gates.Check(at5->completed, "5%: playback completes");
+    gates.Check(at5->aborts == 0, "5%: no aborted stream (unhandled error)");
+    gates.Check(
+        at5->presented + at5->dropped == kFrames,
+        "5%: every frame accounted for (presented or deliberately shed)");
+    gates.Check(at5->quality_lowers + at5->pauses >= 1,
+                "5%: at least one quality-degradation event");
+    gates.Check(at5->stall_max_ms > 0 && at5->stall_max_ms < 2000,
+                "5%: stall bounded (0 < max < 2000 ms)");
+    gates.Check(at5->retries > 0, "5%: retry policy absorbed transient faults");
   }
 
   // Gate 3 — revocation invariants: availability never negative, the
   // shortfall is visible as oversubscription, and the reduced-demand
   // readmission resolves it while the stream still finishes.
-  gate(rev.available_floor >= 0, "revocation: AvailableBandwidth() >= 0");
-  gate(rev.excess_on_revoke > 0 && rev.pool_over_on_revoke > 0,
-       "revocation: oversubscription surfaced on revoke");
-  gate(rev.readmitted, "revocation: reduced-demand readmission succeeded");
-  gate(rev.oversub_after_readmit == 0,
-       "revocation: readmission resolves oversubscription");
-  gate(rev.completed && rev.aborts == 0,
-       "revocation: stream still completes without abort");
+  gates.Check(rev.available_floor >= 0,
+              "revocation: AvailableBandwidth() >= 0");
+  gates.Check(rev.excess_on_revoke > 0 && rev.pool_over_on_revoke > 0,
+              "revocation: oversubscription surfaced on revoke");
+  gates.Check(rev.readmitted,
+              "revocation: reduced-demand readmission succeeded");
+  gates.Check(rev.oversub_after_readmit == 0,
+              "revocation: readmission resolves oversubscription");
+  gates.Check(rev.completed && rev.aborts == 0,
+              "revocation: stream still completes without abort");
 
-  if (failures == 0) {
-    std::printf("\nAll acceptance gates passed.\n");
-  }
-  return failures == 0 ? 0 : 1;
+  return gates.ExitCode();
 }

@@ -32,6 +32,7 @@
 #include "activity/transformers.h"
 #include "codec/registry.h"
 #include "codec/scalable_codec.h"
+#include "harness.h"
 #include "media/synthetic.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -164,6 +165,7 @@ struct TracedReport {
   bool has_start = false;
   bool has_stop = false;
   int64_t trace_events = 0;
+  bool trace_written = false;
 };
 
 /// The flat flow again, but from a faulted store with the observability
@@ -249,6 +251,8 @@ TracedReport RunTraced() {
   }
   std::ofstream out("BENCH_fig2_trace.json");
   out << tracer.DumpJson() << "\n";
+  out.close();
+  report.trace_written = !out.fail();
   return report;
 }
 
@@ -275,12 +279,15 @@ int main() {
               static_cast<long long>(composite.compressed_bytes),
               static_cast<long long>(composite.raw_bytes));
 
+  bench::Gates gates;
   const bool same_output =
       flat.final_frame_hash == composite.final_frame_hash &&
       flat.frames == composite.frames;
   std::printf("\nencapsulation check: dataflow identical across the two "
               "configurations: %s\n",
               same_output ? "YES" : "NO");
+  gates.Check(same_output,
+              "encapsulation: flat and composite dataflow identical");
   std::printf("compression check: the compressed hop carried %.1fx fewer "
               "bytes than the raw hop\n",
               flat.compressed_bytes == 0
@@ -298,8 +305,9 @@ int main() {
               traced.has_bind ? "YES" : "NO", traced.has_cue ? "YES" : "NO",
               traced.has_start ? "YES" : "NO", traced.has_stop ? "YES" : "NO",
               static_cast<long long>(traced.degrade_events));
-  const bool timeline_ok = traced.has_bind && traced.has_cue &&
-                           traced.has_start && traced.has_stop &&
-                           traced.degrade_events > 0;
-  return (same_output && timeline_ok) ? 0 : 1;
+  gates.Check(traced.trace_written, "BENCH_fig2_trace.json written");
+  gates.Check(traced.has_bind && traced.has_cue && traced.has_start &&
+                  traced.has_stop && traced.degrade_events > 0,
+              "timeline: four lifecycle spans and a degradation event");
+  return gates.ExitCode();
 }

@@ -8,31 +8,32 @@
 // presented element by every sink — against a plain replica of the pre-obs
 // accounting with no obs members at all.
 //
-// Three variants, best-of-reps wall time (steady_clock is sanctioned in
-// bench/):
+// Three variants, host time per rep of kElements records:
 //   plain     the old struct, re-declared locally: no obs members
-//   disabled  StreamStats unbound (the shipped default) — gate: <2% over
-//             plain
+//   disabled  StreamStats unbound (the shipped default) — gate: the median
+//             of kPairs interleaved plain/disabled ratios is < 2% over 1
 //   enabled   StreamStats bound to a registry (counters read at export,
 //             one histogram observe per element) — informational, not gated
-// A checksum over the accumulated fields is consumed so the optimizer
-// cannot delete the loops.
+// Pairs alternate which variant runs first, so neither always runs on the
+// warmer cache. The *_seconds fields report each variant's fastest rep; the
+// overheads are median ratios. A checksum over the accumulated fields is
+// consumed so the optimizer cannot delete the loops.
 //
 // The jitter section exercises JitterModel::Reset between scenarios: one
 // model, one RNG stream, three profiles measured back to back — each
 // scenario's spike count must start from zero instead of smearing the
 // previous scenario's tail into the next report.
 //
-// Output: BENCH_observability.json. Exit code is non-zero when the
-// disabled-path overhead gate fails.
+// Output: BENCH_observability.json, host times under its `host` member.
+// Exit code is non-zero when the disabled-path overhead gate fails.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "harness.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sched/jitter.h"
@@ -43,13 +44,13 @@ using namespace avdb;
 namespace {
 
 constexpr int kElements = 2 * 1000 * 1000;  // per rep
-constexpr int kReps = 7;                    // best-of to damp scheduler noise
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
+// Plain/disabled pairs behind the gate: single reps on a shared host
+// spread by several percent, so the gate reads a median of many.
+constexpr int kPairs = 41;
+// The enabled variant is not gated. Warm-up plus reps keeps its registry
+// at seven reps' worth of records, so the export sizes stay comparable.
+constexpr int kEnabledReps = 6;
+constexpr double kDisabledGatePct = 2.0;
 
 /// The pre-obs StreamStats accounting, re-declared without the obs
 /// members: the baseline the disabled path is gated against. Arithmetic is
@@ -93,77 +94,71 @@ inline int64_t LatenessFor(int i) {
   return 60 * 1000 * 1000;                        // past the 50 ms threshold
 }
 
+/// One rep: kElements records into `stats`. Returns its host seconds.
 template <typename Stats>
 double TimeRecordLoop(Stats& stats, int64_t& checksum) {
-  double best = 1e100;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < kElements; ++i) {
-      stats.Record(/*now_ns=*/static_cast<int64_t>(i) * 100 * 1000,
-                   LatenessFor(i), /*bytes=*/4096);
-    }
-    best = std::min(best, SecondsSince(start));
-    // Consume every accumulated field: anything the checksum does not read
-    // the optimizer may delete from one loop but not the other, and the
-    // comparison stops being apples to apples.
-    checksum += stats.elements_presented + stats.late_elements +
-                stats.deadline_misses + stats.total_lateness_ns +
-                stats.max_lateness_ns + stats.bytes_delivered +
-                stats.last_element_ns +
-                static_cast<int64_t>(stats.smoothed_lateness_ns);
+  const bench::Stopwatch watch;
+  for (int i = 0; i < kElements; ++i) {
+    stats.Record(/*now_ns=*/static_cast<int64_t>(i) * 100 * 1000,
+                 LatenessFor(i), /*bytes=*/4096);
   }
-  return best;
+  const double seconds = watch.ElapsedSeconds();
+  // Consume every accumulated field: anything the checksum does not read
+  // the optimizer may delete from one loop but not the other, and the
+  // comparison stops being apples to apples.
+  checksum += stats.elements_presented + stats.late_elements +
+              stats.deadline_misses + stats.total_lateness_ns +
+              stats.max_lateness_ns + stats.bytes_delivered +
+              stats.last_element_ns +
+              static_cast<int64_t>(stats.smoothed_lateness_ns);
+  return seconds;
 }
-
-struct JitterScenario {
-  std::string name;
-  int samples;
-  int64_t total_ns;
-  int64_t spikes;
-  int64_t max_ns;
-};
 
 }  // namespace
 
 int main() {
   std::printf("==============================================================\n"
               "Observability overhead: StreamStats::Record, %d elements x %d "
-              "reps (best)\n"
+              "interleaved plain/disabled pairs\n"
               "==============================================================\n\n",
-              kElements, kReps);
+              kElements, kPairs);
 
   int64_t checksum = 0;
 
   PlainStats plain;
-  const double plain_s = TimeRecordLoop(plain, checksum);
-
   StreamStats disabled;  // never bound: the shipped default
-  const double disabled_s = TimeRecordLoop(disabled, checksum);
+  TimeRecordLoop(plain, checksum);  // warm-up, untimed
+  TimeRecordLoop(disabled, checksum);
+  std::vector<double> plain_s, disabled_s, ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    if (pair % 2 == 0) plain_s.push_back(TimeRecordLoop(plain, checksum));
+    disabled_s.push_back(TimeRecordLoop(disabled, checksum));
+    if (pair % 2 == 1) plain_s.push_back(TimeRecordLoop(plain, checksum));
+    ratios.push_back(disabled_s.back() / plain_s.back());
+  }
 
   obs::MetricsRegistry registry;
   StreamStats enabled;
   enabled.BindTo(&registry);
-  const double enabled_s = TimeRecordLoop(enabled, checksum);
+  TimeRecordLoop(enabled, checksum);  // warm-up, untimed
+  std::vector<double> enabled_s;
+  for (int rep = 0; rep < kEnabledReps; ++rep) {
+    enabled_s.push_back(TimeRecordLoop(enabled, checksum));
+  }
 
-  const double disabled_overhead_pct = (disabled_s / plain_s - 1.0) * 100.0;
-  const double enabled_overhead_pct = (enabled_s / plain_s - 1.0) * 100.0;
-  const double per_element_disabled_ns = disabled_s / kElements * 1e9;
-  const double per_element_enabled_ns = enabled_s / kElements * 1e9;
+  const bench::Summary plain_t = bench::Summarize(plain_s);
+  const bench::Summary disabled_t = bench::Summarize(disabled_s);
+  const bench::Summary enabled_t = bench::Summarize(enabled_s);
+  const bench::Summary ratio = bench::Summarize(ratios);
+  const double disabled_overhead_pct = (ratio.median - 1.0) * 100.0;
+  const double enabled_overhead_pct =
+      (enabled_t.median / plain_t.median - 1.0) * 100.0;
+  const double per_element_disabled_ns = disabled_t.min / kElements * 1e9;
+  const double per_element_enabled_ns = enabled_t.min / kElements * 1e9;
 
-  std::printf("%-10s %12s %16s %12s\n", "variant", "best (s)", "ns/element",
-              "overhead");
-  std::printf("%-10s %12.4f %16.2f %12s\n", "plain", plain_s,
-              plain_s / kElements * 1e9, "--");
-  std::printf("%-10s %12.4f %16.2f %11.2f%%\n", "disabled", disabled_s,
-              per_element_disabled_ns, disabled_overhead_pct);
-  std::printf("%-10s %12.4f %16.2f %11.2f%%\n", "enabled", enabled_s,
-              per_element_enabled_ns, enabled_overhead_pct);
-
-  // The gate. Negative overhead (disabled measured faster than plain) is
-  // scheduler noise and passes trivially.
-  const bool gate_ok = disabled_overhead_pct < 2.0;
-  std::printf("\ngate: metrics-disabled overhead %.2f%% < 2%%: %s\n",
-              disabled_overhead_pct, gate_ok ? "PASS" : "FAIL");
+  // Negative overhead (disabled measured faster than plain) is scheduler
+  // noise and passes trivially.
+  const bool gate_ok = disabled_overhead_pct < kDisabledGatePct;
 
   // -------------------------------------------------------------------
   // One JitterModel across scenarios, Reset() between them: spike counts
@@ -172,11 +167,8 @@ int main() {
   jitter.BindTo(&registry);
   const struct { const char* name; int samples; } kScenarios[] = {
       {"warmup", 1000}, {"steady", 10000}, {"spike_tail", 5000}};
-  std::vector<JitterScenario> scenarios;
+  std::vector<bench::Object> scenario_rows;
   bool reset_ok = true;
-  std::printf("\njitter scenarios (one model, Reset between):\n");
-  std::printf("%-12s %10s %10s %12s %12s\n", "scenario", "samples", "spikes",
-              "mean (us)", "max (us)");
   for (const auto& sc : kScenarios) {
     jitter.Reset();
     reset_ok = reset_ok && jitter.stats().samples == 0 &&
@@ -184,15 +176,11 @@ int main() {
     for (int i = 0; i < sc.samples; ++i) checksum += jitter.Sample();
     const auto& stats = jitter.stats();
     reset_ok = reset_ok && stats.samples == sc.samples;
-    scenarios.push_back({sc.name, sc.samples, stats.total_ns, stats.spikes,
-                         stats.max_ns});
-    std::printf("%-12s %10d %10lld %12.1f %12.1f\n", sc.name, sc.samples,
-                static_cast<long long>(stats.spikes),
-                static_cast<double>(stats.total_ns) / sc.samples / 1e3,
-                static_cast<double>(stats.max_ns) / 1e3);
+    scenario_rows.push_back({{"name", sc.name}, {"samples", sc.samples},
+                             {"spikes", stats.spikes},
+                             {"total_ns", stats.total_ns},
+                             {"max_ns", stats.max_ns}});
   }
-  std::printf("reset check: per-scenario stats start from zero: %s\n",
-              reset_ok ? "YES" : "NO");
 
   // -------------------------------------------------------------------
   // Export surface: the sizes a scrape or figure pipeline pulls.
@@ -203,55 +191,35 @@ int main() {
   const size_t prom_bytes = registry.PrometheusText().size();
   const size_t json_bytes = registry.Json().size();
   const size_t trace_bytes = tracer.DumpJson().size();
-  std::printf("\nexports: prometheus=%zu B, metrics json=%zu B, "
-              "trace dump=%zu B (ring %zu/%zu kept)\n",
-              prom_bytes, json_bytes, trace_bytes, tracer.Events().size(),
-              static_cast<size_t>(256));
 
-  FILE* out = std::fopen("BENCH_observability.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_observability.json\n");
-    return 1;
-  }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"bench\": \"observability\",\n");
-  std::fprintf(out, "  \"elements_per_rep\": %d,\n", kElements);
-  std::fprintf(out, "  \"reps\": %d,\n", kReps);
-  std::fprintf(out, "  \"plain_seconds\": %.6f,\n", plain_s);
-  std::fprintf(out, "  \"disabled_seconds\": %.6f,\n", disabled_s);
-  std::fprintf(out, "  \"enabled_seconds\": %.6f,\n", enabled_s);
-  std::fprintf(out, "  \"disabled_ns_per_element\": %.3f,\n",
-               per_element_disabled_ns);
-  std::fprintf(out, "  \"enabled_ns_per_element\": %.3f,\n",
-               per_element_enabled_ns);
-  std::fprintf(out, "  \"disabled_overhead_pct\": %.3f,\n",
-               disabled_overhead_pct);
-  std::fprintf(out, "  \"enabled_overhead_pct\": %.3f,\n",
-               enabled_overhead_pct);
-  std::fprintf(out, "  \"disabled_gate_pct\": 2.0,\n");
-  std::fprintf(out, "  \"disabled_gate_ok\": %s,\n",
-               gate_ok ? "true" : "false");
-  std::fprintf(out, "  \"jitter_reset_ok\": %s,\n", reset_ok ? "true" : "false");
-  std::fprintf(out, "  \"jitter_scenarios\": [\n");
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    const auto& sc = scenarios[i];
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"samples\": %d, \"spikes\": %lld, "
-                 "\"total_ns\": %lld, \"max_ns\": %lld}%s\n",
-                 sc.name.c_str(), sc.samples,
-                 static_cast<long long>(sc.spikes),
-                 static_cast<long long>(sc.total_ns),
-                 static_cast<long long>(sc.max_ns),
-                 i + 1 < scenarios.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"prometheus_bytes\": %zu,\n", prom_bytes);
-  std::fprintf(out, "  \"metrics_json_bytes\": %zu,\n", json_bytes);
-  std::fprintf(out, "  \"trace_dump_bytes\": %zu,\n", trace_bytes);
-  std::fprintf(out, "  \"checksum\": %lld\n",
-               static_cast<long long>(checksum));
-  std::fprintf(out, "}\n");
-  std::fclose(out);
+  const bench::Object doc = {
+      {"bench", "observability"},
+      {"elements_per_rep", kElements},
+      {"reps", kPairs},
+      {"disabled_gate_pct", bench::Fixed(kDisabledGatePct, 1)},
+      {"jitter_reset_ok", reset_ok},
+      {"jitter_scenarios", scenario_rows},
+      {"prometheus_bytes", prom_bytes},
+      {"metrics_json_bytes", json_bytes},
+      {"trace_dump_bytes", trace_bytes},
+      {"checksum", checksum}};
+  const bench::Object host = {
+      {"plain_seconds", bench::Fixed(plain_t.min, 6)},
+      {"disabled_seconds", bench::Fixed(disabled_t.min, 6)},
+      {"enabled_seconds", bench::Fixed(enabled_t.min, 6)},
+      {"disabled_ns_per_element", bench::Fixed(per_element_disabled_ns, 3)},
+      {"enabled_ns_per_element", bench::Fixed(per_element_enabled_ns, 3)},
+      {"disabled_overhead_pct", bench::Fixed(disabled_overhead_pct, 3)},
+      {"disabled_overhead_q1_pct", bench::Fixed((ratio.q1 - 1) * 100, 3)},
+      {"disabled_overhead_q3_pct", bench::Fixed((ratio.q3 - 1) * 100, 3)},
+      {"enabled_overhead_pct", bench::Fixed(enabled_overhead_pct, 3)},
+      {"disabled_gate_ok", gate_ok}};
 
-  return (gate_ok && reset_ok) ? 0 : 1;
+  bench::Gates gates;
+  gates.Check(
+      bench::WriteReport("BENCH_observability.json", doc, host),
+      "BENCH_observability.json written");
+  gates.Check(gate_ok, "metrics-disabled overhead (median of pairs) < 2%");
+  gates.Check(reset_ok, "jitter stats start from zero after Reset");
+  return gates.ExitCode();
 }

@@ -9,13 +9,13 @@
 //   2. Scrub throughput: page-by-page verification of every stored byte.
 //   3. Zero-fault page-checksum overhead on whole-blob reads: Get (every
 //      page verified) against ReadRangeUnverified over the same extents
-//      (same device path, no verification). With no injector attached,
-//      verification must cost < 5% (acceptance gate — exit code 1 on
-//      violation).
+//      (same device path, no verification), timed in interleaved reps.
+//      With no injector attached, verification must cost < 5% in the
+//      median (acceptance gate — exit code 1 on violation).
 //
-// Output: BENCH_recovery.json.
+// Output: BENCH_recovery.json; every host time sits under its `host`
+// member.
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -23,6 +23,7 @@
 
 #include "base/logging.h"
 #include "base/rng.h"
+#include "harness.h"
 #include "storage/block_device.h"
 #include "storage/media_store.h"
 
@@ -30,11 +31,9 @@ using namespace avdb;
 
 namespace {
 
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+constexpr int kRecoverReps = 5;   // reported as the fastest, as before
+constexpr int kOverheadReps = 11;  // gated on the median
+constexpr double kOverheadGatePct = 5.0;
 
 Buffer RandomBlob(Rng* rng, int64_t size) {
   Buffer b;
@@ -81,21 +80,17 @@ RecoveryPoint MeasureRecovery(int ops) {
   RecoveryPoint point;
   point.ops = ops;
   // Recover() is idempotent: time repeated runs and keep the fastest.
-  double best_ms = 1e18;
-  for (int rep = 0; rep < 5; ++rep) {
-    const double t0 = NowMs();
+  const bench::Summary timing = bench::Measure(kRecoverReps, {[&] {
     auto report = revived.Recover();
-    const double t1 = NowMs();
     if (!report.ok()) {
       std::printf("RECOVERY FAILED: %s\n", report.status().message().c_str());
       std::exit(1);
     }
-    best_ms = std::min(best_ms, t1 - t0);
     point.records = report.value().records_replayed;
     point.journal_bytes = report.value().journal_bytes_scanned;
     point.blobs = report.value().blobs;
-  }
-  point.recover_us = best_ms * 1000.0;
+  }})[0];
+  point.recover_us = timing.min / 1e3;
   return point;
 }
 
@@ -122,10 +117,9 @@ ScrubPoint MeasureScrub() {
   }
   ScrubPoint point;
   point.bytes = kBlobs * kBlobBytes;
-  const double t0 = NowMs();
+  const bench::Stopwatch watch;
   auto clean = store.Scrub();
-  const double t1 = NowMs();
-  point.host_ms = t1 - t0;
+  point.host_ms = watch.ElapsedNs() / 1e6;
   point.pages = clean.value().pages_scanned;
   point.mb_per_s =
       static_cast<double>(point.bytes) / (1024.0 * 1024.0) /
@@ -150,10 +144,9 @@ struct OverheadPoint {
 
 /// Reads every blob whole, with page verification (Get) or without it
 /// (ReadRangeUnverified over the full range). Both bypass the cache and
-/// read the same extents through the same device path. Returns host ms.
-double RunReadWorkload(MediaStore* store, int blobs, int64_t blob_bytes,
-                       bool verify) {
-  const double t0 = NowMs();
+/// read the same extents through the same device path.
+void RunReadWorkload(MediaStore* store, int blobs, int64_t blob_bytes,
+                     bool verify) {
   for (int i = 0; i < blobs; ++i) {
     const std::string name = "o" + std::to_string(i);
     auto got = verify ? store->Get(name)
@@ -164,7 +157,6 @@ double RunReadWorkload(MediaStore* store, int blobs, int64_t blob_bytes,
       std::exit(1);
     }
   }
-  return NowMs() - t0;
 }
 
 OverheadPoint MeasureOverhead() {
@@ -177,91 +169,58 @@ OverheadPoint MeasureOverhead() {
   for (int i = 0; i < kBlobs; ++i) {
     store.Put("o" + std::to_string(i), RandomBlob(&rng, kBlobBytes)).value();
   }
+  const std::vector<bench::Summary> timings = bench::Measure(
+      kOverheadReps,
+      {[&] { RunReadWorkload(&store, kBlobs, kBlobBytes, true); },
+       [&] { RunReadWorkload(&store, kBlobs, kBlobBytes, false); }});
   OverheadPoint point;
-  double on = 1e18, off = 1e18;
-  for (int rep = 0; rep < 5; ++rep) {
-    on = std::min(on, RunReadWorkload(&store, kBlobs, kBlobBytes, true));
-    off = std::min(off, RunReadWorkload(&store, kBlobs, kBlobBytes, false));
-  }
-  point.verify_on_ms = on;
-  point.verify_off_ms = off;
-  point.overhead_pct = (on - off) / off * 100.0;
+  point.verify_on_ms = timings[0].median / 1e6;
+  point.verify_off_ms = timings[1].median / 1e6;
+  point.overhead_pct =
+      (point.verify_on_ms - point.verify_off_ms) / point.verify_off_ms * 100.0;
   return point;
 }
 
 }  // namespace
 
 int main() {
-  std::printf("== recovery time vs journal length ==\n");
-  std::printf("%6s %8s %14s %6s %12s\n", "ops", "records", "journal_bytes",
-              "blobs", "recover_us");
   std::vector<RecoveryPoint> recovery;
-  for (int ops : {8, 32, 128, 512}) {
-    recovery.push_back(MeasureRecovery(ops));
-    const RecoveryPoint& p = recovery.back();
-    std::printf("%6d %8lld %14lld %6lld %12.1f\n", p.ops,
-                static_cast<long long>(p.records),
-                static_cast<long long>(p.journal_bytes),
-                static_cast<long long>(p.blobs), p.recover_us);
-  }
-
-  std::printf("\n== scrub throughput ==\n");
+  for (int ops : {8, 32, 128, 512}) recovery.push_back(MeasureRecovery(ops));
   const ScrubPoint scrub = MeasureScrub();
-  std::printf("%lld bytes in %.1f ms -> %.0f MB/s (corrupt pages found on "
-              "dirty pass: %lld)\n",
-              static_cast<long long>(scrub.bytes), scrub.host_ms,
-              scrub.mb_per_s, static_cast<long long>(scrub.corrupt_found));
-
-  std::printf("\n== zero-fault read overhead (Get vs unverified read) ==\n");
   const OverheadPoint overhead = MeasureOverhead();
-  std::printf("verify on %.1f ms, off %.1f ms -> overhead %.2f%%\n",
-              overhead.verify_on_ms, overhead.verify_off_ms,
-              overhead.overhead_pct);
 
-  FILE* out = std::fopen("BENCH_recovery.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out, "{\n  \"recovery_scaling\": [\n");
-    for (size_t i = 0; i < recovery.size(); ++i) {
-      const RecoveryPoint& p = recovery[i];
-      std::fprintf(out,
-                   "    {\"ops\": %d, \"records\": %lld, \"journal_bytes\": "
-                   "%lld, \"blobs\": %lld, \"recover_us\": %.1f}%s\n",
-                   p.ops, static_cast<long long>(p.records),
-                   static_cast<long long>(p.journal_bytes),
-                   static_cast<long long>(p.blobs), p.recover_us,
-                   i + 1 < recovery.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n");
-    std::fprintf(out,
-                 "  \"scrub\": {\"bytes\": %lld, \"pages\": %lld, "
-                 "\"host_ms\": %.2f, \"mb_per_s\": %.1f, "
-                 "\"corrupt_found\": %lld},\n",
-                 static_cast<long long>(scrub.bytes),
-                 static_cast<long long>(scrub.pages), scrub.host_ms,
-                 scrub.mb_per_s, static_cast<long long>(scrub.corrupt_found));
-    std::fprintf(out,
-                 "  \"read_overhead\": {\"verify_on_ms\": %.2f, "
-                 "\"verify_off_ms\": %.2f, \"overhead_pct\": %.2f, "
-                 "\"gate_pct\": 5.0}\n}\n",
-                 overhead.verify_on_ms, overhead.verify_off_ms,
-                 overhead.overhead_pct);
-    std::fclose(out);
-    std::printf("\nwrote BENCH_recovery.json\n");
+  std::vector<bench::Object> scaling, scaling_host;
+  for (const RecoveryPoint& p : recovery) {
+    scaling.push_back({{"ops", p.ops}, {"records", p.records},
+                       {"journal_bytes", p.journal_bytes},
+                       {"blobs", p.blobs}});
+    scaling_host.push_back(
+        {{"ops", p.ops}, {"recover_us", bench::Fixed(p.recover_us, 1)}});
   }
+  const bench::Object doc = {
+      {"recovery_scaling", scaling},
+      {"scrub", bench::Object{{"bytes", scrub.bytes},
+                              {"pages", scrub.pages},
+                              {"corrupt_found", scrub.corrupt_found}}},
+      {"read_overhead",
+       bench::Object{{"gate_pct", bench::Fixed(kOverheadGatePct, 1)}}}};
+  const bench::Object host = {
+      {"recovery_scaling", scaling_host},
+      {"scrub", bench::Object{{"host_ms", bench::Fixed(scrub.host_ms, 2)},
+                              {"mb_per_s", bench::Fixed(scrub.mb_per_s, 1)}}},
+      {"read_overhead",
+       bench::Object{
+           {"verify_on_ms", bench::Fixed(overhead.verify_on_ms, 2)},
+           {"verify_off_ms", bench::Fixed(overhead.verify_off_ms, 2)},
+           {"overhead_pct", bench::Fixed(overhead.overhead_pct, 2)}}}};
 
-  // Acceptance gates.
-  int failures = 0;
-  auto gate = [&failures](bool ok, const char* what) {
-    if (!ok) {
-      std::printf("ACCEPTANCE FAIL: %s\n", what);
-      ++failures;
-    }
-  };
-  gate(overhead.overhead_pct < 5.0,
-       "page-checksum overhead on whole-blob Get < 5%");
-  gate(scrub.corrupt_found == 1, "scrub finds the one corrupted page");
-  gate(recovery.back().records >= 512,
-       "512-op journal replayed in full");
-  if (failures == 0) std::printf("\nAll acceptance gates passed.\n");
-  return failures == 0 ? 0 : 1;
+  bench::Gates gates;
+  gates.Check(bench::WriteReport("BENCH_recovery.json", doc, host),
+              "BENCH_recovery.json written");
+  gates.Check(overhead.overhead_pct < kOverheadGatePct,
+              "page-checksum overhead on whole-blob Get < 5%");
+  gates.Check(scrub.corrupt_found == 1, "scrub finds the one corrupted page");
+  gates.Check(recovery.back().records >= 512,
+              "512-op journal replayed in full");
+  return gates.ExitCode();
 }

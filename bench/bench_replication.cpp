@@ -23,7 +23,6 @@
 // cluster metrics show at least one failover, one hedge win, and one
 // breaker open).
 
-#include <cstdio>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -40,6 +39,7 @@
 #include "cluster/stream_router.h"
 #include "codec/encoded_value.h"
 #include "codec/scalable_codec.h"
+#include "harness.h"
 #include "media/synthetic.h"
 #include "net/channel.h"
 #include "obs/metrics.h"
@@ -108,13 +108,8 @@ struct SessionReport {
   bool completed = false;
   int64_t presented = 0;
   int64_t dropped = 0;
-  int64_t late = 0;
-  int64_t deadline_misses = 0;
-  double stall_total_ms = 0;
   double stall_max_ms = 0;
   int64_t aborts = 0;
-  int64_t pauses = 0;
-  StreamRouter::Stats router;
 };
 
 struct ClusterReport {
@@ -238,20 +233,17 @@ ClusterReport RunCluster(const std::shared_ptr<EncodedVideoValue>& clip,
     SessionReport& session = report.sessions[s];
     const StreamStats& stats = windows[static_cast<size_t>(s)]->stats();
     session.presented = stats.elements_presented;
-    session.late = stats.late_elements;
-    session.deadline_misses = stats.deadline_misses;
-    session.stall_total_ms = stats.total_lateness_ns / 1e6;
     session.stall_max_ms = stats.max_lateness_ns / 1e6;
     session.aborts = degraders[static_cast<size_t>(s)]->stats().aborts_taken;
-    session.pauses = degraders[static_cast<size_t>(s)]->stats().pauses_taken;
-    session.router = routers[static_cast<size_t>(s)]->stats();
-    report.failovers += session.router.failovers;
-    report.hedges += session.router.hedges;
-    report.hedge_wins += session.router.hedge_wins;
-    report.breaker_opens += session.router.breaker_opens;
-    report.deadline_fast_fails += session.router.deadline_fast_fails;
-    report.deadline_give_ups += session.router.deadline_give_ups;
-    report.exhausted += session.router.exhausted;
+    const StreamRouter::Stats& router =
+        routers[static_cast<size_t>(s)]->stats();
+    report.failovers += router.failovers;
+    report.hedges += router.hedges;
+    report.hedge_wins += router.hedge_wins;
+    report.breaker_opens += router.breaker_opens;
+    report.deadline_fast_fails += router.deadline_fast_fails;
+    report.deadline_give_ups += router.deadline_give_ups;
+    report.exhausted += router.exhausted;
   }
   report.node0_refused = replicas[0].node->stats().refused;
   report.node0_served = replicas[0].node->stats().served;
@@ -543,20 +535,6 @@ SelfHealReport RunSelfHeal(double fault_rate, uint64_t seed) {
   return report;
 }
 
-void PrintSessionRow(int s, const SessionReport& r) {
-  std::printf(
-      "  s%d: done=%s shown=%lld drop=%lld fo=%lld hedge=%lld/%lld "
-      "brk=%lld ff=%lld give=%lld stall_max=%.1fms\n",
-      s, r.completed ? "yes" : "NO", static_cast<long long>(r.presented),
-      static_cast<long long>(r.dropped),
-      static_cast<long long>(r.router.failovers),
-      static_cast<long long>(r.router.hedge_wins),
-      static_cast<long long>(r.router.hedges),
-      static_cast<long long>(r.router.breaker_opens),
-      static_cast<long long>(r.router.deadline_fast_fails),
-      static_cast<long long>(r.router.deadline_give_ups), r.stall_max_ms);
-}
-
 }  // namespace
 
 int main() {
@@ -573,184 +551,100 @@ int main() {
   // store in disguise.
   const StreamStats direct = RunSingleNode(clip, /*routed=*/false);
   const StreamStats routed = RunSingleNode(clip, /*routed=*/true);
-  std::printf("parity: direct shown=%lld late=%lld miss=%lld "
-              "stall=%.3f/%.3f ms\n",
-              static_cast<long long>(direct.elements_presented),
-              static_cast<long long>(direct.late_elements),
-              static_cast<long long>(direct.deadline_misses),
-              direct.total_lateness_ns / 1e6, direct.max_lateness_ns / 1e6);
-  std::printf("parity: routed shown=%lld late=%lld miss=%lld "
-              "stall=%.3f/%.3f ms\n\n",
-              static_cast<long long>(routed.elements_presented),
-              static_cast<long long>(routed.late_elements),
-              static_cast<long long>(routed.deadline_misses),
-              routed.total_lateness_ns / 1e6, routed.max_lateness_ns / 1e6);
 
   // Part 2 — the replicated sweep.
   const std::vector<double> rates = {0.0, 0.02, 0.05, 0.10};
   std::vector<ClusterReport> runs;
-  for (double rate : rates) {
-    runs.push_back(RunCluster(clip, rate));
-    const ClusterReport& r = runs.back();
-    std::printf("rate %.2f: node0 served=%lld refused=%lld, survivors "
-                "served=%lld\n",
-                rate, static_cast<long long>(r.node0_served),
-                static_cast<long long>(r.node0_refused),
-                static_cast<long long>(r.survivor_served));
-    for (int s = 0; s < kSessions; ++s) PrintSessionRow(s, r.sessions[s]);
-  }
+  for (double rate : rates) runs.push_back(RunCluster(clip, rate));
 
   // Part 3 — self-heal: write+kill+revive at the 5% point, seed-swept.
-  std::printf("\nself-heal: %d puts, node0 killed at write %lld, "
-              "%llu seeds @ 5%% device faults\n",
-              kSelfHealPuts, static_cast<long long>(kSelfHealKillAtOp),
-              static_cast<unsigned long long>(kSelfHealSeeds));
   std::vector<SelfHealReport> heals;
   for (uint64_t seed = 1; seed <= kSelfHealSeeds; ++seed) {
     heals.push_back(RunSelfHeal(0.05, seed));
-    const SelfHealReport& h = heals.back();
-    std::printf("  seed %llu: puts=%lld/%lld hints=%lld replayed=%lld "
-                "repairs=%lld resync=%lld streamed=%lld conv=%s loss=%lld\n",
-                static_cast<unsigned long long>(h.seed),
-                static_cast<long long>(h.puts - h.put_failures),
-                static_cast<long long>(h.puts),
-                static_cast<long long>(h.hints_recorded),
-                static_cast<long long>(h.hints_replayed),
-                static_cast<long long>(h.repairs),
-                static_cast<long long>(h.resync_rounds),
-                static_cast<long long>(h.resync_blobs_streamed),
-                h.converged ? "yes" : "NO",
-                static_cast<long long>(h.data_loss_events));
   }
 
   // ---------------------------------------------------------------- JSON --
-  FILE* out = std::fopen("BENCH_replication.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out,
-                 "{\n"
-                 "  \"bench\": \"replication\",\n"
-                 "  \"config\": {\"frames\": %d, \"sessions\": %d, "
-                 "\"replicas\": %d, \"kill_at_op\": %lld, \"seed\": %llu},\n"
-                 "  \"parity\": {\"direct\": {\"presented\": %lld, "
-                 "\"late\": %lld, \"misses\": %lld, \"lateness_ns\": %lld},\n"
-                 "             \"routed\": {\"presented\": %lld, "
-                 "\"late\": %lld, \"misses\": %lld, \"lateness_ns\": %lld}},\n"
-                 "  \"sweep\": [\n",
-                 kFrames, kSessions, kReplicas,
-                 static_cast<long long>(kKillAtOp),
-                 static_cast<unsigned long long>(kSeed),
-                 static_cast<long long>(direct.elements_presented),
-                 static_cast<long long>(direct.late_elements),
-                 static_cast<long long>(direct.deadline_misses),
-                 static_cast<long long>(direct.total_lateness_ns),
-                 static_cast<long long>(routed.elements_presented),
-                 static_cast<long long>(routed.late_elements),
-                 static_cast<long long>(routed.deadline_misses),
-                 static_cast<long long>(routed.total_lateness_ns));
-    for (size_t i = 0; i < runs.size(); ++i) {
-      const ClusterReport& r = runs[i];
-      int64_t presented = 0, dropped = 0, aborts = 0;
-      double stall_max = 0;
-      bool all_completed = true;
-      for (const SessionReport& s : r.sessions) {
-        presented += s.presented;
-        dropped += s.dropped;
-        aborts += s.aborts;
-        if (s.stall_max_ms > stall_max) stall_max = s.stall_max_ms;
-        all_completed = all_completed && s.completed;
-      }
-      std::fprintf(
-          out,
-          "    {\"fault_rate\": %.2f, \"all_completed\": %s, "
-          "\"frames_presented\": %lld, \"frames_dropped\": %lld, "
-          "\"stream_aborts\": %lld, \"stall_max_ms\": %.3f, "
-          "\"failovers\": %lld, \"hedges\": %lld, \"hedge_wins\": %lld, "
-          "\"breaker_opens\": %lld, \"deadline_fast_fails\": %lld, "
-          "\"deadline_give_ups\": %lld, \"exhausted\": %lld, "
-          "\"node0_served\": %lld, \"node0_refused\": %lld, "
-          "\"survivor_served\": %lld, \"metric_failovers\": %lld, "
-          "\"metric_hedge_wins\": %lld, \"metric_breaker_opens\": %lld, "
-          "\"trace_failover_events\": %lld, \"trace_hedge_win_events\": "
-          "%lld}%s\n",
-          r.fault_rate, all_completed ? "true" : "false",
-          static_cast<long long>(presented), static_cast<long long>(dropped),
-          static_cast<long long>(aborts), stall_max,
-          static_cast<long long>(r.failovers),
-          static_cast<long long>(r.hedges),
-          static_cast<long long>(r.hedge_wins),
-          static_cast<long long>(r.breaker_opens),
-          static_cast<long long>(r.deadline_fast_fails),
-          static_cast<long long>(r.deadline_give_ups),
-          static_cast<long long>(r.exhausted),
-          static_cast<long long>(r.node0_served),
-          static_cast<long long>(r.node0_refused),
-          static_cast<long long>(r.survivor_served),
-          static_cast<long long>(r.metric_failovers),
-          static_cast<long long>(r.metric_hedge_wins),
-          static_cast<long long>(r.metric_breaker_opens),
-          static_cast<long long>(r.trace_failover_events),
-          static_cast<long long>(r.trace_hedge_events),
-          i + 1 < runs.size() ? "," : "");
+  auto parity_row = [](const StreamStats& st) {
+    return bench::Object{{"presented", st.elements_presented},
+                         {"late", st.late_elements},
+                         {"misses", st.deadline_misses},
+                         {"lateness_ns", st.total_lateness_ns}};
+  };
+  std::vector<bench::Object> sweep;
+  for (const ClusterReport& r : runs) {
+    int64_t presented = 0, dropped = 0, aborts = 0;
+    double stall_max = 0;
+    bool all_completed = true;
+    for (const SessionReport& s : r.sessions) {
+      presented += s.presented;
+      dropped += s.dropped;
+      aborts += s.aborts;
+      if (s.stall_max_ms > stall_max) stall_max = s.stall_max_ms;
+      all_completed = all_completed && s.completed;
     }
-    std::fprintf(out, "  ],\n  \"self_heal\": [\n");
-    for (size_t i = 0; i < heals.size(); ++i) {
-      const SelfHealReport& h = heals[i];
-      std::fprintf(
-          out,
-          "    {\"seed\": %llu, \"fault_rate\": %.2f, \"puts\": %lld, "
-          "\"put_failures\": %lld, \"read_failures\": %lld, "
-          "\"hints_recorded\": %lld, \"hints_replayed\": %lld, "
-          "\"repairs\": %lld, \"repair_pages_streamed\": %lld, "
-          "\"resync_rounds\": %lld, \"resync_blobs_streamed\": %lld, "
-          "\"data_loss_events\": %lld, \"node0_crashed\": %s, "
-          "\"revived\": %s, \"resync_paced\": %s, \"converged\": %s, "
-          "\"summaries_identical\": %s, \"metrics_agree\": %s, "
-          "\"trace_read_repair\": %lld, \"trace_handoff\": %lld, "
-          "\"trace_anti_entropy\": %lld}%s\n",
-          static_cast<unsigned long long>(h.seed), h.fault_rate,
-          static_cast<long long>(h.puts),
-          static_cast<long long>(h.put_failures),
-          static_cast<long long>(h.read_failures),
-          static_cast<long long>(h.hints_recorded),
-          static_cast<long long>(h.hints_replayed),
-          static_cast<long long>(h.repairs),
-          static_cast<long long>(h.repair_pages_streamed),
-          static_cast<long long>(h.resync_rounds),
-          static_cast<long long>(h.resync_blobs_streamed),
-          static_cast<long long>(h.data_loss_events),
-          h.node0_crashed ? "true" : "false", h.revived ? "true" : "false",
-          h.resync_paced ? "true" : "false", h.converged ? "true" : "false",
-          h.summaries_identical ? "true" : "false",
-          h.metrics_agree ? "true" : "false",
-          static_cast<long long>(h.trace_read_repair),
-          static_cast<long long>(h.trace_handoff),
-          static_cast<long long>(h.trace_resync),
-          i + 1 < heals.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("\nwrote BENCH_replication.json\n");
+    sweep.push_back(
+        {{"fault_rate", bench::Fixed(r.fault_rate, 2)},
+         {"all_completed", all_completed}, {"frames_presented", presented},
+         {"frames_dropped", dropped}, {"stream_aborts", aborts},
+         {"stall_max_ms", bench::Fixed(stall_max, 3)},
+         {"failovers", r.failovers}, {"hedges", r.hedges},
+         {"hedge_wins", r.hedge_wins}, {"breaker_opens", r.breaker_opens},
+         {"deadline_fast_fails", r.deadline_fast_fails},
+         {"deadline_give_ups", r.deadline_give_ups},
+         {"exhausted", r.exhausted}, {"node0_served", r.node0_served},
+         {"node0_refused", r.node0_refused},
+         {"survivor_served", r.survivor_served},
+         {"metric_failovers", r.metric_failovers},
+         {"metric_hedge_wins", r.metric_hedge_wins},
+         {"metric_breaker_opens", r.metric_breaker_opens},
+         {"trace_failover_events", r.trace_failover_events},
+         {"trace_hedge_win_events", r.trace_hedge_events}});
   }
+  std::vector<bench::Object> self_heal;
+  for (const SelfHealReport& h : heals) {
+    self_heal.push_back(
+        {{"seed", h.seed}, {"fault_rate", bench::Fixed(h.fault_rate, 2)},
+         {"puts", h.puts}, {"put_failures", h.put_failures},
+         {"read_failures", h.read_failures},
+         {"hints_recorded", h.hints_recorded},
+         {"hints_replayed", h.hints_replayed}, {"repairs", h.repairs},
+         {"repair_pages_streamed", h.repair_pages_streamed},
+         {"resync_rounds", h.resync_rounds},
+         {"resync_blobs_streamed", h.resync_blobs_streamed},
+         {"data_loss_events", h.data_loss_events},
+         {"node0_crashed", h.node0_crashed}, {"revived", h.revived},
+         {"resync_paced", h.resync_paced}, {"converged", h.converged},
+         {"summaries_identical", h.summaries_identical},
+         {"metrics_agree", h.metrics_agree},
+         {"trace_read_repair", h.trace_read_repair},
+         {"trace_handoff", h.trace_handoff},
+         {"trace_anti_entropy", h.trace_resync}});
+  }
+  const bench::Object doc = {
+      {"bench", "replication"},
+      {"config", bench::Object{{"frames", kFrames}, {"sessions", kSessions},
+                               {"replicas", kReplicas},
+                               {"kill_at_op", kKillAtOp}, {"seed", kSeed}}},
+      {"parity", bench::Object{{"direct", parity_row(direct)},
+                               {"routed", parity_row(routed)}}},
+      {"sweep", sweep},
+      {"self_heal", self_heal}};
 
   // ----------------------------------------------------- acceptance gates --
-  int failures = 0;
-  auto gate = [&failures](bool ok, const char* what) {
-    if (!ok) {
-      std::printf("ACCEPTANCE FAIL: %s\n", what);
-      ++failures;
-    }
-  };
+  bench::Gates gates;
+  gates.Check(bench::WriteReport("BENCH_replication.json", doc, {}),
+              "BENCH_replication.json written");
 
   // Gate 1 — parity: replication off changes nothing about the stream.
-  gate(routed.elements_presented == direct.elements_presented &&
-           routed.late_elements == direct.late_elements &&
-           routed.deadline_misses == direct.deadline_misses &&
-           routed.total_lateness_ns == direct.total_lateness_ns &&
-           routed.max_lateness_ns == direct.max_lateness_ns,
-       "parity: single co-located replica streams identically to the "
-       "direct store");
-  gate(direct.elements_presented == kFrames, "parity: clean run presents "
-                                             "every frame");
+  gates.Check(routed.elements_presented == direct.elements_presented &&
+                  routed.late_elements == direct.late_elements &&
+                  routed.deadline_misses == direct.deadline_misses &&
+                  routed.total_lateness_ns == direct.total_lateness_ns &&
+                  routed.max_lateness_ns == direct.max_lateness_ns,
+              "parity: single co-located replica streams identically to the "
+              "direct store");
+  gates.Check(direct.elements_presented == kFrames,
+              "parity: clean run presents every frame");
 
   // Gate 2 — every sweep point survives the node kill: all sessions
   // complete, nothing aborts, every frame is presented or deliberately
@@ -758,13 +652,14 @@ int main() {
   for (const ClusterReport& r : runs) {
     for (int s = 0; s < kSessions; ++s) {
       const SessionReport& session = r.sessions[s];
-      gate(session.completed, "sweep: session completes despite node kill");
-      gate(session.aborts == 0, "sweep: zero aborted streams");
-      gate(session.presented + session.dropped == kFrames,
-           "sweep: every frame accounted for");
+      gates.Check(session.completed,
+                  "sweep: session completes despite node kill");
+      gates.Check(session.aborts == 0, "sweep: zero aborted streams");
+      gates.Check(session.presented + session.dropped == kFrames,
+                  "sweep: every frame accounted for");
     }
-    gate(r.node0_refused > 0, "sweep: the node kill fired");
-    gate(r.failovers >= 1, "sweep: at least one failover");
+    gates.Check(r.node0_refused > 0, "sweep: the node kill fired");
+    gates.Check(r.failovers >= 1, "sweep: at least one failover");
   }
 
   // Gate 3 — the ISSUE's 5% point: bounded rebuffer and the full
@@ -773,20 +668,20 @@ int main() {
   for (const ClusterReport& r : runs) {
     if (r.fault_rate == 0.05) at5 = &r;
   }
-  gate(at5 != nullptr, "5% sweep point present");
+  gates.Check(at5 != nullptr, "5% sweep point present");
   if (at5 != nullptr) {
     for (int s = 0; s < kSessions; ++s) {
-      gate(at5->sessions[s].stall_max_ms < 2000,
-           "5%: rebuffer bounded (max stall < 2000 ms)");
+      gates.Check(at5->sessions[s].stall_max_ms < 2000,
+                  "5%: rebuffer bounded (max stall < 2000 ms)");
     }
-    gate(at5->hedge_wins >= 1, "5%: at least one hedged read won");
-    gate(at5->breaker_opens >= 1, "5%: node0's breaker opened");
-    gate(at5->metric_failovers == at5->failovers &&
-             at5->metric_hedge_wins == at5->hedge_wins &&
-             at5->metric_breaker_opens == at5->breaker_opens,
-         "5%: avdb_cluster_* metrics agree with router stats");
-    gate(at5->trace_failover_events > 0 && at5->trace_hedge_events > 0,
-         "5%: failover and hedge-win trace events recorded");
+    gates.Check(at5->hedge_wins >= 1, "5%: at least one hedged read won");
+    gates.Check(at5->breaker_opens >= 1, "5%: node0's breaker opened");
+    gates.Check(at5->metric_failovers == at5->failovers &&
+                    at5->metric_hedge_wins == at5->hedge_wins &&
+                    at5->metric_breaker_opens == at5->breaker_opens,
+                "5%: avdb_cluster_* metrics agree with router stats");
+    gates.Check(at5->trace_failover_events > 0 && at5->trace_hedge_events > 0,
+                "5%: failover and hedge-win trace events recorded");
   }
 
   // Gate 4 — self-heal, every seed: all quorum puts ack within budget
@@ -795,29 +690,28 @@ int main() {
   // node converges to a byte-identical directory, zero data-loss events,
   // and the repair/handoff metrics agree with the store's stats.
   for (const SelfHealReport& h : heals) {
-    gate(h.put_failures == 0,
-         "self-heal: every W=2/N=3 put acks within budget");
-    gate(h.node0_crashed, "self-heal: the mid-workload node kill fired");
-    gate(h.read_failures == 0,
-         "self-heal: every acked blob reads back byte-identical");
-    gate(h.hints_recorded >= 1 && h.hints_replayed >= 1,
-         "self-heal: at least one hinted handoff recorded and replayed");
-    gate(h.repairs >= 1 && h.trace_read_repair >= 1,
-         "self-heal: at least one read-repair observed");
-    gate(h.revived, "self-heal: crash-restart revive succeeded");
-    gate(h.resync_paced,
-         "self-heal: MaybeRunAntiEntropy honors the resync interval");
-    gate(h.converged && h.summaries_identical,
-         "self-heal: revived node converges to a byte-identical directory");
-    gate(h.data_loss_events == 0, "self-heal: zero data-loss events");
-    gate(h.metrics_agree,
-         "self-heal: avdb_cluster_* metrics agree with store stats");
-    gate(h.trace_handoff >= 1 && h.trace_resync >= 1,
-         "self-heal: handoff_replay and anti_entropy trace events recorded");
+    gates.Check(h.put_failures == 0,
+                "self-heal: every W=2/N=3 put acks within budget");
+    gates.Check(h.node0_crashed, "self-heal: the mid-workload node kill fired");
+    gates.Check(h.read_failures == 0,
+                "self-heal: every acked blob reads back byte-identical");
+    gates.Check(h.hints_recorded >= 1 && h.hints_replayed >= 1,
+                "self-heal: at least one hinted handoff recorded and replayed");
+    gates.Check(h.repairs >= 1 && h.trace_read_repair >= 1,
+                "self-heal: at least one read-repair observed");
+    gates.Check(h.revived, "self-heal: crash-restart revive succeeded");
+    gates.Check(h.resync_paced,
+                "self-heal: MaybeRunAntiEntropy honors the resync interval");
+    gates.Check(
+        h.converged && h.summaries_identical,
+        "self-heal: revived node converges to a byte-identical directory");
+    gates.Check(h.data_loss_events == 0, "self-heal: zero data-loss events");
+    gates.Check(h.metrics_agree,
+                "self-heal: avdb_cluster_* metrics agree with store stats");
+    gates.Check(
+        h.trace_handoff >= 1 && h.trace_resync >= 1,
+        "self-heal: handoff_replay and anti_entropy trace events recorded");
   }
 
-  if (failures == 0) {
-    std::printf("\nAll acceptance gates passed.\n");
-  }
-  return failures == 0 ? 0 : 1;
+  return gates.ExitCode();
 }

@@ -25,13 +25,13 @@
 //                        admit/release pairs over 64 sharded pools) keeps
 //                        perfectly balanced accounting
 //
-// Wall-clock (steady_clock, sanctioned in bench/) is reported for context;
-// the gates are structural, so the bench is deterministic.
+// Host time is reported for context, under the JSON's `host` member; the
+// gates are structural, so everything above `host` is deterministic and
+// the `bench_output_scale` ctest compares it with the committed file.
 //
 // Output: BENCH_scale.json. Exit code is non-zero when any gate fails.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -41,6 +41,7 @@
 #include "activity/graph.h"
 #include "activity/sinks.h"
 #include "activity/sources.h"
+#include "harness.h"
 #include "media/synthetic.h"
 #include "sched/admission.h"
 #include "sched/event_engine.h"
@@ -55,12 +56,6 @@ constexpr int kMaxSessions = 100000;
 constexpr int kAdmissionPools = 64;
 constexpr double kBytesPerSessionGate = 2048.0;
 constexpr double kEventsPerFrameSlack = 0.10;  // relative, plus 0.1 absolute
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 MediaDataType TinyVideoType() {
   return MediaDataType::RawVideo(4, 4, 8, Rational(10));
@@ -77,7 +72,7 @@ struct Fleet {
 std::unique_ptr<Fleet> BuildFleet(int sessions,
                                   const std::shared_ptr<RawVideoValue>& value,
                                   double* build_seconds) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const bench::Stopwatch watch;
   auto fleet = std::make_unique<Fleet>();
   fleet->graph = std::make_unique<ActivityGraph>(
       ActivityEnv{&fleet->engine, nullptr});
@@ -102,7 +97,7 @@ std::unique_ptr<Fleet> BuildFleet(int sessions,
     }
     fleet->windows.push_back(std::move(window));
   }
-  *build_seconds = SecondsSince(t0);
+  *build_seconds = watch.ElapsedSeconds();
   return fleet;
 }
 
@@ -122,9 +117,9 @@ bool RunSweepPoint(int sessions, const std::shared_ptr<RawVideoValue>& value,
   double build_seconds = 0;
   auto fleet = BuildFleet(sessions, value, &build_seconds);
   if (fleet == nullptr || !fleet->graph->StartAll().ok()) return false;
-  const auto t0 = std::chrono::steady_clock::now();
+  const bench::Stopwatch watch;
   fleet->graph->RunUntilIdle();
-  row->run_seconds = SecondsSince(t0);
+  row->run_seconds = watch.ElapsedSeconds();
   row->build_seconds = build_seconds;
   row->sessions = sessions;
   row->events_run = fleet->engine.EventsRun();
@@ -164,9 +159,9 @@ bool RunTeardown(int sessions, const std::shared_ptr<RawVideoValue>& value,
   // Half the 0.6 s stream, then the whole fleet aborts at once.
   fleet->graph->RunUntil(WorldTime::FromMillis(300));
   out->pending_before = fleet->engine.PendingEvents();
-  const auto t0 = std::chrono::steady_clock::now();
+  const bench::Stopwatch watch;
   if (!fleet->graph->StopAll().ok()) return false;
-  out->stop_seconds = SecondsSince(t0);
+  out->stop_seconds = watch.ElapsedSeconds();
   out->pending_after = fleet->engine.PendingEvents();
   out->heap_entries_after = fleet->engine.HeapEntries();
   out->cancelled = fleet->engine.EventsCancelled();
@@ -196,7 +191,7 @@ bool RunAdmissionChurn(int sessions, AdmissionResult* out) {
   std::vector<AdmissionTicket> tickets;
   tickets.reserve(sessions);
   bool ok = true;
-  const auto t0 = std::chrono::steady_clock::now();
+  const bench::Stopwatch id_watch;
   for (int s = 0; s < sessions; ++s) {
     auto t = ac.Admit(std::vector<PooledDemand>{
         {ids[s % kAdmissionPools], 1.0},
@@ -206,10 +201,10 @@ bool RunAdmissionChurn(int sessions, AdmissionResult* out) {
   }
   for (auto& t : tickets) ac.Release(&t);
   out->id_admits_per_sec =
-      static_cast<double>(sessions) / SecondsSince(t0);
+      static_cast<double>(sessions) / id_watch.ElapsedSeconds();
   // String path for comparison: same demands, name-keyed.
   tickets.clear();
-  const auto t1 = std::chrono::steady_clock::now();
+  const bench::Stopwatch string_watch;
   for (int s = 0; s < sessions; ++s) {
     auto t = ac.Admit(std::vector<ResourceDemand>{
         {names[s % kAdmissionPools], 1.0},
@@ -219,7 +214,7 @@ bool RunAdmissionChurn(int sessions, AdmissionResult* out) {
   }
   for (auto& t : tickets) ac.Release(&t);
   out->string_admits_per_sec =
-      static_cast<double>(sessions) / SecondsSince(t1);
+      static_cast<double>(sessions) / string_watch.ElapsedSeconds();
   out->over_releases = ac.stats().over_releases;
   out->all_admitted = ok;
   return true;
@@ -234,21 +229,14 @@ int main() {
           .value();
 
   std::vector<SweepRow> rows;
-  printf("session sweep: %d frames @ 10 fps per session, shared value\n\n",
+  printf("session sweep: %d frames @ 10 fps per session, shared value\n",
          kFrames);
-  printf("%9s %12s %12s %11s %9s %11s %9s %9s\n", "sessions", "events",
-         "frames", "ev/frame", "p99miss", "engB/sess", "build_s", "run_s");
   for (int sessions : kSweep) {
     SweepRow row;
     if (!RunSweepPoint(sessions, value, &row)) {
       fprintf(stderr, "sweep point %d failed to run\n", sessions);
       return 1;
     }
-    printf("%9d %12lld %12lld %11.3f %9.4f %11.1f %9.3f %9.3f\n",
-           row.sessions, static_cast<long long>(row.events_run),
-           static_cast<long long>(row.frames_presented), row.events_per_frame,
-           row.p99_miss_rate, row.bytes_per_session, row.build_seconds,
-           row.run_seconds);
     rows.push_back(row);
   }
 
@@ -257,29 +245,14 @@ int main() {
     fprintf(stderr, "teardown phase failed to run\n");
     return 1;
   }
-  printf("\nmass teardown at %d sessions: pending %zu -> %zu "
-         "(heap entries %zu, %lld cancelled, %lld compactions) in %.3f s; "
-         "%lld events ran after stop\n",
-         kMaxSessions, teardown.pending_before, teardown.pending_after,
-         teardown.heap_entries_after,
-         static_cast<long long>(teardown.cancelled),
-         static_cast<long long>(teardown.compactions), teardown.stop_seconds,
-         static_cast<long long>(teardown.events_after_stop));
 
   AdmissionResult admission;
   if (!RunAdmissionChurn(kMaxSessions, &admission)) {
     fprintf(stderr, "admission phase failed to run\n");
     return 1;
   }
-  printf("\nadmission churn: %d sessions x 2 demands over %d pools: "
-         "%.0f admits/s interned vs %.0f admits/s string-keyed (%.2fx), "
-         "%lld over-releases\n",
-         kMaxSessions, kAdmissionPools, admission.id_admits_per_sec,
-         admission.string_admits_per_sec,
-         admission.id_admits_per_sec / admission.string_admits_per_sec,
-         static_cast<long long>(admission.over_releases));
 
-  // ------------------------------------------------------------- gates ----
+  // ---------------------------------------------------------------- JSON --
   const SweepRow& small = rows.front();
   const SweepRow& large = rows.back();
   const bool gate_events_flat =
@@ -293,69 +266,55 @@ int main() {
   const bool gate_admission =
       admission.all_admitted && admission.over_releases == 0;
 
-  printf("\ngates:\n");
-  printf("  events/frame flat 10^2 -> 10^5 (%.3f -> %.3f): %s\n",
-         small.events_per_frame, large.events_per_frame,
-         gate_events_flat ? "PASS" : "FAIL");
-  printf("  p99 deadline-miss rate at 10^5 == 0 (%.4f): %s\n",
-         large.p99_miss_rate, gate_p99 ? "PASS" : "FAIL");
-  printf("  engine bytes/session at 10^5 <= %.0f (%.1f): %s\n",
-         kBytesPerSessionGate, large.bytes_per_session,
-         gate_bytes ? "PASS" : "FAIL");
-  printf("  teardown drains pending to 0 (%zu, %lld ran after stop): %s\n",
-         teardown.pending_after,
-         static_cast<long long>(teardown.events_after_stop),
-         gate_teardown ? "PASS" : "FAIL");
-  printf("  admission churn balanced (%lld over-releases): %s\n",
-         static_cast<long long>(admission.over_releases),
-         gate_admission ? "PASS" : "FAIL");
-
-  FILE* out = fopen("BENCH_scale.json", "w");
-  if (out != nullptr) {
-    fprintf(out, "{\n  \"sweep\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const SweepRow& r = rows[i];
-      fprintf(out,
-              "    {\"sessions\": %d, \"events_run\": %lld, "
-              "\"frames_presented\": %lld, \"events_per_frame\": %.4f, "
-              "\"p99_miss_rate\": %.6f, \"engine_bytes_per_session\": %.1f, "
-              "\"build_seconds\": %.4f, \"run_seconds\": %.4f}%s\n",
-              r.sessions, static_cast<long long>(r.events_run),
-              static_cast<long long>(r.frames_presented), r.events_per_frame,
-              r.p99_miss_rate, r.bytes_per_session, r.build_seconds,
-              r.run_seconds, i + 1 < rows.size() ? "," : "");
-    }
-    fprintf(out, "  ],\n");
-    fprintf(out,
-            "  \"teardown\": {\"sessions\": %d, \"pending_before\": %zu, "
-            "\"pending_after\": %zu, \"heap_entries_after\": %zu, "
-            "\"cancelled\": %lld, \"compactions\": %lld, "
-            "\"events_after_stop\": %lld, \"stop_seconds\": %.4f},\n",
-            kMaxSessions, teardown.pending_before, teardown.pending_after,
-            teardown.heap_entries_after,
-            static_cast<long long>(teardown.cancelled),
-            static_cast<long long>(teardown.compactions),
-            static_cast<long long>(teardown.events_after_stop),
-            teardown.stop_seconds);
-    fprintf(out,
-            "  \"admission\": {\"sessions\": %d, \"pools\": %d, "
-            "\"id_admits_per_sec\": %.0f, \"string_admits_per_sec\": %.0f, "
-            "\"over_releases\": %lld},\n",
-            kMaxSessions, kAdmissionPools, admission.id_admits_per_sec,
-            admission.string_admits_per_sec,
-            static_cast<long long>(admission.over_releases));
-    fprintf(out,
-            "  \"gates\": {\"events_per_frame_flat\": %s, "
-            "\"p99_miss_rate_zero\": %s, \"bytes_per_session\": %s, "
-            "\"teardown_drains\": %s, \"admission_balanced\": %s}\n}\n",
-            gate_events_flat ? "true" : "false", gate_p99 ? "true" : "false",
-            gate_bytes ? "true" : "false", gate_teardown ? "true" : "false",
-            gate_admission ? "true" : "false");
-    fclose(out);
-    printf("\nwrote BENCH_scale.json\n");
+  std::vector<bench::Object> sweep, sweep_host;
+  for (const SweepRow& r : rows) {
+    sweep.push_back(
+        {{"sessions", r.sessions}, {"events_run", r.events_run},
+         {"frames_presented", r.frames_presented},
+         {"events_per_frame", bench::Fixed(r.events_per_frame, 4)},
+         {"p99_miss_rate", bench::Fixed(r.p99_miss_rate, 6)},
+         {"engine_bytes_per_session", bench::Fixed(r.bytes_per_session, 1)}});
+    sweep_host.push_back(
+        {{"sessions", r.sessions},
+         {"build_seconds", bench::Fixed(r.build_seconds, 4)},
+         {"run_seconds", bench::Fixed(r.run_seconds, 4)}});
   }
+  const bench::Object doc = {
+      {"sweep", sweep},
+      {"teardown",
+       bench::Object{{"sessions", kMaxSessions},
+                     {"pending_before", teardown.pending_before},
+                     {"pending_after", teardown.pending_after},
+                     {"heap_entries_after", teardown.heap_entries_after},
+                     {"cancelled", teardown.cancelled},
+                     {"compactions", teardown.compactions},
+                     {"events_after_stop", teardown.events_after_stop}}},
+      {"admission", bench::Object{{"sessions", kMaxSessions},
+                                  {"pools", kAdmissionPools},
+                                  {"over_releases", admission.over_releases}}},
+      {"gates", bench::Object{{"events_per_frame_flat", gate_events_flat},
+                              {"p99_miss_rate_zero", gate_p99},
+                              {"bytes_per_session", gate_bytes},
+                              {"teardown_drains", gate_teardown},
+                              {"admission_balanced", gate_admission}}}};
+  const bench::Object host = {
+      {"sweep", sweep_host},
+      {"teardown", bench::Object{{"stop_seconds",
+                                  bench::Fixed(teardown.stop_seconds, 4)}}},
+      {"admission",
+       bench::Object{{"id_admits_per_sec",
+                      bench::Fixed(admission.id_admits_per_sec, 0)},
+                     {"string_admits_per_sec",
+                      bench::Fixed(admission.string_admits_per_sec, 0)}}}};
 
-  const bool all = gate_events_flat && gate_p99 && gate_bytes &&
-                   gate_teardown && gate_admission;
-  return all ? 0 : 1;
+  // ------------------------------------------------------------- gates ----
+  bench::Gates gates;
+  gates.Check(bench::WriteReport("BENCH_scale.json", doc, host),
+              "BENCH_scale.json written");
+  gates.Check(gate_events_flat, "events/frame flat from 10^2 to 10^5");
+  gates.Check(gate_p99, "p99 deadline-miss rate at 10^5 == 0");
+  gates.Check(gate_bytes, "engine bytes/session at 10^5 <= 2048");
+  gates.Check(gate_teardown, "teardown drains pending events to 0");
+  gates.Check(gate_admission, "admission churn balanced");
+  return gates.ExitCode();
 }

@@ -192,20 +192,6 @@ void I16CenterToU8Avx2(const int16_t* src, uint8_t* dst, size_t n) {
   }
 }
 
-void ResidualU8Avx2(const uint8_t* cur, const uint8_t* pred, int16_t* out,
-                    size_t n) {
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i c = _mm256_cvtepu8_epi16(Load128(cur + i));
-    const __m256i p = _mm256_cvtepu8_epi16(Load128(pred + i));
-    Store256(out + i, _mm256_sub_epi16(c, p));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<int16_t>(static_cast<int32_t>(cur[i]) -
-                                  static_cast<int32_t>(pred[i]));
-  }
-}
-
 void ReconstructU8Avx2(const uint8_t* pred, const int16_t* res, uint8_t* out,
                        size_t n) {
   size_t i = 0;
@@ -274,14 +260,15 @@ const CodecKernels& Avx2Kernels() {
     k.dequantize = DequantizeAvx2;
     k.u8_to_i16_center = U8ToI16CenterAvx2;
     k.i16_center_to_u8 = I16CenterToU8Avx2;
-    k.residual_u8 = ResidualU8Avx2;
     k.reconstruct_u8 = ReconstructU8Avx2;
-    // Scalar wins for the two int16 add/subtract kernels at this level
-    // (bench_codec_micro), so the table dispatches scalar for them.
-    k.sub_i16 = ScalarKernels().sub_i16;
-    k.add_i16 = ScalarKernels().add_i16;
     k.sad_u8 = SadU8Avx2;
     k.sad16xh_u8 = Sad16xHU8Avx2;
+    // bench_codec_micro's medians for these kernels never beat the
+    // compiler-vectorized scalar loops, so the table dispatches scalar.
+    const CodecKernels& scalar = ScalarKernels();
+    k.residual_u8 = scalar.residual_u8;
+    k.sub_i16 = scalar.sub_i16;
+    k.add_i16 = scalar.add_i16;
     return k;
   }();
   return kernels;

@@ -132,15 +132,6 @@ inline __m128i MulHiU32(__m128i n, __m128i m) {
   return _mm_or_si128(hi_even, hi_odd);
 }
 
-/// Per-lane low 32 bits of i32×i32 (SSE2 has no PMULLD).
-inline __m128i MulLo32(__m128i a, __m128i b) {
-  const __m128i even = _mm_mul_epu32(a, b);
-  const __m128i odd =
-      _mm_mul_epu32(_mm_srli_si128(a, 4), _mm_srli_si128(b, 4));
-  return _mm_unpacklo_epi32(_mm_shuffle_epi32(even, _MM_SHUFFLE(0, 0, 2, 0)),
-                            _mm_shuffle_epi32(odd, _MM_SHUFFLE(0, 0, 2, 0)));
-}
-
 void QuantizeSse2(int32_t coeffs[kBlockArea], const QuantTable& qt) {
   const __m128i one = _mm_set1_epi32(1);
   for (int i = 0; i < kBlockArea; i += 4) {
@@ -157,33 +148,6 @@ void QuantizeSse2(int32_t coeffs[kBlockArea], const QuantTable& qt) {
   }
 }
 
-void DequantizeSse2(int32_t coeffs[kBlockArea], const QuantTable& qt) {
-  const __m128i hi = _mm_set1_epi32(kDequantClamp);
-  const __m128i lo = _mm_set1_epi32(-kDequantClamp);
-  for (int i = 0; i < kBlockArea; i += 4) {
-    __m128i v = LoadU(coeffs + i);
-    const __m128i gt = _mm_cmpgt_epi32(v, hi);
-    v = _mm_or_si128(_mm_and_si128(gt, hi), _mm_andnot_si128(gt, v));
-    const __m128i lt = _mm_cmpgt_epi32(lo, v);
-    v = _mm_or_si128(_mm_and_si128(lt, lo), _mm_andnot_si128(lt, v));
-    StoreU(coeffs + i, MulLo32(v, LoadU(qt.step + i)));
-  }
-}
-
-void U8ToI16CenterSse2(const uint8_t* src, int16_t* dst, size_t n) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i c128 = _mm_set1_epi16(128);
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i v = LoadU(src + i);
-    StoreU(dst + i, _mm_sub_epi16(_mm_unpacklo_epi8(v, zero), c128));
-    StoreU(dst + i + 8, _mm_sub_epi16(_mm_unpackhi_epi8(v, zero), c128));
-  }
-  for (; i < n; ++i) {
-    dst[i] = static_cast<int16_t>(static_cast<int16_t>(src[i]) - 128);
-  }
-}
-
 void I16CenterToU8Sse2(const int16_t* src, uint8_t* dst, size_t n) {
   const __m128i c128 = _mm_set1_epi16(128);
   size_t i = 0;
@@ -197,24 +161,6 @@ void I16CenterToU8Sse2(const int16_t* src, uint8_t* dst, size_t n) {
   for (; i < n; ++i) {
     const int32_t v = static_cast<int32_t>(src[i]) + 128;
     dst[i] = static_cast<uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));
-  }
-}
-
-void ResidualU8Sse2(const uint8_t* cur, const uint8_t* pred, int16_t* out,
-                    size_t n) {
-  const __m128i zero = _mm_setzero_si128();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i c = LoadU(cur + i);
-    const __m128i p = LoadU(pred + i);
-    StoreU(out + i, _mm_sub_epi16(_mm_unpacklo_epi8(c, zero),
-                                  _mm_unpacklo_epi8(p, zero)));
-    StoreU(out + i + 8, _mm_sub_epi16(_mm_unpackhi_epi8(c, zero),
-                                      _mm_unpackhi_epi8(p, zero)));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<int16_t>(static_cast<int32_t>(cur[i]) -
-                                  static_cast<int32_t>(pred[i]));
   }
 }
 
@@ -242,20 +188,6 @@ inline uint32_t ReduceSad(__m128i acc) {
              _mm_cvtsi128_si32(_mm_srli_si128(acc, 8)));
 }
 
-uint32_t SadU8Sse2(const uint8_t* a, const uint8_t* b, size_t n) {
-  __m128i acc = _mm_setzero_si128();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc = _mm_add_epi64(acc, _mm_sad_epu8(LoadU(a + i), LoadU(b + i)));
-  }
-  uint32_t sum = ReduceSad(acc);
-  for (; i < n; ++i) {
-    const int32_t d = static_cast<int32_t>(a[i]) - static_cast<int32_t>(b[i]);
-    sum += static_cast<uint32_t>(d < 0 ? -d : d);
-  }
-  return sum;
-}
-
 uint32_t Sad16xHU8Sse2(const uint8_t* a, ptrdiff_t a_stride, const uint8_t* b,
                        ptrdiff_t b_stride, int rows) {
   __m128i acc = _mm_setzero_si128();
@@ -275,17 +207,19 @@ const CodecKernels& Sse2Kernels() {
     k.fdct8x8 = Fdct8x8Sse2;
     k.idct8x8 = Idct8x8Sse2;
     k.quantize = QuantizeSse2;
-    k.dequantize = DequantizeSse2;
-    k.u8_to_i16_center = U8ToI16CenterSse2;
     k.i16_center_to_u8 = I16CenterToU8Sse2;
-    k.residual_u8 = ResidualU8Sse2;
     k.reconstruct_u8 = ReconstructU8Sse2;
-    // Scalar wins for the two int16 add/subtract kernels at this level
-    // (bench_codec_micro), so the table dispatches scalar for them.
-    k.sub_i16 = ScalarKernels().sub_i16;
-    k.add_i16 = ScalarKernels().add_i16;
-    k.sad_u8 = SadU8Sse2;
     k.sad16xh_u8 = Sad16xHU8Sse2;
+    // The compiler vectorizes these scalar loops as well as hand-written
+    // SSE2 does: bench_codec_micro's medians never beat scalar, so the
+    // table dispatches the scalar entries.
+    const CodecKernels& scalar = ScalarKernels();
+    k.dequantize = scalar.dequantize;
+    k.u8_to_i16_center = scalar.u8_to_i16_center;
+    k.residual_u8 = scalar.residual_u8;
+    k.sub_i16 = scalar.sub_i16;
+    k.add_i16 = scalar.add_i16;
+    k.sad_u8 = scalar.sad_u8;
     return k;
   }();
   return kernels;
