@@ -3,21 +3,25 @@
 // The obs layer's deal with the streaming stack is: each quantity is
 // counted once, in the owner's stats fields, and a bound registry reads
 // those fields at export (obs::CounterBinding), so instrumenting costs the
-// hot path nothing when unbound. This bench prices that promise on the
-// hottest instrumented path — StreamStats::Record, called once per
-// presented element by every sink — against a plain replica of the pre-obs
-// accounting with no obs members at all.
+// hot path nothing when unbound and next to nothing when bound. This bench
+// prices that promise on the hottest instrumented path —
+// StreamStats::Record, called once per presented element by every sink —
+// against a plain replica of the pre-obs accounting with no obs members at
+// all.
 //
 // Three variants, host time per rep of kElements records:
 //   plain     the old struct, re-declared locally: no obs members
 //   disabled  StreamStats unbound (the shipped default) — gate: the median
-//             of kPairs interleaved plain/disabled ratios is < 2% over 1
-//   enabled   StreamStats bound to a registry (counters read at export,
-//             one histogram observe per element) — informational, not gated
-// Pairs alternate which variant runs first, so neither always runs on the
-// warmer cache. The *_seconds fields report each variant's fastest rep; the
-// overheads are median ratios. A checksum over the accumulated fields is
-// consumed so the optimizer cannot delete the loops.
+//             of kRounds per-round disabled/plain ratios is < 2% over 1
+//   enabled   StreamStats bound to a registry (counters and the lateness
+//             histogram read at export, one inline bucket increment per
+//             element) — gate: the median of the per-round enabled/plain
+//             ratios is < 1.25, a 25% overhead
+// Each round runs all three, starting one variant later than the round
+// before, so none always runs on the warmest cache. The *_seconds fields
+// report each variant's fastest rep; the overheads are median ratios. A
+// checksum over the accumulated fields is consumed so the optimizer cannot
+// delete the loops.
 //
 // The jitter section exercises JitterModel::Reset between scenarios: one
 // model, one RNG stream, three profiles measured back to back — each
@@ -25,11 +29,12 @@
 // previous scenario's tail into the next report.
 //
 // Output: BENCH_observability.json, host times under its `host` member.
-// Exit code is non-zero when the disabled-path overhead gate fails.
+// Exit code is non-zero when either overhead gate fails.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,13 +49,11 @@ using namespace avdb;
 namespace {
 
 constexpr int kElements = 2 * 1000 * 1000;  // per rep
-// Plain/disabled pairs behind the gate: single reps on a shared host
-// spread by several percent, so the gate reads a median of many.
-constexpr int kPairs = 41;
-// The enabled variant is not gated. Warm-up plus reps keeps its registry
-// at seven reps' worth of records, so the export sizes stay comparable.
-constexpr int kEnabledReps = 6;
+// Rounds behind the gates: single reps on a shared host spread by several
+// percent, so each gate reads a median of many.
+constexpr int kRounds = 41;
 constexpr double kDisabledGatePct = 2.0;
+constexpr double kEnabledGatePct = 25.0;
 
 /// The pre-obs StreamStats accounting, re-declared without the obs
 /// members: the baseline the disabled path is gated against. Arithmetic is
@@ -119,46 +122,49 @@ double TimeRecordLoop(Stats& stats, int64_t& checksum) {
 int main() {
   std::printf("==============================================================\n"
               "Observability overhead: StreamStats::Record, %d elements x %d "
-              "interleaved plain/disabled pairs\n"
+              "interleaved plain/disabled/enabled rounds\n"
               "==============================================================\n\n",
-              kElements, kPairs);
+              kElements, kRounds);
 
   int64_t checksum = 0;
-
   PlainStats plain;
   StreamStats disabled;  // never bound: the shipped default
-  TimeRecordLoop(plain, checksum);  // warm-up, untimed
-  TimeRecordLoop(disabled, checksum);
-  std::vector<double> plain_s, disabled_s, ratios;
-  for (int pair = 0; pair < kPairs; ++pair) {
-    if (pair % 2 == 0) plain_s.push_back(TimeRecordLoop(plain, checksum));
-    disabled_s.push_back(TimeRecordLoop(disabled, checksum));
-    if (pair % 2 == 1) plain_s.push_back(TimeRecordLoop(plain, checksum));
-    ratios.push_back(disabled_s.back() / plain_s.back());
-  }
-
   obs::MetricsRegistry registry;
   StreamStats enabled;
   enabled.BindTo(&registry);
-  TimeRecordLoop(enabled, checksum);  // warm-up, untimed
-  std::vector<double> enabled_s;
-  for (int rep = 0; rep < kEnabledReps; ++rep) {
-    enabled_s.push_back(TimeRecordLoop(enabled, checksum));
+  const std::function<double()> variants[] = {
+      [&] { return TimeRecordLoop(plain, checksum); },
+      [&] { return TimeRecordLoop(disabled, checksum); },
+      [&] { return TimeRecordLoop(enabled, checksum); }};
+  constexpr int kVariants = 3;
+  for (const auto& run : variants) run();  // warm-up, untimed
+  std::vector<double> seconds[kVariants];
+  std::vector<double> disabled_ratios, enabled_ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    double s[kVariants];
+    for (int k = 0; k < kVariants; ++k) {
+      const int v = (round + k) % kVariants;
+      s[v] = variants[v]();
+      seconds[v].push_back(s[v]);
+    }
+    disabled_ratios.push_back(s[1] / s[0]);
+    enabled_ratios.push_back(s[2] / s[0]);
   }
 
-  const bench::Summary plain_t = bench::Summarize(plain_s);
-  const bench::Summary disabled_t = bench::Summarize(disabled_s);
-  const bench::Summary enabled_t = bench::Summarize(enabled_s);
-  const bench::Summary ratio = bench::Summarize(ratios);
-  const double disabled_overhead_pct = (ratio.median - 1.0) * 100.0;
-  const double enabled_overhead_pct =
-      (enabled_t.median / plain_t.median - 1.0) * 100.0;
+  const bench::Summary plain_t = bench::Summarize(seconds[0]);
+  const bench::Summary disabled_t = bench::Summarize(seconds[1]);
+  const bench::Summary enabled_t = bench::Summarize(seconds[2]);
+  const bench::Summary disabled_ratio = bench::Summarize(disabled_ratios);
+  const bench::Summary enabled_ratio = bench::Summarize(enabled_ratios);
+  const double disabled_overhead_pct = (disabled_ratio.median - 1.0) * 100.0;
+  const double enabled_overhead_pct = (enabled_ratio.median - 1.0) * 100.0;
   const double per_element_disabled_ns = disabled_t.min / kElements * 1e9;
   const double per_element_enabled_ns = enabled_t.min / kElements * 1e9;
 
   // Negative overhead (disabled measured faster than plain) is scheduler
   // noise and passes trivially.
-  const bool gate_ok = disabled_overhead_pct < kDisabledGatePct;
+  const bool disabled_gate_ok = disabled_overhead_pct < kDisabledGatePct;
+  const bool enabled_gate_ok = enabled_overhead_pct < kEnabledGatePct;
 
   // -------------------------------------------------------------------
   // One JitterModel across scenarios, Reset() between them: spike counts
@@ -195,8 +201,9 @@ int main() {
   const bench::Object doc = {
       {"bench", "observability"},
       {"elements_per_rep", kElements},
-      {"reps", kPairs},
+      {"reps", kRounds},
       {"disabled_gate_pct", bench::Fixed(kDisabledGatePct, 1)},
+      {"enabled_gate_pct", bench::Fixed(kEnabledGatePct, 1)},
       {"jitter_reset_ok", reset_ok},
       {"jitter_scenarios", scenario_rows},
       {"prometheus_bytes", prom_bytes},
@@ -210,16 +217,26 @@ int main() {
       {"disabled_ns_per_element", bench::Fixed(per_element_disabled_ns, 3)},
       {"enabled_ns_per_element", bench::Fixed(per_element_enabled_ns, 3)},
       {"disabled_overhead_pct", bench::Fixed(disabled_overhead_pct, 3)},
-      {"disabled_overhead_q1_pct", bench::Fixed((ratio.q1 - 1) * 100, 3)},
-      {"disabled_overhead_q3_pct", bench::Fixed((ratio.q3 - 1) * 100, 3)},
+      {"disabled_overhead_q1_pct",
+       bench::Fixed((disabled_ratio.q1 - 1) * 100, 3)},
+      {"disabled_overhead_q3_pct",
+       bench::Fixed((disabled_ratio.q3 - 1) * 100, 3)},
       {"enabled_overhead_pct", bench::Fixed(enabled_overhead_pct, 3)},
-      {"disabled_gate_ok", gate_ok}};
+      {"enabled_overhead_q1_pct",
+       bench::Fixed((enabled_ratio.q1 - 1) * 100, 3)},
+      {"enabled_overhead_q3_pct",
+       bench::Fixed((enabled_ratio.q3 - 1) * 100, 3)},
+      {"disabled_gate_ok", disabled_gate_ok},
+      {"enabled_gate_ok", enabled_gate_ok}};
 
   bench::Gates gates;
   gates.Check(
       bench::WriteReport("BENCH_observability.json", doc, host),
       "BENCH_observability.json written");
-  gates.Check(gate_ok, "metrics-disabled overhead (median of pairs) < 2%");
+  gates.Check(disabled_gate_ok,
+              "metrics-disabled overhead (median of rounds) < 2%");
+  gates.Check(enabled_gate_ok,
+              "metrics-enabled overhead (median of rounds) < 25%");
   gates.Check(reset_ok, "jitter stats start from zero after Reset");
   return gates.ExitCode();
 }

@@ -2,15 +2,19 @@
 // intra, inter and scalable codecs, verifies that every width's stream
 // (and every width's intra DecodeRange output) equals the width-1 result,
 // and writes BENCH_parallel_codec.json with throughput, speedup over width
-// 1 and buffer-pool allocation stats. Exits 1 when any width differs. The
-// speedup a given machine can show is bounded by its core count — the
-// JSON's `host` member records hardware_concurrency and the pool size so
-// numbers from single-core CI boxes are read in context. Pool counts sit
-// there too: each row's 0.5 s window runs as many encodes as the host
-// manages.
+// 1 and buffer-pool counts. Exits 1 when any width differs. Each codec's
+// widths are interleaved variants of bench::Measure, one encode (or one
+// DecodeRange) per call, so every width meets the same host conditions;
+// the host rows give median fps with its quartiles. The speedup a given
+// machine can show is bounded by its core count — the JSON's `host`
+// member records hardware_concurrency and the pool size so numbers from
+// single-core CI boxes are read in context. The pool counts there are
+// those of one call.
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,7 +39,7 @@ bool SameBytes(const EncodedVideo& a, const EncodedVideo& b) {
   return true;
 }
 
-constexpr double kWindowSeconds = 0.5;  // timed per row
+constexpr int kReps = 15;  // timed calls per width
 
 }  // namespace
 
@@ -56,69 +60,85 @@ int main() {
   const std::vector<std::pair<std::string, const VideoCodec*>> codecs = {
       {"intra", &intra}, {"inter", &inter}, {"scalable", &scalable}};
   const std::vector<int> widths = {1, 2, 4, 8};
-  std::printf("parallel codec sweep: %d frames of %s\n", kFrames,
-              type.ToString().c_str());
+  std::printf("parallel codec sweep: %d frames of %s, %d reps per width\n",
+              kFrames, type.ToString().c_str(), kReps);
 
   // One row per codec and width: does it reproduce width 1's output, and
-  // at what throughput over one kWindowSeconds window.
+  // at what throughput. `ns` holds each width's time per call.
   bool all_identical = true;
-  double serial_fps = 0;
   std::vector<bench::Object> rows, host_rows;
-  auto add_row = [&](const std::string& codec, int width, double fps,
-                     bool identical, const BufferPool::Stats& pool) {
-    if (width == 1) serial_fps = fps;
-    all_identical = all_identical && identical;
-    rows.push_back({{"codec", codec}, {"concurrency", width},
-                    {"byte_identical", identical}});
-    host_rows.push_back(
-        {{"codec", codec}, {"concurrency", width},
-         {"fps", bench::Fixed(fps, 1)},
-         {"speedup_vs_serial", bench::Fixed(fps / serial_fps, 3)},
-         {"pool_acquires", pool.acquires}, {"pool_reuses", pool.reuses}});
+  auto add_rows = [&](const std::string& codec,
+                      const std::vector<bench::Summary>& ns,
+                      const std::vector<bool>& identical,
+                      const std::vector<BufferPool::Stats>& pool) {
+    auto fps = [&](double ns_per_call) { return kFrames * 1e9 / ns_per_call; };
+    for (size_t w = 0; w < widths.size(); ++w) {
+      all_identical = all_identical && identical[w];
+      rows.push_back({{"codec", codec}, {"concurrency", widths[w]},
+                      {"byte_identical", identical[w]}});
+      host_rows.push_back(
+          {{"codec", codec}, {"concurrency", widths[w]},
+           {"fps", bench::Fixed(fps(ns[w].median), 1)},
+           {"fps_q1", bench::Fixed(fps(ns[w].q3), 1)},
+           {"fps_q3", bench::Fixed(fps(ns[w].q1), 1)},
+           {"speedup_vs_serial", bench::Fixed(ns[0].median / ns[w].median, 3)},
+           {"pool_acquires", pool[w].acquires},
+           {"pool_reuses", pool[w].reuses}});
+    }
   };
 
-  for (const auto& [name, codec] : codecs) {
+  for (const auto& [name, codec_ptr] : codecs) {
+    const VideoCodec* codec = codec_ptr;
     VideoCodecParams params;
     params.quality = 75;
     params.gop_size = 12;
     params.concurrency = 1;
-    // Warm-up + serial reference (also fills the buffer pool free lists).
-    EncodedVideo reference = codec->Encode(*video, params).value();
-    for (int width : widths) {
-      params.concurrency = width;
-      BufferPool::Shared().ResetStats();
-      const bench::Stopwatch watch;
-      int reps = 0;
-      EncodedVideo last;
-      do {
-        last = codec->Encode(*video, params).value();
-        ++reps;
-      } while (watch.ElapsedSeconds() < kWindowSeconds);
-      add_row(name, width, reps * kFrames / watch.ElapsedSeconds(),
-              SameBytes(last, reference), BufferPool::Shared().stats());
+    // Serial reference (also fills the buffer pool free lists).
+    const EncodedVideo reference = codec->Encode(*video, params).value();
+    std::vector<EncodedVideo> last(widths.size());
+    std::vector<BufferPool::Stats> pool(widths.size());
+    std::vector<std::function<void()>> variants;
+    for (size_t w = 0; w < widths.size(); ++w) {
+      variants.push_back([&, w] {
+        VideoCodecParams width_params = params;
+        width_params.concurrency = widths[w];
+        BufferPool::Shared().ResetStats();
+        last[w] = codec->Encode(*video, width_params).value();
+        pool[w] = BufferPool::Shared().stats();
+      });
     }
+    const std::vector<bench::Summary> ns = bench::Measure(kReps, variants);
+    std::vector<bool> identical;
+    for (const EncodedVideo& encoded : last) {
+      identical.push_back(SameBytes(encoded, reference));
+    }
+    add_rows(name, ns, identical, pool);
   }
 
-  // Decode sweep over the intra codec (DecodeRange fan-out).
+  // Decode sweep over the intra codec (DecodeRange fan-out). A session
+  // reads its stream in place, so each width keeps its own copy.
   {
     VideoCodecParams params;
     params.quality = 75;
-    EncodedVideo encoded = intra.Encode(*video, params).value();
-    std::vector<VideoFrame> reference =
+    const EncodedVideo encoded = intra.Encode(*video, params).value();
+    const std::vector<VideoFrame> reference =
         intra.NewDecoder(encoded).value()->DecodeRange(0, kFrames).value();
-    for (int width : widths) {
-      encoded.params.concurrency = width;
-      auto session = intra.NewDecoder(encoded).value();
-      const bench::Stopwatch watch;
-      int reps = 0;
-      std::vector<VideoFrame> last;
-      do {
-        last = session->DecodeRange(0, kFrames).value();
-        ++reps;
-      } while (watch.ElapsedSeconds() < kWindowSeconds);
-      add_row("intra-decode", width, reps * kFrames / watch.ElapsedSeconds(),
-              last == reference, BufferPool::Stats{});
+    std::vector<EncodedVideo> streams(widths.size(), encoded);
+    std::vector<std::unique_ptr<VideoDecoderSession>> sessions;
+    std::vector<std::vector<VideoFrame>> last(widths.size());
+    std::vector<std::function<void()>> variants;
+    for (size_t w = 0; w < widths.size(); ++w) {
+      streams[w].params.concurrency = widths[w];
+      sessions.push_back(intra.NewDecoder(streams[w]).value());
+      variants.push_back([&, w] {
+        last[w] = sessions[w]->DecodeRange(0, kFrames).value();
+      });
     }
+    const std::vector<bench::Summary> ns = bench::Measure(kReps, variants);
+    std::vector<bool> identical;
+    for (const auto& frames : last) identical.push_back(frames == reference);
+    add_rows("intra-decode", ns, identical,
+             std::vector<BufferPool::Stats>(widths.size()));
   }
 
   const bench::Object doc = {{"bench", "parallel_codec"},

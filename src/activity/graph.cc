@@ -7,6 +7,16 @@
 
 namespace avdb {
 
+Connection::Connection(Port* from, Port* to, ChannelPtr channel,
+                       obs::MetricsRegistry* metrics)
+    : from_(from), to_(to), channel_(std::move(channel)) {
+  counters_.Bind(metrics, {{"avdb_activity_elements_emitted_total",
+                            "stream elements sent through Emit",
+                            &stats_.elements},
+                           {"avdb_activity_emit_bytes_total",
+                            "payload bytes sent through Emit", &stats_.bytes}});
+}
+
 std::string Connection::Describe() const {
   std::string out = from_->FullName() + " -> " + to_->FullName();
   if (channel_ != nullptr) {
@@ -65,7 +75,7 @@ Result<Connection*> ActivityGraph::Connect(MediaActivity* from,
                                       " already connected");
   }
   connections_.push_back(std::make_unique<Connection>(
-      out.value(), in.value(), std::move(channel)));
+      out.value(), in.value(), std::move(channel), from->env_.metrics));
   Connection* c = connections_.back().get();
   out.value()->set_connection(c);
   in.value()->set_connection(c);

@@ -15,10 +15,14 @@ namespace avdb {
 /// activities live on different sides of the database/application boundary
 /// the connection carries a network channel and every element pays modeled
 /// transfer time; local connections deliver after only jitter.
+///
+/// Its stats are the only count of what the emitting activity sends:
+/// bound to `metrics`, they export as `avdb_activity_elements_emitted_total`
+/// and `avdb_activity_emit_bytes_total`.
 class Connection {
  public:
-  Connection(Port* from, Port* to, ChannelPtr channel)
-      : from_(from), to_(to), channel_(std::move(channel)) {}
+  Connection(Port* from, Port* to, ChannelPtr channel,
+             obs::MetricsRegistry* metrics);
 
   Port* from() const { return from_; }
   Port* to() const { return to_; }
@@ -41,6 +45,7 @@ class Connection {
   Port* to_;
   ChannelPtr channel_;
   Stats stats_;
+  obs::CounterBinding counters_;
 };
 
 /// Flow composition (§4.2): "activities are connected via their in and out

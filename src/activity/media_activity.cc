@@ -90,15 +90,9 @@ Status MediaActivity::Catch(const std::string& kind,
 MediaActivity::MediaActivity(std::string name, ActivityLocation location,
                              ActivityEnv env)
     : name_(std::move(name)), location_(location), env_(env) {
-  if (env_.metrics != nullptr) {
-    elements_counter_ =
-        env_.metrics->GetCounter("avdb_activity_elements_emitted_total",
-                                 "stream elements sent through Emit");
-    emit_bytes_counter_ = env_.metrics->GetCounter(
-        "avdb_activity_emit_bytes_total", "payload bytes sent through Emit");
-    events_counter_ = env_.metrics->GetCounter(
-        "avdb_activity_events_total", "activity events raised to handlers");
-  }
+  counters_.Bind(env_.metrics,
+                 {{"avdb_activity_events_total",
+                   "activity events raised to handlers", &events_raised_}});
 }
 
 Status MediaActivity::Bind(MediaValuePtr value, const std::string& port_name) {
@@ -221,7 +215,7 @@ void MediaActivity::Raise(const std::string& kind, int64_t element_index,
   event.element_index = element_index;
   event.time_ns = env_.engine != nullptr ? env_.engine->now_ns() : 0;
   event.detail = std::move(detail);
-  if (events_counter_ != nullptr) events_counter_->Increment();
+  ++events_raised_;
   // Per-element kinds (EACH_FRAME, ...) would swamp the trace ring; only
   // milestone events land in the timeline.
   if (env_.tracer != nullptr && kind.rfind("EACH_", 0) != 0) {
@@ -250,10 +244,6 @@ void MediaActivity::Emit(Port* out, StreamElement element) {
   }
   if (env_.jitter != nullptr) {
     delivery_ns += env_.jitter->Sample();
-  }
-  if (elements_counter_ != nullptr) {
-    elements_counter_->Increment();
-    emit_bytes_counter_->Increment(element.size_bytes);
   }
   if (env_.tracer != nullptr && env_.tracer->capture_deliveries()) {
     env_.tracer->EventAt(delivery_ns, "activity", "deliver", out->FullName(),

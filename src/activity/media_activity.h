@@ -217,11 +217,11 @@ class MediaActivity {
   std::multimap<std::string, ActivityEventHandler> handlers_;
   std::vector<TimerHandle> owned_timers_;
   int64_t dropped_elements_ = 0;
-
-  obs::Counter* elements_counter_ = nullptr;
-  obs::Counter* emit_bytes_counter_ = nullptr;
-  obs::Counter* events_counter_ = nullptr;
+  int64_t events_raised_ = 0;
   int64_t run_span_id_ = 0;  ///< open "run" trace span while running
+  /// Exports `events_raised_`; the elements and bytes sent through Emit
+  /// are counted once, by the connections they cross.
+  obs::CounterBinding counters_;
 };
 
 using MediaActivityPtr = std::shared_ptr<MediaActivity>;

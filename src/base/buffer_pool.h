@@ -13,15 +13,6 @@
 
 namespace avdb {
 
-/// Instrument names under which the obs layer exports the shared pool's
-/// stats (see obs/pool_metrics.h). Defined here so the names live with the
-/// data they describe and keep the `avdb_base_` layer prefix.
-inline constexpr char kPoolAcquiresMetric[] = "avdb_base_pool_acquires";
-inline constexpr char kPoolReusesMetric[] = "avdb_base_pool_reuses";
-inline constexpr char kPoolAllocationsMetric[] = "avdb_base_pool_allocations";
-inline constexpr char kPoolReleasesMetric[] = "avdb_base_pool_releases";
-inline constexpr char kPoolDropsMetric[] = "avdb_base_pool_drops";
-
 /// Thread-safe free-list of the backing stores the codec inner loops churn
 /// through: byte planes (`std::vector<uint8_t>`, also the store behind
 /// `Buffer` and `VideoFrame`) and centered-sample planes

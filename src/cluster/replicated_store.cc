@@ -32,15 +32,6 @@ void ReplicatedStore::EnsureHintSlots() {
   }
 }
 
-void ReplicatedStore::UpdateHintGauge() {
-  if (pending_hints_gauge_ == nullptr) return;
-  int64_t pending = 0;
-  for (const auto& queue : hints_) {
-    pending += static_cast<int64_t>(queue.size());
-  }
-  pending_hints_gauge_->Set(pending);
-}
-
 void ReplicatedStore::NoteBreakerOpen(int64_t idx, int64_t now_ns) {
   ++stats_.breaker_opens;
   if (tracer_ != nullptr) {
@@ -69,7 +60,6 @@ void ReplicatedStore::RecordHint(int64_t idx, const Hint& op) {
   }
   queue.push_back(op);
   ++stats_.hints_recorded;
-  UpdateHintGauge();
 }
 
 Status ReplicatedStore::WriteAttempt(int64_t idx, const Hint& op,
@@ -459,7 +449,6 @@ Result<ReplicatedStore::ReplayReport> ReplicatedStore::ReplayHints(
     ++report.replayed;
     ++stats_.hints_replayed;
   }
-  UpdateHintGauge();
   if (tracer_ != nullptr && (report.replayed > 0 || report.failed > 0)) {
     tracer_->EventAt(now_fn_(), "cluster", "handoff_replay", name_,
                      replica.server->name() + ": " +
@@ -732,12 +721,15 @@ void ReplicatedStore::BindObservability(obs::MetricsRegistry* registry,
         &stats_.resync_deletes},
        {"avdb_cluster_data_loss_events_total",
         "blobs with no healthy copy left on any replica",
-        &stats_.data_loss_events}});
-  pending_hints_gauge_ =
-      registry == nullptr
-          ? nullptr
-          : registry->GetGauge("avdb_cluster_pending_hints",
-                               "hinted-handoff entries queued");
+        &stats_.data_loss_events},
+       {"avdb_cluster_pending_hints", "hinted-handoff entries queued",
+        [this] {
+          int64_t pending = 0;
+          for (const auto& queue : hints_) {
+            pending += static_cast<int64_t>(queue.size());
+          }
+          return pending;
+        }}});
 }
 
 }  // namespace avdb

@@ -259,7 +259,6 @@ class ReplicatedStore {
   std::map<std::string, BlobSummary> BuildSummary(int64_t replica_idx) const;
   void EnsureHintSlots();
   void NoteBreakerOpen(int64_t idx, int64_t now_ns);
-  void UpdateHintGauge();
 
   std::string name_;
   ReplicationPolicy policy_;
@@ -272,7 +271,6 @@ class ReplicatedStore {
   int64_t last_resync_ns_ = -1;
 
   obs::CounterBinding counters_;
-  obs::Gauge* pending_hints_gauge_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };
 

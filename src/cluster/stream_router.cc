@@ -197,10 +197,7 @@ Result<MediaStore::ReadResult> StreamRouter::Fetch(const std::string& blob,
 
       elapsed += winner_latency;
       winner.duration = WorldTime::FromNanos(elapsed);
-      if (fetch_latency_hist_ != nullptr) fetch_latency_hist_->Observe(elapsed);
-      if (healthy_gauge_ != nullptr) {
-        healthy_gauge_->Set(replicas_->HealthyCount(start_ns + elapsed));
-      }
+      if (counters_.bound()) fetch_latency_.Observe(elapsed);
       if (tracer_ != nullptr && (failed_attempts > 0 || hedged)) {
         const int64_t span = tracer_->BeginSpanAt(start_ns, "cluster",
                                                   "routed_fetch", name_);
@@ -227,9 +224,6 @@ Result<MediaStore::ReadResult> StreamRouter::Fetch(const std::string& blob,
     }
     budget.Charge(primary.latency_ns);
     elapsed += primary.latency_ns;
-    if (healthy_gauge_ != nullptr) {
-      healthy_gauge_->Set(replicas_->HealthyCount(start_ns + elapsed));
-    }
     if (budget.expired()) {
       ++stats_.deadline_give_ups;
       return Status::DeadlineExceeded(
@@ -264,20 +258,12 @@ void StreamRouter::BindObservability(obs::MetricsRegistry* registry,
         "fetches abandoned mid-failover when the budget ran out",
         &stats_.deadline_give_ups},
        {"avdb_cluster_exhausted_total",
-        "fetches that ran out of admissible replicas", &stats_.exhausted}});
-  if (registry == nullptr) {
-    healthy_gauge_ = nullptr;
-    fetch_latency_hist_ = nullptr;
-    return;
-  }
-  healthy_gauge_ = registry->GetGauge(
-      "avdb_cluster_healthy_replicas",
-      "replicas whose breaker currently admits traffic");
-  fetch_latency_hist_ = registry->GetHistogram(
-      "avdb_cluster_fetch_latency_ns",
-      {1000000, 5000000, 10000000, 25000000, 50000000, 100000000, 250000000,
-       500000000, 1000000000},
-      "client-visible routed fetch latency");
+        "fetches that ran out of admissible replicas", &stats_.exhausted},
+       {"avdb_cluster_fetch_latency_ns", "client-visible routed fetch latency",
+        fetch_latency_},
+       {"avdb_cluster_healthy_replicas",
+        "replicas whose breaker currently admits traffic",
+        [this] { return replicas_->HealthyCount(now_fn_()); }}});
 }
 
 }  // namespace avdb

@@ -143,9 +143,12 @@ class StreamRouter {
   std::vector<int64_t> latency_window_;
   int64_t latency_next_ = 0;
 
+  /// Inclusive upper bounds of the exported fetch-latency histogram.
+  static constexpr int64_t kFetchLatencyBoundsNs[] = {
+      1'000'000,  5'000'000,   10'000'000,  25'000'000,   50'000'000,
+      100'000'000, 250'000'000, 500'000'000, 1'000'000'000};
+  obs::HistogramFields<kFetchLatencyBoundsNs> fetch_latency_;  // while bound
   obs::CounterBinding counters_;
-  obs::Gauge* healthy_gauge_ = nullptr;
-  obs::Histogram* fetch_latency_hist_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -1,6 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <type_traits>
+#include <utility>
 
 #include "base/logging.h"
 
@@ -63,67 +65,66 @@ Histogram::Histogram(std::string name, std::string help,
     : name_(std::move(name)),
       help_(std::move(help)),
       bounds_(std::move(bounds)),
-      buckets_(bounds_.size() + 1) {
+      cells_(bounds_.size() + 3) {
   AVDB_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()))
       << "histogram " << name_ << " bounds must be ascending";
 }
 
-void Histogram::Observe(int64_t value) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  buckets_[static_cast<size_t>(it - bounds_.begin())].fetch_add(
-      1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-}
-
-int64_t Counter::Value() const {
-  int64_t value = value_.load(std::memory_order_relaxed);
+int64_t Cell::Value() const {
+  int64_t value = folded_;
   for (const auto& [field, base] : fields_) value += *field - base;
   return value;
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name,
-                                     const std::string& help) {
-  return SharedCounter(name, help).get();
+int64_t Gauge::Value() const {
+  int64_t value = 0;
+  for (const auto& entry : levels_) value += entry.second();
+  return value;
 }
 
-std::shared_ptr<Counter> MetricsRegistry::SharedCounter(
-    const std::string& name, const std::string& help) {
+template <typename T>
+auto& MetricsRegistry::Instruments() {
+  if constexpr (std::is_same_v<T, Counter>) {
+    return counters_;
+  } else if constexpr (std::is_same_v<T, Gauge>) {
+    return gauges_;
+  } else {
+    return histograms_;
+  }
+}
+
+template <typename T, typename... Args>
+std::shared_ptr<T> MetricsRegistry::Shared(const std::string& name,
+                                           Args&&... args) {
   AVDB_CHECK(ValidMetricName(name))
       << "instrument name violates the naming convention: " << name;
   MutexLock lock(mu_);
-  AVDB_CHECK(gauges_.count(name) == 0 && histograms_.count(name) == 0)
+  auto& instruments = Instruments<T>();
+  AVDB_CHECK(counters_.count(name) + gauges_.count(name) +
+                 histograms_.count(name) ==
+             instruments.count(name))
       << name << " already registered as a different instrument kind";
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_shared<Counter>(name, help);
+  auto& slot = instruments[name];
+  if (slot == nullptr) {
+    slot = std::make_shared<T>(name, std::forward<Args>(args)...);
+  }
   return slot;
+}
+
+Counter* MetricsRegistry::GetCounter(const std::string& name,
+                                     const std::string& help) {
+  return Shared<Counter>(name, help).get();
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name,
                                  const std::string& help) {
-  AVDB_CHECK(ValidMetricName(name))
-      << "instrument name violates the naming convention: " << name;
-  MutexLock lock(mu_);
-  AVDB_CHECK(counters_.count(name) == 0 && histograms_.count(name) == 0)
-      << name << " already registered as a different instrument kind";
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>(name, help);
-  return slot.get();
+  return Shared<Gauge>(name, help).get();
 }
 
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          std::vector<int64_t> bounds,
                                          const std::string& help) {
-  AVDB_CHECK(ValidMetricName(name))
-      << "instrument name violates the naming convention: " << name;
-  MutexLock lock(mu_);
-  AVDB_CHECK(counters_.count(name) == 0 && gauges_.count(name) == 0)
-      << name << " already registered as a different instrument kind";
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Histogram>(name, help, std::move(bounds));
-  }
-  return slot.get();
+  return Shared<Histogram>(name, help, std::move(bounds)).get();
 }
 
 void CounterBinding::Bind(MetricsRegistry* registry,
@@ -131,25 +132,49 @@ void CounterBinding::Bind(MetricsRegistry* registry,
   Unbind();
   if (registry == nullptr) return;
   for (const Row& row : rows) {
-    auto counter = registry->SharedCounter(row.name, row.help);
-    counter->fields_.emplace(row.field, *row.field);
-    bound_.push_back({std::move(counter), row.field});
+    if (row.level) {
+      auto gauge = registry->Shared<Gauge>(row.name, row.help);
+      gauge->levels_.emplace(this, row.level);
+      gauges_.push_back(std::move(gauge));
+    } else if (row.bounds.empty()) {
+      Attach(registry->Shared<Counter>(row.name, row.help), row.fields);
+    } else {
+      auto histogram = registry->Shared<Histogram>(
+          row.name, row.help,
+          std::vector<int64_t>(row.bounds.begin(), row.bounds.end()));
+      AVDB_CHECK(std::equal(row.bounds.begin(), row.bounds.end(),
+                            histogram->bounds().begin(),
+                            histogram->bounds().end()))
+          << row.name << " bound with other bounds than it was created with";
+      for (size_t i = 0; i < histogram->cells_.size(); ++i) {
+        Attach(std::shared_ptr<Cell>(histogram, &histogram->cells_[i]),
+               row.fields + i);
+      }
+    }
   }
+}
+
+void CounterBinding::Attach(std::shared_ptr<Cell> cell,
+                            const int64_t* field) {
+  cell->fields_.emplace(field, *field);
+  bound_.push_back({std::move(cell), field});
 }
 
 void CounterBinding::Unbind() {
   for (const Bound& b : bound_) {
-    const auto it = b.counter->fields_.find(b.field);
-    b.counter->Increment(*b.field - it->second);
-    b.counter->fields_.erase(it);
+    const auto it = b.cell->fields_.find(b.field);
+    b.cell->folded_ += *b.field - it->second;
+    b.cell->fields_.erase(it);
   }
   bound_.clear();
+  for (const auto& gauge : gauges_) gauge->levels_.erase(this);
+  gauges_.clear();
 }
 
 void CounterBinding::FoldBeforeReset() {
   for (const Bound& b : bound_) {
-    int64_t& base = b.counter->fields_.at(b.field);
-    b.counter->Increment(*b.field - base);
+    int64_t& base = b.cell->fields_.at(b.field);
+    b.cell->folded_ += *b.field - base;
     base = 0;
   }
 }

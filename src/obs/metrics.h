@@ -1,11 +1,15 @@
 #ifndef AVDB_OBS_METRICS_H_
 #define AVDB_OBS_METRICS_H_
 
-#include <atomic>
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -28,26 +32,51 @@ std::string JsonEscape(std::string_view s);
 /// file.
 bool ValidMetricName(std::string_view name);
 
-/// Monotone event count. Value() sums two kinds of count:
-///  - the counter's own, bumped by Increment. Increments are relaxed
-///    atomics: such instruments are shared across the real-time bridge
-///    threads (work pool) and the single-threaded event engine, and need no
-///    ordering beyond their own total;
-///  - integer fields an owner already keeps in its stats, attached by a
-///    CounterBinding and read only when the counter is read. Those fields
-///    are counted once, by their owner; nothing is pushed into the counter.
-///    They are plain integers, so a counter with attached fields is read on
-///    the thread that drives their owners.
-class Counter {
+class CounterBinding;
+
+/// One exported integer: what each owner field attached to it counted since
+/// it attached, plus what detached fields had counted (folded in by their
+/// CounterBinding). Nothing is pushed into a cell. Its fields are plain
+/// integers, so a cell is read on the thread that drives their owners.
+class Cell {
+ public:
+  int64_t Value() const;
+
+ private:
+  friend class CounterBinding;
+
+  int64_t folded_ = 0;
+  /// Attached field -> its value when attached (or last folded); the field
+  /// contributes `*field - base`.
+  std::unordered_map<const int64_t*, int64_t> fields_;
+};
+
+/// Monotone event count: one named cell.
+class Counter : public Cell {
  public:
   Counter(std::string name, std::string help)
       : name_(std::move(name)), help_(std::move(help)) {}
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  void Increment(int64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
+  const std::string& name() const { return name_; }
+  const std::string& help() const { return help_; }
+
+ private:
+  std::string name_;
+  std::string help_;
+};
+
+/// Point-in-time level (pending events, queued hints, healthy replicas):
+/// the sum of the levels its bound owners report when it is read. An
+/// unbound or destroyed owner reports nothing.
+class Gauge {
+ public:
+  Gauge(std::string name, std::string help)
+      : name_(std::move(name)), help_(std::move(help)) {}
+  Gauge(const Gauge&) = delete;
+  Gauge& operator=(const Gauge&) = delete;
+
   int64_t Value() const;
 
   const std::string& name() const { return name_; }
@@ -58,69 +87,68 @@ class Counter {
 
   std::string name_;
   std::string help_;
-  std::atomic<int64_t> value_{0};
-  /// Attached field -> its value when attached (or last folded); the field
-  /// contributes `*field - base`.
-  std::unordered_map<const int64_t*, int64_t> fields_;
-};
-
-/// Point-in-time level (reserved bandwidth, queue depth, ladder position).
-class Gauge {
- public:
-  Gauge(std::string name, std::string help)
-      : name_(std::move(name)), help_(std::move(help)) {}
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-
-  const std::string& name() const { return name_; }
-  const std::string& help() const { return help_; }
-
- private:
-  std::string name_;
-  std::string help_;
-  std::atomic<int64_t> value_{0};
+  std::unordered_map<const CounterBinding*, std::function<int64_t()>> levels_;
 };
 
 /// Fixed-bucket histogram. `bounds` are inclusive upper bounds in ascending
-/// order; an implicit +Inf bucket catches the rest. Observation cost is one
-/// binary search plus two relaxed atomic adds — cheap enough for per-element
-/// lateness on the streaming path.
+/// order; an implicit +Inf bucket catches the rest. Each bucket, the count
+/// and the sum is a cell that owners' HistogramFields attach to.
 class Histogram {
  public:
   Histogram(std::string name, std::string help, std::vector<int64_t> bounds);
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  void Observe(int64_t value);
-
-  int64_t Count() const { return count_.load(std::memory_order_relaxed); }
-  int64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
+  int64_t Count() const { return cells_[bounds_.size() + 1].Value(); }
+  int64_t Sum() const { return cells_[bounds_.size() + 2].Value(); }
   /// Per-bucket (non-cumulative) count; index bounds().size() is +Inf.
-  int64_t BucketCount(size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  int64_t BucketCount(size_t i) const { return cells_[i].Value(); }
   const std::vector<int64_t>& bounds() const { return bounds_; }
 
   const std::string& name() const { return name_; }
   const std::string& help() const { return help_; }
 
  private:
+  friend class CounterBinding;
+
   std::string name_;
   std::string help_;
   std::vector<int64_t> bounds_;
-  std::vector<std::atomic<int64_t>> buckets_;  // bounds_.size() + 1 (+Inf)
-  std::atomic<int64_t> count_{0};
-  std::atomic<int64_t> sum_{0};
+  /// The buckets (+Inf last), then the count, then the sum: the layout of
+  /// HistogramFields.
+  std::vector<Cell> cells_;
 };
 
-/// Process-wide instrument directory: get-or-create by name, stable
-/// pointers for the registry's lifetime, deterministic (name-sorted)
-/// export. One registry per experiment; layers receive it by pointer and
-/// treat nullptr as "observability off".
+/// An owner's histogram as plain fields: one count per bucket of the
+/// constexpr table `kBounds` (inclusive upper bounds, ascending) and a last
+/// +Inf bucket, then the count and the sum. Observe is inline and touches
+/// only these fields; a CounterBinding row exports them.
+template <const auto& kBounds>
+class HistogramFields {
+ public:
+  static_assert(std::is_sorted(std::begin(kBounds), std::end(kBounds)),
+                "histogram bounds must be ascending");
+
+  void Observe(int64_t value) {
+    size_t i = 0;
+    while (i < std::size(kBounds) && value > kBounds[i]) ++i;
+    ++cells_[i];
+    ++cells_[kCount];
+    cells_[kCount + 1] += value;
+  }
+
+ private:
+  friend class CounterBinding;
+
+  static constexpr size_t kCount = std::size(kBounds) + 1;  // cell index
+  int64_t cells_[kCount + 2] = {};
+};
+
+/// Process-wide instrument directory: get-or-create by name, deterministic
+/// (name-sorted) export. One registry per experiment; layers receive it by
+/// pointer and treat nullptr as "observability off". The registry holds no
+/// value of its own: every instrument reads its owners' fields, through
+/// their CounterBindings, when it is exported.
 ///
 /// All instrument values are integers (counts, ns, bytes), so both export
 /// formats are byte-stable across runs of the same virtual-time schedule.
@@ -130,9 +158,10 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Get-or-create. The name must satisfy ValidMetricName and must not be
-  /// registered as a different instrument kind (programmer error; fails a
-  /// CHECK — the registry is not a hot-path layer).
+  /// Get-or-create, to read an instrument; the pointer is stable for the
+  /// registry's lifetime. The name must satisfy ValidMetricName and must
+  /// not be registered as a different instrument kind (programmer error;
+  /// fails a CHECK — the registry is not a hot-path layer).
   Counter* GetCounter(const std::string& name, const std::string& help = "");
   Gauge* GetGauge(const std::string& name, const std::string& help = "");
   /// `bounds` must be ascending; ignored when the histogram already exists.
@@ -150,42 +179,61 @@ class MetricsRegistry {
  private:
   friend class CounterBinding;
 
-  /// GetCounter sharing ownership: a binding keeps its counters alive
-  /// past the registry.
-  std::shared_ptr<Counter> SharedCounter(const std::string& name,
-                                         const std::string& help);
+  /// Get-or-create sharing ownership: a binding keeps its instruments
+  /// alive past the registry.
+  template <typename T, typename... Args>
+  std::shared_ptr<T> Shared(const std::string& name, Args&&... args);
+  template <typename T>
+  auto& Instruments() AVDB_REQUIRES(mu_);
 
   mutable Mutex mu_;
   std::map<std::string, std::shared_ptr<Counter>> counters_
       AVDB_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_ AVDB_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
+  std::map<std::string, std::shared_ptr<Gauge>> gauges_ AVDB_GUARDED_BY(mu_);
+  std::map<std::string, std::shared_ptr<Histogram>> histograms_
       AVDB_GUARDED_BY(mu_);
 };
 
-/// An owner's exported stats: one table of {name, help, &field} rows, each
-/// attaching an integer field the owner already counts to the registry
-/// counter of that name. The owner's hot path bumps only its own field; the
-/// registry sums the bound fields when it exports.
+/// An owner's exported stats: one table of rows, each attaching something
+/// the owner already keeps to the registry instrument of that name. The
+/// owner's hot path touches only its own fields; the registry reads them
+/// when it exports.
 ///
-/// A bound counter means "count since bind, summed over every owner ever
-/// bound to it". Hence four lifetime rules:
+/// A counter (and each histogram cell) means "count since bind, summed
+/// over every owner ever bound to it"; a gauge means "the bound owners'
+/// levels now". Hence four lifetime rules:
 ///  - counts made before Bind are left out: a field attaches at its current
 ///    value;
-///  - what a field counted is folded into the counter when its owner
-///    unbinds (Bind again, or Bind(nullptr)), is destroyed, or zeroes its
-///    fields (FoldBeforeReset), so an exported counter never goes down;
-///  - the binding shares ownership of its counters, so an owner may outlive
-///    the registry;
+///  - what a field counted is folded into its cell when its owner unbinds
+///    (Bind again, or Bind(nullptr)), is destroyed, or zeroes its fields
+///    (FoldBeforeReset), so an exported count never goes down; an unbound
+///    owner's level leaves its gauge;
+///  - the binding shares ownership of its instruments, so an owner may
+///    outlive the registry;
 ///  - a copy or move of a bound owner starts unbound.
 ///
 /// Declare the binding after the fields it reads: its destructor folds them.
 class CounterBinding {
  public:
+  /// A counter row attaches an integer field. A histogram row attaches an
+  /// owner's HistogramFields cell by cell, each like a counter field. A
+  /// gauge row attaches a function the registry calls at export to read
+  /// the owner's current level.
   struct Row {
+    Row(const char* name, const char* help, const int64_t* field)
+        : name(name), help(help), fields(field) {}
+    template <const auto& kBounds>
+    Row(const char* name, const char* help,
+        const HistogramFields<kBounds>& histogram)
+        : name(name), help(help), fields(histogram.cells_), bounds(kBounds) {}
+    Row(const char* name, const char* help, std::function<int64_t()> level)
+        : name(name), help(help), level(std::move(level)) {}
+
     const char* name;
     const char* help;
-    const int64_t* field;
+    const int64_t* fields = nullptr;   ///< counter and histogram rows
+    std::span<const int64_t> bounds;   ///< histogram rows (never empty)
+    std::function<int64_t()> level;    ///< gauge rows
   };
 
   CounterBinding() = default;
@@ -196,20 +244,22 @@ class CounterBinding {
   /// Drops the current binding, then attaches every row to `registry`
   /// (nullptr leaves the owner unbound).
   void Bind(MetricsRegistry* registry, std::initializer_list<Row> rows);
-  /// Folds the bound fields into their counters and re-bases them at zero.
-  /// Owners call it right before they zero those fields.
+  /// Folds the bound fields into their cells and re-bases them at zero.
+  /// Owners call it right before they zero every bound field.
   void FoldBeforeReset();
 
-  bool bound() const { return !bound_.empty(); }
+  bool bound() const { return !bound_.empty() || !gauges_.empty(); }
 
  private:
+  void Attach(std::shared_ptr<Cell> cell, const int64_t* field);
   void Unbind();
 
   struct Bound {
-    std::shared_ptr<Counter> counter;
+    std::shared_ptr<Cell> cell;
     const int64_t* field;
   };
   std::vector<Bound> bound_;
+  std::vector<std::shared_ptr<Gauge>> gauges_;
 };
 
 }  // namespace obs

@@ -52,19 +52,7 @@ void Tracer::Append(TraceEvent event, int64_t t_ns) {
 int64_t Tracer::BeginSpan(const std::string& category, const std::string& name,
                           const std::string& actor,
                           const std::string& detail) {
-  const int64_t t = Now();
-  MutexLock lock(mu_);
-  const int64_t id = next_span_id_++;
-  open_spans_[id] = {category, name, actor};
-  TraceEvent e;
-  e.phase = 'B';
-  e.span_id = id;
-  e.category = category;
-  e.name = name;
-  e.actor = actor;
-  e.detail = detail;
-  Append(std::move(e), t);
-  return id;
+  return BeginSpanAt(Now(), category, name, actor, detail);
 }
 
 int64_t Tracer::BeginSpanAt(int64_t t_ns, const std::string& category,
@@ -85,19 +73,12 @@ int64_t Tracer::BeginSpanAt(int64_t t_ns, const std::string& category,
 }
 
 void Tracer::EndSpan(int64_t span_id, const std::string& detail) {
-  const int64_t t = Now();
-  MutexLock lock(mu_);
-  EndSpanAtLocked(span_id, t, detail);
+  EndSpanAt(span_id, Now(), detail);
 }
 
 void Tracer::EndSpanAt(int64_t span_id, int64_t t_ns,
                        const std::string& detail) {
   MutexLock lock(mu_);
-  EndSpanAtLocked(span_id, t_ns, detail);
-}
-
-void Tracer::EndSpanAtLocked(int64_t span_id, int64_t t_ns,
-                             const std::string& detail) {
   auto it = open_spans_.find(span_id);
   if (it == open_spans_.end()) return;
   TraceEvent e;
@@ -113,14 +94,7 @@ void Tracer::EndSpanAtLocked(int64_t span_id, int64_t t_ns,
 
 void Tracer::Event(const std::string& category, const std::string& name,
                    const std::string& actor, const std::string& detail) {
-  const int64_t t = Now();
-  MutexLock lock(mu_);
-  TraceEvent e;
-  e.category = category;
-  e.name = name;
-  e.actor = actor;
-  e.detail = detail;
-  Append(std::move(e), t);
+  EventAt(Now(), category, name, actor, detail);
 }
 
 void Tracer::EventAt(int64_t t_ns, const std::string& category,

@@ -93,9 +93,8 @@ class Tracer {
 
  private:
   void Append(TraceEvent event, int64_t t_ns) AVDB_REQUIRES(mu_);
-  void EndSpanAtLocked(int64_t span_id, int64_t t_ns,
-                       const std::string& detail) AVDB_REQUIRES(mu_);
-  /// Samples the installed clock. The callback is copied out under a
+  /// Samples the installed clock; each clockless overload stamps with it,
+  /// then forwards to its `*At` form. The callback is copied out under a
   /// short-lived lock and invoked with mu_ released: the clock is caller
   /// code (typically the event engine) and may itself call back into the
   /// tracer, so running it under mu_ would self-deadlock.

@@ -20,7 +20,6 @@ TimerHandle EventEngine::ScheduleAt(int64_t t_ns, Callback cb) {
   heap_.push_back(Entry{t_ns, next_seq_++, slot, s.generation});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_events_;
-  SyncPendingGauge();
   return TimerHandle(slot, s.generation);
 }
 
@@ -40,7 +39,6 @@ bool EventEngine::Cancel(TimerHandle handle) {
   --live_events_;
   ++dead_entries_;
   ++events_cancelled_;
-  SyncPendingGauge();
   MaybeCompact();
   return true;
 }
@@ -84,7 +82,6 @@ bool EventEngine::RunOne() {
   --live_events_;
   clock_.AdvanceTo(top.time_ns);
   ++events_run_;
-  SyncPendingGauge();
   cb();
   return true;
 }
@@ -112,12 +109,9 @@ void EventEngine::BindObservability(obs::MetricsRegistry* registry) {
                  {{"avdb_sched_engine_cancelled_total",
                    "events removed before firing", &events_cancelled_},
                   {"avdb_sched_engine_compactions_total",
-                   "tombstone sweeps of the event heap", &compactions_}});
-  pending_gauge_ = registry == nullptr
-                       ? nullptr
-                       : registry->GetGauge("avdb_sched_engine_pending",
-                                            "live scheduled events");
-  SyncPendingGauge();
+                   "tombstone sweeps of the event heap", &compactions_},
+                  {"avdb_sched_engine_pending", "live scheduled events",
+                   [this] { return static_cast<int64_t>(live_events_); }}});
 }
 
 }  // namespace avdb

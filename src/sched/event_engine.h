@@ -254,11 +254,6 @@ class EventEngine {
   void BumpGeneration(Slot& slot) {
     if (++slot.generation == 0) slot.generation = 1;
   }
-  void SyncPendingGauge() {
-    if (pending_gauge_ != nullptr) {
-      pending_gauge_->Set(static_cast<int64_t>(live_events_));
-    }
-  }
 
   /// Compaction triggers when the heap carries more than this many dead
   /// entries AND they outnumber live ones — small teardown bursts are
@@ -276,7 +271,6 @@ class EventEngine {
   int64_t events_cancelled_ = 0;
   int64_t compactions_ = 0;
 
-  obs::Gauge* pending_gauge_ = nullptr;
   obs::CounterBinding counters_;
 };
 

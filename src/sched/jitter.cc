@@ -17,7 +17,7 @@ int64_t JitterModel::Sample() {
   ++stats_.samples;
   stats_.total_ns += sample;
   if (sample > stats_.max_ns) stats_.max_ns = sample;
-  if (counters_.bound()) delay_histogram_->Observe(sample);
+  if (counters_.bound()) delay_.Observe(sample);
   return sample;
 }
 
@@ -26,15 +26,9 @@ void JitterModel::BindTo(obs::MetricsRegistry* registry) {
                  {{"avdb_sched_jitter_samples_total", "jitter delays sampled",
                    &stats_.samples},
                   {"avdb_sched_jitter_spikes_total",
-                   "samples that included a spike", &stats_.spikes}});
-  delay_histogram_ =
-      registry == nullptr
-          ? nullptr
-          : registry->GetHistogram(
-                "avdb_sched_jitter_delay_ns",
-                {0, 500'000, 1'000'000, 2'000'000, 5'000'000, 10'000'000,
-                 20'000'000, 50'000'000},
-                "sampled per-event delivery delay");
+                   "samples that included a spike", &stats_.spikes},
+                  {"avdb_sched_jitter_delay_ns",
+                   "sampled per-event delivery delay", delay_}});
 }
 
 }  // namespace avdb

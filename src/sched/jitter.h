@@ -60,6 +60,7 @@ class JitterModel {
   void Reset() {
     counters_.FoldBeforeReset();
     stats_ = Stats{};
+    delay_ = {};
   }
 
   /// Exports the stats as `avdb_sched_jitter_*` counters and observes each
@@ -67,10 +68,15 @@ class JitterModel {
   void BindTo(obs::MetricsRegistry* registry);
 
  private:
+  /// Inclusive upper bounds of the exported delay histogram.
+  static constexpr int64_t kDelayBoundsNs[] = {
+      0,         500'000,    1'000'000,  2'000'000,
+      5'000'000, 10'000'000, 20'000'000, 50'000'000};
+
   Params params_;
   Rng rng_;
   Stats stats_;
-  obs::Histogram* delay_histogram_ = nullptr;  // observed only while bound
+  obs::HistogramFields<kDelayBoundsNs> delay_;  // observed while bound
   obs::CounterBinding counters_;
 };
 

@@ -14,15 +14,9 @@ void StreamStats::BindTo(obs::MetricsRegistry* registry) {
        {"avdb_sched_stream_deadline_misses_total",
         "elements at least 50 ms late", &deadline_misses},
        {"avdb_sched_stream_bytes_delivered_total", "payload bytes presented",
-        &bytes_delivered}});
-  lateness_histogram_ =
-      registry == nullptr
-          ? nullptr
-          : registry->GetHistogram(
-                "avdb_sched_stream_lateness_ns",
-                {0, 1'000'000, 5'000'000, 10'000'000, 20'000'000, 50'000'000,
-                 100'000'000, 250'000'000, 1'000'000'000},
-                "positive per-element lateness");
+        &bytes_delivered},
+       {"avdb_sched_stream_lateness_ns", "positive per-element lateness",
+        lateness_}});
 }
 
 }  // namespace avdb

@@ -15,7 +15,8 @@ namespace avdb {
 /// harness reports for every figure experiment.
 ///
 /// The fields are the only count; BindTo exports them as the shared
-/// `avdb_sched_stream_*` counters, which sum every bound stream.
+/// `avdb_sched_stream_*` counters and lateness histogram, which sum every
+/// bound stream.
 struct StreamStats {
   int64_t elements_presented = 0;
   int64_t elements_skipped = 0;   ///< shed upstream, never presented
@@ -34,6 +35,10 @@ struct StreamStats {
   static constexpr int64_t kMissThresholdNs = 50 * 1000 * 1000;  // 50 ms
   /// Smoothing factor for `smoothed_lateness_ns`.
   static constexpr double kLatenessAlpha = 0.3;
+  /// Inclusive upper bounds of the exported lateness histogram.
+  static constexpr int64_t kLatenessBoundsNs[] = {
+      0,          1'000'000,   5'000'000,   10'000'000,   20'000'000,
+      50'000'000, 100'000'000, 250'000'000, 1'000'000'000};
 
   /// Records one presentation (`lateness_ns` < 0 means early/on time).
   void Record(int64_t now_ns, int64_t lateness_ns, int64_t bytes) {
@@ -51,9 +56,7 @@ struct StreamStats {
       max_lateness_ns = std::max(max_lateness_ns, lateness_ns);
       if (lateness_ns >= kMissThresholdNs) ++deadline_misses;
     }
-    if (counters_.bound()) {
-      lateness_histogram_->Observe(lateness_ns > 0 ? lateness_ns : 0);
-    }
+    if (counters_.bound()) lateness_.Observe(lateness_ns > 0 ? lateness_ns : 0);
   }
 
   /// Records `n` elements shed before presentation (frame drops, sync
@@ -96,7 +99,7 @@ struct StreamStats {
   void BindTo(obs::MetricsRegistry* registry);
 
  private:
-  obs::Histogram* lateness_histogram_ = nullptr;  // observed only while bound
+  obs::HistogramFields<kLatenessBoundsNs> lateness_;  // observed while bound
   obs::CounterBinding counters_;
 };
 

@@ -56,9 +56,6 @@ Status SyncController::Report(const std::string& track, int64_t ideal_ns,
   ++stats_.reports;
   stats_.max_observed_skew_ns =
       std::max(stats_.max_observed_skew_ns, CurrentMaxSkewNs());
-  if (max_skew_gauge_ != nullptr) {
-    max_skew_gauge_->Set(stats_.max_observed_skew_ns);
-  }
   return Status::OK();
 }
 
@@ -101,12 +98,10 @@ void SyncController::BindObservability(obs::MetricsRegistry* registry,
                    "nonzero skip recommendations", &stats_.resyncs},
                   {"avdb_sched_sync_elements_skipped_total",
                    "elements skipped to resynchronize",
-                   &stats_.elements_skipped}});
-  max_skew_gauge_ =
-      registry == nullptr
-          ? nullptr
-          : registry->GetGauge("avdb_sched_sync_max_skew_ns",
-                               "largest inter-track skew observed");
+                   &stats_.elements_skipped},
+                  {"avdb_sched_sync_max_skew_ns",
+                   "largest inter-track skew observed",
+                   [this] { return stats_.max_observed_skew_ns; }}});
 }
 
 Result<int64_t> SyncController::DriftNs(const std::string& track) const {

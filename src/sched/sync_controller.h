@@ -90,7 +90,6 @@ class SyncController {
   std::map<std::string, TrackState> tracks_;
   Stats stats_;
   obs::CounterBinding counters_;
-  obs::Gauge* max_skew_gauge_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };
 

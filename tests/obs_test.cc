@@ -8,6 +8,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sched/event_engine.h"
 #include "sched/jitter.h"
 #include "sched/stream_stats.h"
 #include "storage/block_device.h"
@@ -30,51 +31,90 @@ TEST(MetricName, Convention) {
   EXPECT_FALSE(ValidMetricName("avdb_sched_foo_"));   // trailing segment
 }
 
+constexpr int64_t kTestBounds[] = {10, 20};
+
+/// Minimal owner of one instrument of each kind: a count, a level and a
+/// histogram, each exported under its own name.
+struct Owner {
+  int64_t hits = 0;
+  int64_t depth = 0;
+  HistogramFields<kTestBounds> latency;
+  CounterBinding counters;
+  void Bind(MetricsRegistry* registry) {
+    counters.Bind(registry, {{"avdb_test_hits_total", "hits", &hits},
+                             {"avdb_test_depth_level", "queue depth",
+                              [this] { return depth; }},
+                             {"avdb_test_lat_ns", "latency", latency}});
+  }
+};
+
 TEST(Counter, IncrementAndValue) {
-  Counter c("avdb_test_counter_total", "help");
-  EXPECT_EQ(c.Value(), 0);
-  c.Increment();
-  c.Increment(41);
-  EXPECT_EQ(c.Value(), 42);
+  MetricsRegistry registry;
+  Owner owner;
+  owner.Bind(&registry);
+  const Counter* c = registry.GetCounter("avdb_test_hits_total");
+  EXPECT_EQ(c->Value(), 0);
+  ++owner.hits;
+  owner.hits += 41;
+  EXPECT_EQ(c->Value(), 42);
 }
 
 TEST(Gauge, SetAndAdd) {
-  Gauge g("avdb_test_gauge_level", "help");
-  g.Set(7);
-  g.Add(-3);
-  EXPECT_EQ(g.Value(), 4);
+  MetricsRegistry registry;
+  Owner a, b;
+  a.Bind(&registry);
+  b.Bind(&registry);
+  const Gauge* g = registry.GetGauge("avdb_test_depth_level");
+  a.depth = 7;
+  a.depth += -3;
+  EXPECT_EQ(g->Value(), 4);
+  // A gauge reads the sum of its bound owners' levels; an unbound owner's
+  // level leaves it.
+  b.depth = 5;
+  EXPECT_EQ(g->Value(), 9);
+  b.Bind(nullptr);
+  EXPECT_EQ(g->Value(), 4);
 }
 
 TEST(Histogram, BucketBoundariesAreInclusive) {
-  Histogram h("avdb_test_hist_ns", "help", {10, 20});
-  h.Observe(0);    // <= 10
-  h.Observe(10);   // == bound -> same bucket (inclusive upper bound)
-  h.Observe(11);   // <= 20
-  h.Observe(20);   // == bound
-  h.Observe(21);   // +Inf
-  EXPECT_EQ(h.BucketCount(0), 2);
-  EXPECT_EQ(h.BucketCount(1), 2);
-  EXPECT_EQ(h.BucketCount(2), 1);
-  EXPECT_EQ(h.Count(), 5);
-  EXPECT_EQ(h.Sum(), 62);
+  MetricsRegistry registry;
+  Owner owner;
+  owner.Bind(&registry);
+  owner.latency.Observe(0);    // <= 10
+  owner.latency.Observe(10);   // == bound -> same bucket (inclusive)
+  owner.latency.Observe(11);   // <= 20
+  owner.latency.Observe(20);   // == bound
+  owner.latency.Observe(21);   // +Inf
+  const Histogram* h = registry.GetHistogram("avdb_test_lat_ns", {});
+  EXPECT_EQ(h->BucketCount(0), 2);
+  EXPECT_EQ(h->BucketCount(1), 2);
+  EXPECT_EQ(h->BucketCount(2), 1);
+  EXPECT_EQ(h->Count(), 5);
+  EXPECT_EQ(h->Sum(), 62);
 }
 
 TEST(Histogram, NegativeValuesLandInFirstBucket) {
-  Histogram h("avdb_test_hist_ns", "help", {0, 10});
-  h.Observe(-5);
-  EXPECT_EQ(h.BucketCount(0), 1);
+  MetricsRegistry registry;
+  Owner owner;
+  owner.Bind(&registry);
+  owner.latency.Observe(-5);
+  const Histogram* h = registry.GetHistogram("avdb_test_lat_ns", {});
+  EXPECT_EQ(h->BucketCount(0), 1);
+  EXPECT_EQ(h->Sum(), -5);
 }
 
 TEST(MetricsRegistry, GetOrCreateReturnsStablePointer) {
   MetricsRegistry registry;
-  Counter* a = registry.GetCounter("avdb_test_reads_total", "reads");
-  Counter* b = registry.GetCounter("avdb_test_reads_total");
+  Counter* a = registry.GetCounter("avdb_test_hits_total", "hits");
+  Counter* b = registry.GetCounter("avdb_test_hits_total");
   EXPECT_EQ(a, b);
-  a->Increment();
+  Owner owner;
+  owner.Bind(&registry);  // attaches to the instrument already there
+  ++owner.hits;
   EXPECT_EQ(b->Value(), 1);
 
-  Histogram* h1 = registry.GetHistogram("avdb_test_lat_ns", {1, 2, 3});
-  Histogram* h2 = registry.GetHistogram("avdb_test_lat_ns", {9});  // ignored
+  Histogram* h1 = registry.GetHistogram("avdb_test_other_ns", {1, 2, 3});
+  Histogram* h2 = registry.GetHistogram("avdb_test_other_ns", {9});  // ignored
   EXPECT_EQ(h1, h2);
   EXPECT_EQ(h1->bounds().size(), 3u);
 }
@@ -83,57 +123,63 @@ TEST(MetricsRegistry, ConcurrentIncrementsSumExactly) {
   MetricsRegistry registry;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
+  // Each thread counts in its own owner, bound before the threads start
+  // and read once they are joined: an owner is driven by one thread.
+  std::vector<Owner> owners(kThreads);
+  for (Owner& owner : owners) owner.Bind(&registry);
+  std::vector<const Counter*> resolved(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&registry] {
-      // Each thread resolves the instrument itself: get-or-create must be
-      // safe under contention, not just Increment.
-      Counter* c = registry.GetCounter("avdb_test_contended_total");
-      Histogram* h =
-          registry.GetHistogram("avdb_test_contended_ns", {10, 100});
+    threads.emplace_back([&registry, &owner = owners[i], &resolved, i] {
       for (int j = 0; j < kPerThread; ++j) {
-        c->Increment();
-        h->Observe(j % 200);
+        // Get-or-create must be safe under contention, for a name no
+        // thread has yet and for the bound ones.
+        resolved[i] = registry.GetCounter("avdb_test_contended_total");
+        registry.GetGauge("avdb_test_depth_level");
+        registry.GetHistogram("avdb_test_lat_ns", {});
+        ++owner.hits;
+        owner.latency.Observe(j % 200);
       }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(registry.GetCounter("avdb_test_contended_total")->Value(),
+  for (const Counter* c : resolved) EXPECT_EQ(c, resolved[0]);
+  EXPECT_EQ(registry.GetCounter("avdb_test_hits_total")->Value(),
             kThreads * kPerThread);
-  EXPECT_EQ(registry.GetHistogram("avdb_test_contended_ns", {})->Count(),
+  EXPECT_EQ(registry.GetHistogram("avdb_test_lat_ns", {})->Count(),
             kThreads * kPerThread);
 }
 
-MetricsRegistry* BuildFixedRegistry() {
-  auto* registry = new MetricsRegistry();
-  registry->GetCounter("avdb_test_reads_total", "reads served")->Increment(3);
-  registry->GetGauge("avdb_test_depth_level", "queue depth")->Set(-2);
-  Histogram* h =
-      registry->GetHistogram("avdb_test_lat_ns", {10, 20}, "latency");
-  h->Observe(5);
-  h->Observe(15);
-  h->Observe(99);
-  return registry;
-}
+/// A registry with one bound owner: 3 hits, depth -2, latencies 5, 15, 99.
+struct FixedExport {
+  MetricsRegistry registry;
+  Owner owner;
+  FixedExport() {
+    owner.Bind(&registry);
+    owner.hits = 3;
+    owner.depth = -2;
+    for (int64_t v : {5, 15, 99}) owner.latency.Observe(v);
+  }
+};
 
 TEST(MetricsRegistry, ExportsAreByteStable) {
-  std::unique_ptr<MetricsRegistry> a(BuildFixedRegistry());
-  std::unique_ptr<MetricsRegistry> b(BuildFixedRegistry());
-  EXPECT_EQ(a->Json(), b->Json());
-  EXPECT_EQ(a->PrometheusText(), b->PrometheusText());
+  const FixedExport a;
+  const FixedExport b;
+  EXPECT_EQ(a.registry.Json(), b.registry.Json());
+  EXPECT_EQ(a.registry.PrometheusText(), b.registry.PrometheusText());
 
-  const std::string json = a->Json();
-  EXPECT_NE(json.find("\"avdb_test_reads_total\":3"), std::string::npos)
+  const std::string json = a.registry.Json();
+  EXPECT_NE(json.find("\"avdb_test_hits_total\":3"), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"avdb_test_depth_level\":-2"), std::string::npos);
   EXPECT_NE(json.find("\"sum\":119"), std::string::npos);
 
-  const std::string prom = a->PrometheusText();
-  EXPECT_NE(prom.find("# TYPE avdb_test_reads_total counter"),
+  const std::string prom = a.registry.PrometheusText();
+  EXPECT_NE(prom.find("# TYPE avdb_test_hits_total counter"),
             std::string::npos)
       << prom;
-  EXPECT_NE(prom.find("avdb_test_reads_total 3"), std::string::npos);
+  EXPECT_NE(prom.find("avdb_test_hits_total 3"), std::string::npos);
   // Prometheus histogram buckets are cumulative.
   EXPECT_NE(prom.find("avdb_test_lat_ns_bucket{le=\"20\"} 2"),
             std::string::npos);
@@ -277,15 +323,6 @@ TEST(TracerTest, ConcurrentAppendsKeepExactCounts) {
 // A bound counter is "count since bind, summed over every owner ever bound
 // to it"; these pin the lifetime rules that meaning needs.
 
-/// Minimal owner: one stats field, exported under one name.
-struct Owner {
-  int64_t hits = 0;
-  CounterBinding counters;
-  void Bind(MetricsRegistry* registry) {
-    counters.Bind(registry, {{"avdb_test_hits_total", "hits", &hits}});
-  }
-};
-
 int64_t CounterValue(MetricsRegistry& registry, const char* name) {
   return registry.GetCounter(name)->Value();
 }
@@ -330,6 +367,8 @@ TEST(CounterBindingTest, DestroyedOwnerCountsStayExported) {
   delete stats;
   EXPECT_EQ(
       CounterValue(registry, "avdb_sched_stream_bytes_delivered_total"), 100);
+  EXPECT_EQ(registry.GetHistogram("avdb_sched_stream_lateness_ns", {})->Count(),
+            1);
 }
 
 TEST(CounterBindingTest, UnbindFreezesTheCounter) {
@@ -367,6 +406,8 @@ TEST(CounterBindingTest, ResetsNeverLowerTheExport) {
   jitter.Sample();
   EXPECT_EQ(jitter.stats().samples, 1);
   EXPECT_EQ(CounterValue(registry, "avdb_sched_jitter_samples_total"), 11);
+  EXPECT_EQ(registry.GetHistogram("avdb_sched_jitter_delay_ns", {})->Count(),
+            11);
 }
 
 TEST(CounterBindingTest, CopiesOfABoundOwnerStartUnbound) {
@@ -388,14 +429,25 @@ TEST(CounterBindingTest, CopiesOfABoundOwnerStartUnbound) {
 TEST(CounterBindingTest, OwnerMayOutliveItsRegistry) {
   Owner owner;
   StreamStats stats;
+  JitterModel jitter = JitterModel::Workstation(1);
+  EventEngine engine;
   {
     MetricsRegistry registry;
     owner.Bind(&registry);
     stats.BindTo(&registry);
+    jitter.BindTo(&registry);
+    engine.BindObservability(&registry);
     owner.hits = 1;
   }
   owner.hits = 2;
-  // Destructors fold into counters the bindings still own.
+  // Still bound, each hot path below touches only its owner's fields: a
+  // histogram observe or a gauge update that reached the destroyed
+  // registry's instruments would be a use after free (ASan).
+  stats.Record(0, 5, 100);
+  jitter.Sample();
+  engine.ScheduleAt(int64_t{10}, [] {});
+  engine.RunUntilIdle();
+  // Destructors fold into instruments the bindings still own.
 }
 
 }  // namespace
