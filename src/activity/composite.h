@@ -34,9 +34,6 @@ class CompositeActivity : public MediaActivity {
   /// Adds a child (the paper's `install ... in` from §4.3's pseudo-code).
   Status Install(MediaActivityPtr child);
 
-  Result<MediaActivity*> FindChild(const std::string& name) const {
-    return children_.Find(name);
-  }
   const std::vector<MediaActivityPtr>& children() const {
     return children_.activities();
   }

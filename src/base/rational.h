@@ -26,7 +26,6 @@ class Rational {
 
   bool IsZero() const { return num_ == 0; }
   bool IsNegative() const { return num_ < 0; }
-  bool IsInteger() const { return den_ == 1; }
 
   double ToDouble() const { return static_cast<double>(num_) / den_; }
 

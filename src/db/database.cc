@@ -166,13 +166,6 @@ Result<const ClassDef*> AvDatabase::GetClass(const std::string& name) const {
   return &it->second;
 }
 
-std::vector<std::string> AvDatabase::ClassNames() const {
-  std::vector<std::string> names;
-  names.reserve(classes_.size());
-  for (const auto& [name, def] : classes_) names.push_back(name);
-  return names;
-}
-
 // --- objects --------------------------------------------------------------------
 
 Result<Oid> AvDatabase::NewObject(const std::string& class_name) {

@@ -106,7 +106,6 @@ class AvDatabase {
 
   Status DefineClass(ClassDef class_def);
   Result<const ClassDef*> GetClass(const std::string& name) const;
-  std::vector<std::string> ClassNames() const;
 
   // --- objects ---------------------------------------------------------------
 

@@ -24,7 +24,6 @@ class Oid {
   explicit Oid(uint64_t value) : value_(value) {}
 
   uint64_t value() const { return value_; }
-  bool IsNull() const { return value_ == 0; }
 
   friend bool operator==(Oid a, Oid b) { return a.value_ == b.value_; }
   friend bool operator!=(Oid a, Oid b) { return !(a == b); }
@@ -83,9 +82,6 @@ class DbObject {
   // Scalars -----------------------------------------------------------------
   Status SetScalar(const std::string& attr, ScalarValue value);
   Result<ScalarValue> GetScalar(const std::string& attr) const;
-  bool HasScalar(const std::string& attr) const {
-    return scalars_.count(attr) > 0;
-  }
   const std::map<std::string, ScalarValue>& scalars() const {
     return scalars_;
   }

@@ -74,9 +74,6 @@ class MediaValue {
   /// Moves the value `offset` later on the world axis (paper's `Translate`).
   void Translate(WorldTime offset);
 
-  /// Resets placement to scale 1 at world origin.
-  void ResetPlacement() { transform_ = TemporalTransform(); }
-
   /// Element index presented at world instant `t` (paper's `WorldToObject`).
   /// Clamped to [0, ElementCount-1]; InvalidArgument for empty values or
   /// instants outside the extent.

@@ -161,11 +161,6 @@ Result<int64_t> Channel::TransferWithDeadline(int64_t request_ns,
   return done + profile_.propagation_delay_ns;
 }
 
-int64_t Channel::PeekTransfer(int64_t request_ns, int64_t bytes) const {
-  return link_.PeekCompletion(request_ns, SerializationNs(bytes)) +
-         profile_.propagation_delay_ns;
-}
-
 void Channel::BindObservability(obs::MetricsRegistry* registry,
                                 obs::Tracer* tracer) {
   tracer_ = tracer;

@@ -92,9 +92,6 @@ class Channel {
   Result<int64_t> TransferWithDeadline(int64_t request_ns, int64_t bytes,
                                        DeadlineBudget budget);
 
-  /// Delivery time a transfer would get without submitting it.
-  int64_t PeekTransfer(int64_t request_ns, int64_t bytes) const;
-
   /// Seconds per byte at line rate (for cost estimation).
   int64_t SerializationNs(int64_t bytes) const;
 

@@ -46,10 +46,6 @@ const std::string& AdmissionController::PoolName(PoolId id) const {
   return PoolAt(id).name;
 }
 
-bool AdmissionController::HasPool(const std::string& name) const {
-  return index_.count(name) > 0;
-}
-
 Result<double> AdmissionController::Capacity(const std::string& name) const {
   const PoolId id = FindPool(name);
   if (id == kInvalidPoolId) return Status::NotFound("pool: " + name);

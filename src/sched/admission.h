@@ -79,7 +79,6 @@ class AdmissionController {
   const std::string& PoolName(PoolId id) const;
   size_t PoolCount() const { return static_cast<size_t>(pool_count_); }
 
-  bool HasPool(const std::string& name) const;
   Result<double> Capacity(const std::string& name) const;
   /// Unreserved capacity, clamped at zero: a mid-stream capacity revocation
   /// can leave a pool oversubscribed, and availability must then read as

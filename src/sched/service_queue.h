@@ -44,13 +44,6 @@ class ServiceQueue {
   const Stats& stats() const { return stats_; }
   void ResetStats() { stats_ = Stats(); }
 
-  /// Utilization over [0, horizon_ns].
-  double Utilization(int64_t horizon_ns) const {
-    return horizon_ns <= 0
-               ? 0.0
-               : static_cast<double>(stats_.busy_ns) / horizon_ns;
-  }
-
  private:
   std::string name_;
   int64_t free_at_ns_ = 0;

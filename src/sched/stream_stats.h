@@ -84,7 +84,8 @@ struct StreamStats {
                      static_cast<double>(total);
   }
 
-  /// Achieved element rate over the active span, elements/second.
+  /// Achieved element rate over the active span, elements/second. A late
+  /// first element shortens the span, which raises the rate.
   double AchievedRate() const {
     if (elements_presented < 2 || last_element_ns <= first_element_ns) {
       return 0.0;

@@ -190,11 +190,6 @@ Result<WorldTime> BlockDevice::Read(int disc, int64_t offset, int64_t length,
   return cost;
 }
 
-WorldTime BlockDevice::CostOfRead(int disc, int64_t offset,
-                                  int64_t length) const {
-  return PositionCost(disc, offset) + SequentialReadTime(length);
-}
-
 void BlockDevice::ResetHead() {
   current_disc_ = 0;
   head_position_ = 0;

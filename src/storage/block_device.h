@@ -79,10 +79,6 @@ class BlockDevice {
   Result<WorldTime> Read(int disc, int64_t offset, int64_t length,
                          Buffer* out);
 
-  /// Duration a read would take *without* performing it or moving the head
-  /// — used by admission control to cost a plan.
-  WorldTime CostOfRead(int disc, int64_t offset, int64_t length) const;
-
   /// Duration of a purely sequential read of `length` bytes (no seek):
   /// the best case used for bandwidth budgeting.
   WorldTime SequentialReadTime(int64_t length) const;

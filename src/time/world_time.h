@@ -40,7 +40,6 @@ class WorldTime {
   Rational seconds() const { return seconds_; }
   double ToSecondsF() const { return seconds_.ToDouble(); }
   int64_t ToMillis() const { return (seconds_ * Rational(1000)).Rounded(); }
-  int64_t ToMicros() const { return (seconds_ * Rational(1000000)).Rounded(); }
 
   bool IsZero() const { return seconds_.IsZero(); }
   bool IsNegative() const { return seconds_.IsNegative(); }
