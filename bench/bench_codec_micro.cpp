@@ -1,7 +1,7 @@
 // Codec kernel micro-bench + acceptance gates — DESIGN.md §12 "SIMD
 // dispatch + zero-copy frame model".
 //
-// Four measurements on the transform-dominated intra config (QCIF):
+// Five measurements, on QCIF frames unless a row says otherwise:
 //
 //   1. Per-kernel ns/op: every entry of the simd::CodecKernels dispatch
 //      table at every SIMD level this CPU runs, against the scalar
@@ -21,6 +21,11 @@
 //   4. Steady-state allocations/frame: after one warm-up cycle, a full
 //      inter encode+decode cycle must be served entirely from the shared
 //      BufferPool — zero pool misses (exit 1 otherwise).
+//   5. Decode µs/frame of three clips in interleaved reps: intra and inter
+//      QCIF, and the scalable codec's 64x48 q95 three-layer preview clip
+//      (the e2e vod_cold titles). Each clip's decoded frames hash to a
+//      pinned value, so a decode speed-up that changes a sample fails
+//      (exit 1).
 //
 // Output: BENCH_codec_micro.json; timings, the SIMD levels and the gate
 // verdicts that depend on them sit under its `host` member.
@@ -31,15 +36,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "base/buffer.h"
 #include "base/buffer_pool.h"
-#include "codec/bitio.h"
 #include "codec/block_transform.h"
 #include "codec/inter_codec.h"
 #include "codec/intra_codec.h"
+#include "codec/registry.h"
 #include "codec/simd/kernels.h"
+#include "codec/varint.h"
 #include "harness.h"
 #include "media/frame.h"
 #include "media/synthetic.h"
@@ -54,6 +62,8 @@ constexpr int kQuality = 75;
 constexpr int kKernelReps = 41;    // interleaved scalar/SIMD reps per kernel
 constexpr int kKernelIters = 200;  // kernel calls per timed rep
 constexpr int kFpsReps = 21;       // interleaved legacy/current encodes
+constexpr int kDecodeFrames = 12;  // frames per decode-row clip
+constexpr int kDecodeReps = 15;    // interleaved whole-clip decodes
 constexpr double kKernelGateMinSpeedup = 1.0;
 constexpr double kFpsGateMinSpeedup = 2.0;
 
@@ -120,7 +130,7 @@ void LegacyQuantize(CoeffBlock* coeffs, int quality) {
 }
 
 void LegacyEncodePlane(const std::vector<int16_t>& plane, int width,
-                       int height, int quality, BitWriter* out) {
+                       int height, int quality, VarintWriter* out) {
   int32_t dc_predictor = 0;
   for (int by = 0; by < height; by += kBS) {
     for (int bx = 0; bx < width; bx += kBS) {
@@ -140,7 +150,7 @@ void LegacyEncodePlane(const std::vector<int16_t>& plane, int width,
 }
 
 Buffer LegacyEncodeFrame(const VideoFrame& frame, int quality) {
-  BitWriter writer;
+  VarintWriter writer;
   for (int p = 0; p < frame.plane_count(); ++p) {
     const std::vector<uint8_t> bytes = frame.ExtractPlane(p);  // heap copy
     std::vector<int16_t> centered(bytes.size());               // heap alloc
@@ -433,6 +443,77 @@ SteadyStatePoint MeasureSteadyState() {
   return point;
 }
 
+struct DecodePoint {
+  const char* name;
+  uint64_t frames_hash;  // FastHash64 of the decoded planes
+  uint64_t pinned_hash;  // what frames_hash must be
+  bench::Summary clip_ns;  // host ns per decode of the whole clip
+};
+
+std::string Hex(uint64_t v) {
+  char text[19];
+  std::snprintf(text, sizeof(text), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return text;
+}
+
+// Decodes each clip front to back on a fresh session per timed call, the
+// clips interleaved on bench::Measure. The frames hash comes from one
+// more decode outside the timed rounds.
+std::vector<DecodePoint> MeasureDecode() {
+  struct Clip {
+    const char* name;
+    EncodingFamily family;
+    int width, height, quality;
+    uint64_t pinned_hash;
+  };
+  const Clip clips[] = {
+      {"intra_qcif", EncodingFamily::kIntra, kWidth, kHeight, kQuality,
+       0x68d06277aec60d48},
+      {"inter_qcif", EncodingFamily::kInter, kWidth, kHeight, kQuality,
+       0x1440b880c9866370},
+      {"scalable_64x48_q95", EncodingFamily::kScalable, 64, 48, 95,
+       0xd33141a2cf228230}};
+  std::vector<std::shared_ptr<const VideoCodec>> codecs;
+  std::vector<EncodedVideo> streams;
+  for (const Clip& clip : clips) {
+    const auto type =
+        MediaDataType::RawVideo(clip.width, clip.height, 8, Rational(10));
+    auto raw = synthetic::GenerateVideo(type, kDecodeFrames,
+                                        synthetic::VideoPattern::kMovingBox)
+                   .value();
+    VideoCodecParams params;
+    params.quality = clip.quality;
+    params.layer_count = 3;
+    codecs.push_back(
+        CodecRegistry::Default().VideoCodecFor(clip.family).value());
+    streams.push_back(codecs.back()->Encode(*raw, params).value());
+  }
+  std::vector<std::function<void()>> variants;
+  for (size_t c = 0; c < codecs.size(); ++c) {
+    variants.push_back([&codecs, &streams, c] {
+      auto session = codecs[c]->NewDecoder(streams[c]).value();
+      for (int64_t i = 0; i < kDecodeFrames; ++i) {
+        Sink(session->DecodeFrame(i).value().At(0, 0));
+      }
+    });
+  }
+  const std::vector<bench::Summary> timings =
+      bench::Measure(kDecodeReps, variants);
+  std::vector<DecodePoint> points;
+  for (size_t c = 0; c < codecs.size(); ++c) {
+    auto session = codecs[c]->NewDecoder(streams[c]).value();
+    std::vector<uint8_t> planes;
+    for (int64_t i = 0; i < kDecodeFrames; ++i) {
+      const VideoFrame frame = session->DecodeFrame(i).value();
+      planes.insert(planes.end(), frame.data().begin(), frame.data().end());
+    }
+    points.push_back({clips[c].name, FastHash64(planes.data(), planes.size()),
+                      clips[c].pinned_hash, timings[c]});
+  }
+  return points;
+}
+
 }  // namespace
 
 int main() {
@@ -442,6 +523,7 @@ int main() {
   const FpsPoint fps = MeasureIntraFps();
   const IdentityPoint identity = CheckByteIdentity();
   const SteadyStatePoint steady = MeasureSteadyState();
+  const std::vector<DecodePoint> decode = MeasureDecode();
 
   // The 2x gate prices the *dispatched SIMD* pipeline; in a scalar-only
   // build (AVDB_SIMD=OFF or an unsupported CPU) the fps is reported but
@@ -462,9 +544,25 @@ int main() {
     }
     kernel_rows.push_back(std::move(row));
   }
+  const auto us_per_frame = [](double clip_ns) {
+    return bench::Fixed(clip_ns / kDecodeFrames / 1e3, 1);
+  };
+  std::vector<bench::Object> decode_rows;
+  std::vector<bench::Object> decode_timing_rows;
+  for (const DecodePoint& p : decode) {
+    decode_rows.push_back({{"name", p.name},
+                           {"frames", kDecodeFrames},
+                           {"frames_hash", Hex(p.frames_hash)}});
+    decode_timing_rows.push_back(
+        {{"name", p.name},
+         {"us_per_frame", us_per_frame(p.clip_ns.median)},
+         {"q1", us_per_frame(p.clip_ns.q1)},
+         {"q3", us_per_frame(p.clip_ns.q3)}});
+  }
   const bench::Object doc = {
       {"intra_fps", bench::Object{{"gate_min_speedup",
                                    bench::Fixed(kFpsGateMinSpeedup, 1)}}},
+      {"decode", decode_rows},
       {"byte_identity", bench::Object{{"identical", identity.pass}}},
       {"steady_state",
        bench::Object{{"frames", steady.frames},
@@ -480,7 +578,8 @@ int main() {
                      {"current_fps", bench::Fixed(fps.current_fps, 1)},
                      {"speedup", bench::Fixed(fps.speedup, 2)},
                      {"gate_enforced", fps_gate_enforced}}},
-      {"byte_identity", bench::Object{{"levels", identity.levels}}}};
+      {"byte_identity", bench::Object{{"levels", identity.levels}}},
+      {"decode", decode_timing_rows}};
 
   bench::Gates gates;
   gates.Check(bench::WriteReport("BENCH_codec_micro.json", doc, host),
@@ -495,5 +594,11 @@ int main() {
               "intra encode median at least 2.0x over legacy");
   gates.Check(identity.pass, "kernel levels are byte-identical");
   gates.Check(steady.allocations == 0, "zero steady-state pool misses");
+  for (const DecodePoint& p : decode) {
+    gates.Check(p.frames_hash == p.pinned_hash,
+                std::string(p.name) + " decoded frames hash " +
+                    Hex(p.frames_hash) + " equals the pinned " +
+                    Hex(p.pinned_hash));
+  }
   return gates.ExitCode();
 }

@@ -569,7 +569,6 @@ bench::Object Fig3DbApp(bench::Gates& gates) {
   const int64_t t0 = db->engine().now_ns();
   const StreamHandle stream =
       db->NewSourceFor("app", hits[0], "videoTrack").value();
-  const int64_t t_setup = db->engine().now_ns();
   auto window = VideoWindow::Create("appSink", ActivityLocation::kClient,
                                     db->env(),
                                     VideoQuality(176, 144, 8, Rational(10)));
@@ -612,7 +611,6 @@ bench::Object Fig3DbApp(bench::Gates& gates) {
            bench::Object{
                {"catalog", kCatalog},
                {"hits", hits.size()},
-               {"setup_ms", bench::Fixed((t_setup - t0) / 1e6, 2)},
                {"first_frame_ms",
                 bench::Fixed(stats.first_element_ns < 0
                                  ? -1

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstring>
 
 #include "base/logging.h"
+#include "base/result.h"
 #include "codec/simd/kernels.h"
 
 namespace avdb {
@@ -22,6 +24,9 @@ constexpr int kBaseQuant[kBlockArea] = {
     24, 35, 55, 64, 81,  104, 113, 92,   //
     49, 64, 78, 87, 103, 121, 120, 101,  //
     72, 92, 95, 98, 112, 100, 103, 99};
+
+// Run value that ends a block's (run, level) pairs.
+constexpr uint64_t kEndOfBlock = 0x3F;
 
 // Zigzag scan order: zigzag index -> raster index.
 constexpr int kZigzag[kBlockArea] = {
@@ -125,7 +130,7 @@ int QuantStep(int index, int quality) {
 }
 
 void EncodeBlock(const CoeffBlock& coeffs, int32_t* dc_predictor,
-                 BitWriter* out) {
+                 VarintWriter* out) {
   // DC: delta against previous block's DC.
   const int32_t dc = coeffs[0];
   out->WriteSignedVarint(dc - *dc_predictor);
@@ -142,32 +147,48 @@ void EncodeBlock(const CoeffBlock& coeffs, int32_t* dc_predictor,
     out->WriteSignedVarint(level);
     run = 0;
   }
-  out->WriteVarint(0x3F);  // end of block
+  out->WriteVarint(kEndOfBlock);
 }
 
-Result<CoeffBlock> DecodeBlock(int32_t* dc_predictor, BitReader* in) {
-  CoeffBlock coeffs{};
-  auto dc_delta = in->ReadSignedVarint();
-  if (!dc_delta.ok()) return dc_delta.status();
-  *dc_predictor += static_cast<int32_t>(dc_delta.value());
-  coeffs[0] = *dc_predictor;
-  int zi = 1;
-  for (;;) {
-    auto run = in->ReadVarint();
-    if (!run.ok()) return run.status();
-    if (run.value() == 0x3F) break;
-    zi += static_cast<int>(run.value());
-    if (zi >= kBlockArea) return Status::DataLoss("AC run past block end");
-    auto level = in->ReadSignedVarint();
-    if (!level.ok()) return level.status();
-    coeffs[kZigzag[zi]] = static_cast<int32_t>(level.value());
-    ++zi;
+namespace {
+
+// Reverses EncodeBlock into `*coeffs`, which must be all zero on entry,
+// and returns how many coefficients it set nonzero: 0 means the block
+// decodes to all-zero samples.
+Result<int> DecodeBlock(int32_t* dc_predictor, VarintReader* in,
+                        CoeffBlock* coeffs) {
+  // A delta beyond ±2^32 takes the DC out of int32 anyway; clamping it
+  // keeps the sum from overflowing int64.
+  constexpr int64_t kMaxDcDelta = int64_t{1} << 32;
+  const int64_t dc = *dc_predictor + std::clamp(in->ReadSignedVarint(),
+                                                -kMaxDcDelta, kMaxDcDelta);
+  if (dc < INT32_MIN || dc > INT32_MAX) {
+    return Status::DataLoss("DC predictor out of range");
   }
-  return coeffs;
+  *dc_predictor = static_cast<int32_t>(dc);
+  (*coeffs)[0] = *dc_predictor;
+  int nonzero = *dc_predictor != 0;
+  // After a failed read every read returns 0, which is never the
+  // end-of-block marker, so a failed stream always ends in the run check.
+  for (int zi = 1;; ++zi) {
+    const uint64_t run = in->ReadVarint();
+    if (run == kEndOfBlock) break;
+    if (run >= static_cast<uint64_t>(kBlockArea - zi)) {
+      if (!in->ok()) return in->status();
+      return Status::DataLoss("AC run past block end");
+    }
+    zi += static_cast<int>(run);
+    const int32_t level = static_cast<int32_t>(in->ReadSignedVarint());
+    (*coeffs)[kZigzag[zi]] = level;
+    nonzero += level != 0;
+  }
+  return nonzero;
 }
+
+}  // namespace
 
 void EncodePlane(const int16_t* plane, int width, int height, int quality,
-                 BitWriter* out, int16_t* recon) {
+                 VarintWriter* out, int16_t* recon) {
   const simd::CodecKernels& k = simd::ActiveKernels();
   const simd::QuantTable& qt = QualityQuantTable(quality);
   int32_t dc_predictor = 0;
@@ -189,19 +210,24 @@ void EncodePlane(const int16_t* plane, int width, int height, int quality,
   }
 }
 
-Status DecodePlaneInto(int width, int height, int quality, BitReader* in,
+Status DecodePlaneInto(int width, int height, int quality, VarintReader* in,
                        int16_t* out) {
+  static constexpr Block kZeroBlock{};
   const simd::CodecKernels& k = simd::ActiveKernels();
   const simd::QuantTable& qt = QualityQuantTable(quality);
   int32_t dc_predictor = 0;
   Block block;
+  CoeffBlock coeffs{};
   for (int by = 0; by < height; by += kBlockSize) {
     for (int bx = 0; bx < width; bx += kBlockSize) {
-      auto coeffs = DecodeBlock(&dc_predictor, in);
-      if (!coeffs.ok()) return coeffs.status();
-      k.dequantize(coeffs.value().data(), qt);
-      k.idct8x8(coeffs.value().data(), block.data());
-      StoreBlock(block, width, height, bx, by, out);
+      AVDB_ASSIGN_OR_RETURN(const int nonzero,
+                            DecodeBlock(&dc_predictor, in, &coeffs));
+      if (nonzero > 0) {  // else `coeffs` is still all zero
+        k.dequantize(coeffs.data(), qt);
+        k.idct8x8(coeffs.data(), block.data());
+        coeffs.fill(0);
+      }
+      StoreBlock(nonzero > 0 ? block : kZeroBlock, width, height, bx, by, out);
     }
   }
   return Status::OK();

@@ -4,8 +4,8 @@
 #include <array>
 #include <cstdint>
 
-#include "codec/bitio.h"
 #include "codec/simd/kernels.h"
+#include "codec/varint.h"
 
 namespace avdb {
 
@@ -45,10 +45,7 @@ int QuantStep(int index, int quality);
 /// `*dc_predictor` (updated), then (run, level) pairs with an end-of-block
 /// marker.
 void EncodeBlock(const CoeffBlock& coeffs, int32_t* dc_predictor,
-                 BitWriter* out);
-
-/// Reverses EncodeBlock.
-Result<CoeffBlock> DecodeBlock(int32_t* dc_predictor, BitReader* in);
+                 VarintWriter* out);
 
 /// Splits a width×height int16 plane into 8×8 blocks (edge blocks padded by
 /// replicating the last row/column), transforms, quantizes and entropy-codes
@@ -60,11 +57,13 @@ Result<CoeffBlock> DecodeBlock(int32_t* dc_predictor, BitReader* in);
 /// DecodePlaneInto produces from the bits just written: the intra, inter
 /// and scalable coders keep their references without re-parsing a stream.
 void EncodePlane(const int16_t* plane, int width, int height, int quality,
-                 BitWriter* out, int16_t* recon = nullptr);
+                 VarintWriter* out, int16_t* recon = nullptr);
 
 /// Reverses EncodePlane into caller-owned storage of width*height samples.
+/// An all-zero block skips dequantize and IDCT: both map zero to zero at
+/// every kernel level, so the skip is exact.
 [[nodiscard]] Status DecodePlaneInto(int width, int height, int quality,
-                                     BitReader* in, int16_t* out);
+                                     VarintReader* in, int16_t* out);
 
 }  // namespace block_transform
 }  // namespace avdb

@@ -1,6 +1,6 @@
 #include "codec/delta_codec.h"
 
-#include "codec/bitio.h"
+#include "codec/varint.h"
 
 namespace avdb {
 
@@ -10,7 +10,7 @@ namespace {
 // returning the reconstructed frame via `recon_out`.
 Buffer EncodeDeltaFrame(const VideoFrame& cur, const VideoFrame& ref,
                         int step, VideoFrame* recon_out) {
-  BitWriter writer;
+  VarintWriter writer;
   *recon_out = VideoFrame(cur.width(), cur.height(), cur.depth_bits());
   const auto& cur_data = cur.data();
   const auto& ref_data = ref.data();
@@ -44,23 +44,24 @@ Result<VideoFrame> DecodeDeltaFrame(const Buffer& data, const VideoFrame& ref,
   VideoFrame out(ref.width(), ref.height(), ref.depth_bits());
   const auto& ref_data = ref.data();
   auto& out_data = out.data();
-  BitReader reader(data);
+  VarintReader reader(data);
   size_t i = 0;
   const size_t n = out_data.size();
   while (i < n) {
-    auto run = reader.ReadVarint();
-    if (!run.ok()) return run.status();
-    auto q = reader.ReadSignedVarint();
-    if (!q.ok()) return q.status();
-    if (run.value() > n - i) return Status::DataLoss("delta run overflow");
-    for (uint64_t r = 0; r < run.value(); ++r, ++i) out_data[i] = ref_data[i];
-    if (q.value() == 0) {
+    const uint64_t run = reader.ReadVarint();
+    const int64_t q = reader.ReadSignedVarint();
+    if (!reader.ok()) return reader.status();
+    if (run > n - i) return Status::DataLoss("delta run overflow");
+    for (uint64_t r = 0; r < run; ++r, ++i) out_data[i] = ref_data[i];
+    if (q == 0) {
       // Sentinel: remaining pixels (if any) are unchanged.
       for (; i < n; ++i) out_data[i] = ref_data[i];
       break;
     }
     if (i >= n) return Status::DataLoss("delta value past frame end");
-    int v = ref_data[i] + static_cast<int>(q.value()) * step;
+    // A level is a delta of 8-bit samples over a step of at least 1.
+    if (q < -255 || q > 255) return Status::DataLoss("delta level too large");
+    int v = ref_data[i] + static_cast<int>(q) * step;
     if (v < 0) v = 0;
     if (v > 255) v = 255;
     out_data[i] = static_cast<uint8_t>(v);

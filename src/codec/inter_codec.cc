@@ -7,16 +7,18 @@
 #include "base/buffer_pool.h"
 #include "base/logging.h"
 #include "base/work_pool.h"
-#include "codec/bitio.h"
 #include "codec/block_transform.h"
 #include "codec/intra_codec.h"
 #include "codec/simd/kernels.h"
+#include "codec/varint.h"
 
 namespace avdb {
 
 namespace {
 
 constexpr int kMacroblock = 16;
+// Largest search_range Encode accepts, and so the largest vector component.
+constexpr int kMaxSearchRange = 64;
 
 struct MotionVector {
   int dx = 0;
@@ -171,7 +173,7 @@ Buffer EncodePFrame(const VideoFrame& cur, const VideoFrame& recon_ref,
   // Not pooled: the finished buffer escapes into the EncodedVideo result
   // and is owned by the caller, so its storage never comes back to the
   // pool. Leasing it would bleed pool capacity every frame.
-  BitWriter writer;
+  VarintWriter writer;
   for (const auto& mv : mvs) {
     writer.WriteSignedVarint(mv.dx);
     writer.WriteSignedVarint(mv.dy);
@@ -207,16 +209,19 @@ Result<VideoFrame> DecodePFrame(const Buffer& data,
   const int mb_cols = (width + kMacroblock - 1) / kMacroblock;
   const int mb_rows = (height + kMacroblock - 1) / kMacroblock;
 
-  BitReader reader(data);
+  VarintReader reader(data);
   std::vector<MotionVector> mvs(static_cast<size_t>(mb_cols) * mb_rows);
   for (auto& mv : mvs) {
-    auto dx = reader.ReadSignedVarint();
-    if (!dx.ok()) return dx.status();
-    auto dy = reader.ReadSignedVarint();
-    if (!dy.ok()) return dy.status();
-    mv.dx = static_cast<int>(dx.value());
-    mv.dy = static_cast<int>(dy.value());
+    const int64_t dx = reader.ReadSignedVarint();
+    const int64_t dy = reader.ReadSignedVarint();
+    // The encoder's search never leaves ±kMaxSearchRange.
+    if (dx < -kMaxSearchRange || dx > kMaxSearchRange ||
+        dy < -kMaxSearchRange || dy > kMaxSearchRange) {
+      return Status::DataLoss("motion vector out of range");
+    }
+    mv = {static_cast<int>(dx), static_cast<int>(dy)};
   }
+  if (!reader.ok()) return reader.status();
 
   VideoFrame out(width, height, recon_ref.depth_bits());
   BufferPool::BytesLease pred(&pool, pixels);
@@ -334,7 +339,7 @@ Result<EncodedVideo> InterCodec::Encode(const VideoValue& value,
   if (params.gop_size < 1) {
     return Status::InvalidArgument("gop_size must be >= 1");
   }
-  if (params.search_range < 1 || params.search_range > 64) {
+  if (params.search_range < 1 || params.search_range > kMaxSearchRange) {
     return Status::InvalidArgument("search_range must be in [1, 64]");
   }
   EncodedVideo out;

@@ -4,9 +4,9 @@
 
 #include "base/buffer_pool.h"
 #include "base/work_pool.h"
-#include "codec/bitio.h"
 #include "codec/block_transform.h"
 #include "codec/simd/kernels.h"
+#include "codec/varint.h"
 
 namespace avdb {
 
@@ -60,7 +60,7 @@ Buffer EncodePlaneBits(const VideoFrame& frame, int p, int quality,
   const PlaneView plane = frame.plane(p);
   BufferPool::I16Lease centered(&pool, plane.size());
   k.u8_to_i16_center(plane.data(), centered->data(), plane.size());
-  BitWriter writer(pool.AcquireBuffer(plane.size() / 2));
+  VarintWriter writer(pool.AcquireBuffer(plane.size() / 2));
   if (recon == nullptr) {
     block_transform::EncodePlane(centered->data(), frame.width(),
                                  frame.height(), quality, &writer);
@@ -79,7 +79,7 @@ Buffer EncodePlaneBits(const VideoFrame& frame, int p, int quality,
 /// are disjoint storage, so concurrent plane tasks never alias).
 Status DecodePlaneBits(const uint8_t* bits, size_t size, int p, int quality,
                        VideoFrame* frame) {
-  BitReader reader(bits, size);
+  VarintReader reader(bits, size);
   BufferPool& pool = BufferPool::Shared();
   BufferPool::I16Lease centered(&pool, frame->plane_size());
   AVDB_RETURN_IF_ERROR(block_transform::DecodePlaneInto(

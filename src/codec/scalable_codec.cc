@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "base/work_pool.h"
-#include "codec/bitio.h"
 #include "codec/block_transform.h"
 #include "codec/simd/kernels.h"
+#include "codec/varint.h"
 
 namespace avdb {
 
@@ -53,38 +53,56 @@ PlaneI16 Downsample2(const PlaneI16& src) {
   return out;
 }
 
-// Bilinear upsample to an exact target geometry.
+// Bilinear upsample to an exact target geometry. A sample's taps (the two
+// source samples it lies between, the second clamped to the edge, and
+// their weights) depend only on the geometry, so the column taps are
+// computed once per call and the row taps once per row. Each sample still
+// evaluates the same double expression, in the same order.
 PlaneI16 UpsampleTo(const PlaneI16& src, int width, int height) {
+  struct Tap {
+    int i0, i1;
+    double w0, w1;  // w0 = 1 - w1
+  };
+  const auto tap_at = [](int i, int n, int src_n) {
+    const double f =
+        n > 1 ? static_cast<double>(i) * (src_n - 1) / (n - 1) : 0.0;
+    const int i0 = static_cast<int>(f);
+    return Tap{i0, i0 + 1 < src_n ? i0 + 1 : i0, 1 - (f - i0), f - i0};
+  };
   PlaneI16 out{width, height,
                std::vector<int16_t>(static_cast<size_t>(width) * height)};
   if (src.width == 0 || src.height == 0) return out;
+  std::vector<Tap> cols(static_cast<size_t>(width));
+  for (int x = 0; x < width; ++x) cols[x] = tap_at(x, width, src.width);
   for (int y = 0; y < height; ++y) {
-    const double fy = height > 1
-                          ? static_cast<double>(y) * (src.height - 1) /
-                                (height - 1 == 0 ? 1 : height - 1)
-                          : 0.0;
-    const int y0 = static_cast<int>(fy);
-    const int y1 = y0 + 1 < src.height ? y0 + 1 : y0;
-    const double wy = fy - y0;
+    const Tap row = tap_at(y, height, src.height);
+    const int16_t* r0 = &src.data[static_cast<size_t>(row.i0) * src.width];
+    const int16_t* r1 = &src.data[static_cast<size_t>(row.i1) * src.width];
+    int16_t* dst = &out.data[static_cast<size_t>(y) * width];
     for (int x = 0; x < width; ++x) {
-      const double fx = width > 1
-                            ? static_cast<double>(x) * (src.width - 1) /
-                                  (width - 1 == 0 ? 1 : width - 1)
-                            : 0.0;
-      const int x0 = static_cast<int>(fx);
-      const int x1 = x0 + 1 < src.width ? x0 + 1 : x0;
-      const double wx = fx - x0;
-      const double v00 = src.data[static_cast<size_t>(y0) * src.width + x0];
-      const double v01 = src.data[static_cast<size_t>(y0) * src.width + x1];
-      const double v10 = src.data[static_cast<size_t>(y1) * src.width + x0];
-      const double v11 = src.data[static_cast<size_t>(y1) * src.width + x1];
-      const double v = v00 * (1 - wx) * (1 - wy) + v01 * wx * (1 - wy) +
-                       v10 * (1 - wx) * wy + v11 * wx * wy;
-      out.data[static_cast<size_t>(y) * width + x] =
-          static_cast<int16_t>(v >= 0 ? v + 0.5 : v - 0.5);
+      const Tap& col = cols[x];
+      const double v00 = r0[col.i0];
+      const double v01 = r0[col.i1];
+      const double v10 = r1[col.i0];
+      const double v11 = r1[col.i1];
+      const double v = v00 * col.w0 * row.w0 + v01 * col.w1 * row.w0 +
+                       v10 * col.w0 * row.w1 + v11 * col.w1 * row.w1;
+      dst[x] = static_cast<int16_t>(v >= 0 ? v + 0.5 : v - 0.5);
     }
   }
   return out;
+}
+
+// Bytes a decode of `layers` layers reads from one stored frame: the base
+// layers and the first (layers - 1) * planes enhancement layers.
+int64_t FrameBytesAtLayers(const EncodedFrame& ef, int planes, int layers) {
+  int64_t bytes = static_cast<int64_t>(ef.data.size());
+  const size_t n = std::min(ef.layers.size(),
+                            static_cast<size_t>((layers - 1) * planes));
+  for (size_t i = 0; i < n; ++i) {
+    bytes += static_cast<int64_t>(ef.layers[i].size());
+  }
+  return bytes;
 }
 
 // Geometry of layer `L` (0-based) for a full size `full`: full >> (2-L).
@@ -113,7 +131,7 @@ std::vector<Buffer> EncodePlaneLayers(const PlaneI16& full, int layer_count,
   for (int l = 0; l < layer_count; ++l) {
     const PlaneI16& target = pyramid[static_cast<size_t>(l)];
     const size_t n = target.data.size();
-    BitWriter writer;
+    VarintWriter writer;
     PlaneI16 new_recon{target.width, target.height, std::vector<int16_t>(n)};
     if (l == 0) {
       // EncodePlane hands back the decoder-exact reconstruction, so no
@@ -182,7 +200,7 @@ Result<PlaneI16> DecodePlaneLayers(const std::vector<LayerBits>& bits,
                       stored_layers;
     const int w = LayerDim(full_width, layer);
     const int h = LayerDim(full_height, layer);
-    BitReader reader(bits[l].data, bits[l].size);
+    VarintReader reader(bits[l].data, bits[l].size);
     PlaneI16 decoded{w, h, std::vector<int16_t>(static_cast<size_t>(w) * h)};
     AVDB_RETURN_IF_ERROR(block_transform::DecodePlaneInto(
         w, h, quality, &reader, decoded.data.data()));
@@ -193,6 +211,9 @@ Result<PlaneI16> DecodePlaneLayers(const std::vector<LayerBits>& bits,
     }
     recon = std::move(decoded);
   }
+  // At full size every tap weight is exactly 0, so the upsample would
+  // copy `recon` sample for sample.
+  if (recon.width == full_width && recon.height == full_height) return recon;
   return UpsampleTo(recon, full_width, full_height);
 }
 
@@ -321,16 +342,9 @@ Result<int64_t> ScalableCodec::BytesPerFrameAtLayers(const EncodedVideo& video,
   if (layers < 1 || layers > video.params.layer_count) {
     return Status::InvalidArgument("requested layer count not stored");
   }
-  const int planes = video.raw_type.depth_bits() / 8;
   int64_t total = 0;
   for (const auto& ef : video.frames) {
-    total += static_cast<int64_t>(ef.data.size());
-    for (int l = 1; l < layers; ++l) {
-      for (int p = 0; p < planes; ++p) {
-        total += static_cast<int64_t>(
-            ef.layers[static_cast<size_t>(l - 1) * planes + p].size());
-      }
-    }
+    total += FrameBytesAtLayers(ef, video.raw_type.depth_bits() / 8, layers);
   }
   return total / static_cast<int64_t>(video.frames.size());
 }
@@ -375,16 +389,8 @@ int64_t ScalableVideoView::StoredBytes() const {
 
 int64_t ScalableVideoView::StoredFrameBytes(int64_t index) const {
   if (index < 0 || index >= ElementCount()) return 0;
-  const EncodedFrame& ef = video_.frames[static_cast<size_t>(index)];
-  const int planes = video_.raw_type.depth_bits() / 8;
-  int64_t bytes = static_cast<int64_t>(ef.data.size());
-  for (int l = 1; l < layers_; ++l) {
-    for (int p = 0; p < planes; ++p) {
-      bytes += static_cast<int64_t>(
-          ef.layers[static_cast<size_t>(l - 1) * planes + p].size());
-    }
-  }
-  return bytes;
+  return FrameBytesAtLayers(video_.frames[static_cast<size_t>(index)],
+                            video_.raw_type.depth_bits() / 8, layers_);
 }
 
 std::string ScalableVideoView::Describe() const {
@@ -396,14 +402,10 @@ std::string ScalableVideoView::Describe() const {
 int ScalableCodec::LayersForResolution(const MediaDataType& stored,
                                        int req_width, int req_height) {
   for (int layers = 1; layers <= kMaxLayers; ++layers) {
-    const int shift = kMaxLayers - layers;
-    int w = stored.width();
-    int h = stored.height();
-    for (int i = 0; i < shift; ++i) {
-      w = (w + 1) / 2;
-      h = (h + 1) / 2;
+    if (LayerDim(stored.width(), layers - 1) >= req_width &&
+        LayerDim(stored.height(), layers - 1) >= req_height) {
+      return layers;
     }
-    if (w >= req_width && h >= req_height) return layers;
   }
   return kMaxLayers;
 }

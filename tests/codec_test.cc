@@ -10,7 +10,6 @@
 #include "base/buffer.h"
 #include "base/rng.h"
 #include "codec/audio_codec.h"
-#include "codec/bitio.h"
 #include "codec/block_transform.h"
 #include "codec/delta_codec.h"
 #include "codec/encoded_value.h"
@@ -18,6 +17,7 @@
 #include "codec/intra_codec.h"
 #include "codec/registry.h"
 #include "codec/scalable_codec.h"
+#include "codec/varint.h"
 #include "media/synthetic.h"
 
 namespace avdb {
@@ -28,36 +28,40 @@ using synthetic::GenerateAudio;
 using synthetic::GenerateVideo;
 using synthetic::VideoPattern;
 
-// ------------------------------------------------------------------ BitIO --
+// ----------------------------------------------------------------- Varint --
 
-TEST(BitIoTest, BitsRoundTrip) {
-  BitWriter w;
-  w.WriteBits(0b101, 3);
-  w.WriteBits(0xFFFF, 16);
-  w.WriteBits(0, 1);
-  w.WriteBits(0x12345, 20);
-  Buffer buf = w.Finish();
-  BitReader r(buf);
-  EXPECT_EQ(r.ReadBits(3).value(), 0b101u);
-  EXPECT_EQ(r.ReadBits(16).value(), 0xFFFFu);
-  EXPECT_EQ(r.ReadBits(1).value(), 0u);
-  EXPECT_EQ(r.ReadBits(20).value(), 0x12345u);
+// A read past the end fails with DataLoss and returns 0.
+TEST(VarintReaderTest, UnderrunIsDataLoss) {
+  VarintWriter w;
+  w.WriteVarint(5);
+  w.WriteVarint(300);  // two bytes
+  const Buffer buf = w.Finish();
+  VarintReader r(buf.data(), buf.size() - 1);
+  EXPECT_EQ(r.ReadVarint(), 5u);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.ReadVarint(), 0u);
+  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
 }
 
-TEST(BitIoTest, UnderrunIsDataLoss) {
-  BitWriter w;
-  w.WriteBits(1, 1);
-  Buffer buf = w.Finish();
-  BitReader r(buf);
-  ASSERT_TRUE(r.ReadBits(8).ok());  // padded byte
-  EXPECT_EQ(r.ReadBits(8).status().code(), StatusCode::kDataLoss);
+// A varint longer than ten bytes fails, and the error sticks: the valid
+// varints after it read as 0.
+TEST(VarintReaderTest, OverlongVarintIsDataLossAndSticks) {
+  Buffer buf;
+  for (size_t i = 0; i < kMaxVarintBytes; ++i) buf.AppendU8(0x80);
+  for (size_t i = 0; i < kMaxVarintBytes + 2; ++i) buf.AppendU8(0x07);
+  VarintReader r(buf);
+  EXPECT_EQ(r.ReadVarint(), 0u);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.ReadVarint(), 0u);
+  EXPECT_EQ(r.ReadSignedVarint(), 0);
+  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
 }
 
 class VarintPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(VarintPropertyTest, SignedAndUnsignedRoundTrip) {
   Rng rng(GetParam());
-  BitWriter w;
+  VarintWriter w;
   std::vector<uint64_t> unsigned_vals;
   std::vector<int64_t> signed_vals;
   for (int i = 0; i < 200; ++i) {
@@ -70,11 +74,12 @@ TEST_P(VarintPropertyTest, SignedAndUnsignedRoundTrip) {
     w.WriteSignedVarint(s);
   }
   Buffer buf = w.Finish();
-  BitReader r(buf);
+  VarintReader r(buf);
   for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(r.ReadVarint().value(), unsigned_vals[i]);
-    EXPECT_EQ(r.ReadSignedVarint().value(), signed_vals[i]);
+    EXPECT_EQ(r.ReadVarint(), unsigned_vals[i]);
+    EXPECT_EQ(r.ReadSignedVarint(), signed_vals[i]);
   }
+  EXPECT_TRUE(r.ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VarintPropertyTest,
@@ -115,12 +120,12 @@ TEST(BlockTransformTest, PlaneRoundTripAtHighQuality) {
   for (int y = 0; y < h; ++y) {
     for (int x = 0; x < w; ++x) plane[y * w + x] = static_cast<int16_t>((x * 9 + y * 5) % 200 - 100);
   }
-  BitWriter writer;
+  VarintWriter writer;
   std::vector<int16_t> recon(w * h);
   block_transform::EncodePlane(plane.data(), w, h, 100, &writer,
                                recon.data());
   Buffer bits = writer.Finish();
-  BitReader reader(bits);
+  VarintReader reader(bits);
   std::vector<int16_t> decoded(w * h);
   ASSERT_TRUE(
       block_transform::DecodePlaneInto(w, h, 100, &reader, decoded.data())
@@ -134,19 +139,17 @@ TEST(BlockTransformTest, PlaneRoundTripAtHighQuality) {
 
 TEST(BlockTransformTest, TruncatedStreamFailsCleanly) {
   std::vector<int16_t> plane(64, 50);
-  BitWriter writer;
+  VarintWriter writer;
   block_transform::EncodePlane(plane.data(), 8, 8, 75, &writer);
   Buffer bits = writer.Finish();
   Buffer truncated;
   truncated.AppendBytes(bits.data(), bits.size() / 2);
-  BitReader reader(truncated);
+  VarintReader reader(truncated);
   std::vector<int16_t> decoded(64);
   const Status status =
       block_transform::DecodePlaneInto(8, 8, 75, &reader, decoded.data());
-  // Either decodes by luck of padding or fails with DataLoss — never crashes.
-  if (!status.ok()) {
-    EXPECT_EQ(status.code(), StatusCode::kDataLoss);
-  }
+  // A varint stream has no padding, so a cut one never decodes by luck.
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
 }
 
 // ------------------------------------------------------------ Video codecs --
@@ -271,6 +274,41 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<KnownAnswer>& info) {
       return std::string(EncodingFamilyName(info.param.family));
     });
+
+// The scalable decoder at fewer layers than stored, on the same clip: the
+// only decodes whose last layer is upsampled to full size.
+TEST(ScalableKnownAnswerTest, FewerLayerFramesMatchAtEveryConcurrency) {
+  constexpr int64_t kFrames = 26;
+  const auto type = MediaDataType::RawVideo(50, 38, 24, Rational(10));
+  auto video = GenerateVideo(type, kFrames, VideoPattern::kMovingBox).value();
+  const struct {
+    int layers;
+    uint64_t frames_hash;
+  } answers[] = {{1, 0xf0ab509e7a0ee412}, {2, 0xfd132ccf524c1511}};
+  ScalableCodec codec;
+  for (int concurrency : {1, 4}) {
+    VideoCodecParams params;
+    params.quality = 70;
+    params.layer_count = 3;
+    params.concurrency = concurrency;
+    auto encoded = codec.Encode(*video, params);
+    ASSERT_TRUE(encoded.ok());
+    for (const auto& answer : answers) {
+      auto range = codec.NewDecoderWithLayers(encoded.value(), answer.layers)
+                       .value()
+                       ->DecodeRange(0, kFrames);
+      ASSERT_TRUE(range.ok());
+      std::vector<uint8_t> planes;
+      for (const VideoFrame& frame : range.value()) {
+        planes.insert(planes.end(), frame.data().begin(), frame.data().end());
+      }
+      EXPECT_EQ(FastHash64(planes.data(), planes.size()), answer.frames_hash)
+          << std::hex << "frames 0x"
+          << FastHash64(planes.data(), planes.size()) << std::dec << " at "
+          << answer.layers << " layers, concurrency " << concurrency;
+    }
+  }
+}
 
 TEST(IntraCodecTest, EveryFrameIsAccessPoint) {
   const auto type = MediaDataType::RawVideo(16, 16, 8, Rational(10));

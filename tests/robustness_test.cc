@@ -13,8 +13,12 @@
 #include "base/retry.h"
 #include "base/rng.h"
 #include "codec/audio_codec.h"
+#include "codec/delta_codec.h"
+#include "codec/inter_codec.h"
+#include "codec/intra_codec.h"
 #include "codec/registry.h"
 #include "codec/scalable_codec.h"
+#include "codec/varint.h"
 #include "db/database.h"
 #include "media/synthetic.h"
 #include "sched/degradation.h"
@@ -147,6 +151,101 @@ TEST(CorruptionTest, StoreDetectsBitrotViaChecksum) {
   auto read = store.Get("clip");
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
+}
+
+// Hand-built streams whose varints decode to extreme values. Random byte
+// flips almost never form a five-byte varint above 2^31, so CorruptionTest
+// cannot reach these; each was a crash or undefined behaviour before its
+// decoder range-checked the value.
+
+// An intra frame of one 8-bit plane whose entropy-coded bits are `bits`.
+Buffer OnePlaneIntraFrame(VarintWriter bits) {
+  const Buffer plane = bits.Finish();
+  Buffer frame;
+  frame.AppendU32(static_cast<uint32_t>(plane.size()));
+  frame.AppendBuffer(plane);
+  return frame;
+}
+
+TEST(CorruptStreamTest, AcRunPastBlockEndIsDataLoss) {
+  VarintWriter bits;
+  bits.WriteSignedVarint(0);     // DC delta
+  bits.WriteVarint(0xFFFFFFF0);  // a run that wraps to -16 as an int
+  bits.WriteSignedVarint(1);
+  bits.WriteVarint(0x3F);  // end of block
+  auto frame = IntraCodec::DecodeFrame(OnePlaneIntraFrame(std::move(bits)), 8,
+                                       8, 8, 75);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(CorruptStreamTest, DcPredictorOverflowIsDataLoss) {
+  VarintWriter bits;
+  for (int block = 0; block < 2; ++block) {
+    bits.WriteSignedVarint(INT32_MAX);  // the second sum leaves int32
+    bits.WriteVarint(0x3F);
+  }
+  auto frame = IntraCodec::DecodeFrame(OnePlaneIntraFrame(std::move(bits)),
+                                       16, 8, 8, 75);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(CorruptStreamTest, MotionVectorOutOfRangeIsDataLoss) {
+  const auto type = MediaDataType::RawVideo(16, 16, 8, Rational(10));
+  auto raw = GenerateVideo(type, 2, VideoPattern::kMovingBox).value();
+  VideoCodecParams params;
+  params.gop_size = 2;
+  auto video = InterCodec().Encode(*raw, params).value();
+  ASSERT_FALSE(video.frames[1].is_intra);
+  VarintWriter bits;
+  bits.WriteSignedVarint(INT32_MAX);  // the one macroblock's dx and dy
+  bits.WriteSignedVarint(INT32_MAX);
+  for (int block = 0; block < 4; ++block) {  // an all-zero residual
+    bits.WriteSignedVarint(0);
+    bits.WriteVarint(0x3F);
+  }
+  video.frames[1].data = bits.Finish();
+  auto session = InterCodec().NewDecoder(video).value();
+  ASSERT_TRUE(session->DecodeFrame(0).ok());
+  auto frame = session->DecodeFrame(1);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(CorruptStreamTest, DeltaLevelOutOfRangeIsDataLoss) {
+  EncodedVideo video;
+  video.raw_type = MediaDataType::RawVideo(4, 4, 8, Rational(10));
+  video.family = EncodingFamily::kDelta;
+  video.params.quality = 80;
+  ASSERT_EQ(DeltaCodec::StepForQuality(80), 4);
+  VarintWriter bits;
+  bits.WriteVarint(0);               // run
+  bits.WriteSignedVarint(1 << 30);   // level * step overflows int
+  bits.WriteVarint(0);
+  bits.WriteSignedVarint(0);         // end of frame
+  EncodedFrame ef;
+  ef.data = bits.Finish();
+  video.frames.push_back(std::move(ef));
+  auto frame = DeltaCodec().NewDecoder(video).value()->DecodeFrame(0);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
+}
+
+// A stored frame's layer list need not match params.layer_count: byte
+// counts cover the layers it has, and decoding the missing ones fails.
+TEST(CorruptStreamTest, MissingEnhancementLayersAreDataLoss) {
+  const auto type = MediaDataType::RawVideo(16, 16, 8, Rational(10));
+  auto raw = GenerateVideo(type, 1, VideoPattern::kMovingBox).value();
+  VideoCodecParams params;
+  params.layer_count = 3;
+  auto video = ScalableCodec().Encode(*raw, params).value();
+  video.frames[0].layers = {};
+  EXPECT_EQ(ScalableCodec::BytesPerFrameAtLayers(video, 3).value(),
+            static_cast<int64_t>(video.frames[0].data.size()));
+  auto frame = ScalableCodec().NewDecoder(video).value()->DecodeFrame(0);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
 }
 
 // ----------------------------------------------------- cross-module invariants --

@@ -6,14 +6,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
-#include "codec/bitio.h"
 #include "codec/block_transform.h"
 #include "codec/simd/kernels.h"
+#include "codec/varint.h"
 
 namespace avdb {
 namespace {
@@ -102,6 +103,27 @@ TEST(SimdKernels, IdctMatchesScalarOnHostileInt32Range) {
       ASSERT_EQ(0, std::memcmp(want, got, sizeof(want)))
           << "idct mismatch at " << KernelLevelName(level) << " iter "
           << iter;
+    }
+  }
+}
+
+TEST(SimdKernels, ZeroBlockDequantizesAndTransformsToZero) {
+  // DecodePlaneInto stores zeros for an all-zero block instead of running
+  // dequantize and the IDCT; that is exact because both map zero to zero.
+  KernelGuard guard;
+  for (KernelLevel level : simd::AvailableKernelLevels()) {
+    ASSERT_TRUE(simd::ForceKernelsForTest(level));
+    const CodecKernels& k = simd::ActiveKernels();
+    for (int quality : {1, 50, 100}) {
+      int32_t coeffs[kBlockArea] = {};
+      k.dequantize(coeffs, block_transform::QualityQuantTable(quality));
+      int16_t out[kBlockArea];
+      std::fill(std::begin(out), std::end(out), int16_t{0x55});
+      k.idct8x8(coeffs, out);
+      for (int i = 0; i < kBlockArea; ++i) {
+        ASSERT_EQ(coeffs[i], 0) << KernelLevelName(level) << " q" << quality;
+        ASSERT_EQ(out[i], 0) << KernelLevelName(level) << " i=" << i;
+      }
     }
   }
 }
@@ -260,11 +282,11 @@ TEST(SimdKernels, PlaneStreamsAreByteIdenticalAcrossLevels) {
     }
     for (int quality : {25, 85}) {
       ASSERT_TRUE(simd::ForceKernelsForTest(KernelLevel::kScalar));
-      BitWriter ref_writer;
+      VarintWriter ref_writer;
       block_transform::EncodePlane(plane.data(), shape.width, shape.height,
                                    quality, &ref_writer);
       const Buffer ref_bytes = ref_writer.Finish();
-      BitReader ref_reader(ref_bytes);
+      VarintReader ref_reader(ref_bytes);
       std::vector<int16_t> ref_decoded(plane.size());
       ASSERT_TRUE(block_transform::DecodePlaneInto(shape.width, shape.height,
                                                    quality, &ref_reader,
@@ -273,7 +295,7 @@ TEST(SimdKernels, PlaneStreamsAreByteIdenticalAcrossLevels) {
 
       for (KernelLevel level : SimdLevels()) {
         ASSERT_TRUE(simd::ForceKernelsForTest(level));
-        BitWriter writer;
+        VarintWriter writer;
         std::vector<int16_t> recon(plane.size());
         block_transform::EncodePlane(plane.data(), shape.width, shape.height,
                                      quality, &writer, recon.data());
@@ -285,7 +307,7 @@ TEST(SimdKernels, PlaneStreamsAreByteIdenticalAcrossLevels) {
                   std::memcmp(ref_bytes.data(), bytes.data(), bytes.size()))
             << "encoded stream differs at " << KernelLevelName(level) << " "
             << shape.width << "x" << shape.height << " q" << quality;
-        BitReader reader(bytes);
+        VarintReader reader(bytes);
         std::vector<int16_t> decoded(plane.size());
         ASSERT_TRUE(block_transform::DecodePlaneInto(
                         shape.width, shape.height, quality, &reader,

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "base/status.h"
-#include "codec/bitio.h"
+#include "codec/varint.h"
 
 namespace avdb {
 

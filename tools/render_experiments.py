@@ -80,8 +80,6 @@ def fig3(doc):
     steps = [
         [f"`select` over {f['catalog']} objects",
          f"{f['hits']} reference, via the equality index"],
-        ["activity creation + admission + bind",
-         f"{f['setup_ms']} ms virtual (CPU-side)"],
         ["time to first presented frame",
          f"{f['first_frame_ms']} ms (= source preroll)"],
         ["stream", f"{f['frames']}/50 frames over {f['stream_s']} s, "
