@@ -119,7 +119,7 @@ RunReport RunSweepPoint(const std::shared_ptr<EncodedVideoValue>& clip,
   DegradationController degrade;
 
   SourceOptions source_options;
-  source_options.store = &store;
+  source_options.fetcher = FetchFrom(&store);
   source_options.blob_name = "clip";
   source_options.device_queue = &queue;
   source_options.degrade = &degrade;
@@ -221,7 +221,7 @@ RevocationReport RunRevocation(const std::shared_ptr<EncodedVideoValue>& clip) {
   DegradationController degrade;
 
   SourceOptions source_options;
-  source_options.store = &store;
+  source_options.fetcher = FetchFrom(&store);
   source_options.blob_name = "clip";
   source_options.device_queue = &queue;
   source_options.degrade = &degrade;

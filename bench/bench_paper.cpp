@@ -107,7 +107,7 @@ VideoSource* UnadmittedSource(AvDatabase& db, const std::string& name,
                               Oid oid) {
   const MediaVersion version = db.MediaHistory(oid, "footage").value().back();
   SourceOptions options;
-  options.store = db.devices().GetStore(version.device).value();
+  options.fetcher = FetchFrom(db.devices().GetStore(version.device).value());
   options.blob_name = version.blob_name;
   options.device_queue = db.DeviceQueue(version.device).value();
   auto source = VideoSource::Create(name, ActivityLocation::kDatabase,
@@ -347,6 +347,8 @@ struct Fig2Trace {
   int64_t degrade_events = 0;
   bool lifecycle = false;  // bind, cue, start and stop spans all present
   bool written = false;
+  /// One line per event: `t_ns ph cat.name actor detail`.
+  std::vector<std::string> timeline;
 };
 
 Fig2Trace TraceFaultedFlow() {
@@ -390,7 +392,7 @@ Fig2Trace TraceFaultedFlow() {
   degrade.BindObservability(&metrics, &tracer, "read");
 
   SourceOptions source_options;
-  source_options.store = &store;
+  source_options.fetcher = FetchFrom(&store);
   source_options.blob_name = "clip";
   source_options.device_queue = &queue;
   source_options.degrade = &degrade;
@@ -421,6 +423,10 @@ Fig2Trace TraceFaultedFlow() {
     ++trace.events;
     if (event.phase == 'B') spans.push_back(event.name);
     if (event.name == "degrade") ++trace.degrade_events;
+    std::string line = std::to_string(event.t_ns) + " " + event.phase + " " +
+                       event.category + "." + event.name + " " + event.actor;
+    if (!event.detail.empty()) line += " " + event.detail;
+    trace.timeline.push_back(std::move(line));
   }
   trace.lifecycle = true;
   for (const char* verb : {"bind", "cue", "start", "stop"}) {
@@ -517,7 +523,8 @@ bench::Object Fig2Flow(bench::Gates& gates) {
           {"fig2_trace", bench::Object{{"frames", trace.frames},
                                        {"events", trace.events},
                                        {"degrade_events",
-                                        trace.degrade_events}}}};
+                                        trace.degrade_events},
+                                       {"timeline", trace.timeline}}}};
 }
 
 // ------------------------------------------------------------ Figure 3 ---
@@ -799,7 +806,7 @@ bench::Object Table1Activities(bench::Gates& gates, bench::Object& host) {
   AVDB_MUST(store.Put("clip", encoded_stream.Serialize()));
 
   SourceOptions reader_options;
-  reader_options.store = &store;
+  reader_options.fetcher = FetchFrom(&store);
   reader_options.blob_name = "clip";
   auto reader = VideoSource::Create("reader", ActivityLocation::kDatabase,
                                     env, reader_options,
@@ -1330,7 +1337,7 @@ bench::Object Cache(bench::Gates& gates) {
     std::vector<std::shared_ptr<VideoWindow>> windows;
     for (int client = 0; client < 2; ++client) {
       SourceOptions options;
-      options.store = &store;
+      options.fetcher = FetchFrom(&store);
       options.blob_name = "clip";
       options.device_queue = &queue;
       options.start_offset = WorldTime::FromSeconds(client * 2);

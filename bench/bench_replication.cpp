@@ -289,7 +289,7 @@ StreamStats RunSingleNode(const std::shared_ptr<EncodedVideoValue>& clip,
       return raw->Fetch(blob_name, offset, length, budget_ns);
     };
   } else {
-    source_options.store = &machine.node->store();
+    source_options.fetcher = FetchFrom(&machine.node->store());
     source_options.device_queue = &machine.node->device_queue();
   }
 

@@ -232,10 +232,7 @@ void MediaActivity::Emit(Port* out, StreamElement element) {
   AVDB_DCHECK(out->direction() == PortDirection::kOut)
       << "emitting on input port " << out->FullName();
   Connection* connection = out->connection();
-  if (connection == nullptr) {
-    ++dropped_elements_;
-    return;
-  }
+  if (connection == nullptr) return;
   connection->CountElement(element.size_bytes);
   int64_t delivery_ns = engine()->now_ns();
   if (connection->channel() != nullptr) {
@@ -264,6 +261,13 @@ void MediaActivity::Emit(Port* out, StreamElement element) {
         }
       });
   receiver->RecordOwnedTimer(h);
+}
+
+void MediaActivity::EmitAt(int64_t t_ns, Port* out, StreamElement element) {
+  ScheduleOwned(t_ns, [this, out, element = std::move(element)] {
+    if (state_ != State::kRunning) return;
+    Emit(out, element);
+  });
 }
 
 TimerHandle MediaActivity::ScheduleOwned(int64_t t_ns,

@@ -105,9 +105,6 @@ class MediaActivity {
 
   // --- events (EventSet) ---------------------------------------------------
 
-  /// Event kinds this activity can raise.
-  const std::vector<std::string>& event_kinds() const { return event_kinds_; }
-
   /// Registers a handler for `kind` (NotFound when the activity does not
   /// declare that kind).
   Status Catch(const std::string& kind, ActivityEventHandler handler);
@@ -161,8 +158,12 @@ class MediaActivity {
 
   /// Sends an element out of `out`: routes through the port's connection
   /// (modeled transfer + jitter) and schedules delivery at the peer. No-op
-  /// with a drop count when the port is unconnected.
+  /// when the port is unconnected.
   void Emit(Port* out, StreamElement element);
+
+  /// Emits `element` on `out` at virtual time `t_ns`, once the activity's
+  /// modeled processing is done: an owned timer, so a stop cancels it.
+  void EmitAt(int64_t t_ns, Port* out, StreamElement element);
 
   /// Subclass hooks behind the public Bind/Cue verbs (non-virtual
   /// interface: the base traces every lifecycle transition exactly once,
@@ -197,8 +198,6 @@ class MediaActivity {
 
   EventEngine* engine() const { return env_.engine; }
 
-  int64_t dropped_elements() const { return dropped_elements_; }
-
  private:
   friend class ActivityGraph;
 
@@ -216,7 +215,6 @@ class MediaActivity {
   std::vector<std::string> event_kinds_;
   std::multimap<std::string, ActivityEventHandler> handlers_;
   std::vector<TimerHandle> owned_timers_;
-  int64_t dropped_elements_ = 0;
   int64_t events_raised_ = 0;
   int64_t run_span_id_ = 0;  ///< open "run" trace span while running
   /// Exports `events_raised_`; the elements and bytes sent through Emit

@@ -7,61 +7,101 @@ namespace avdb {
 
 namespace {
 
-/// Lateness of an element: positive when it arrived after its ideal time.
-int64_t LatenessNs(const EventEngine& engine, const StreamElement& element) {
-  return engine.now_ns() - element.ideal_time_ns;
-}
-
-/// Presentation instant: early elements wait for their slot, late ones show
-/// immediately — a sink "presents at max(arrival, ideal)".
-int64_t PresentationNs(const EventEngine& engine,
-                       const StreamElement& element) {
-  return std::max(engine.now_ns(), element.ideal_time_ns);
-}
-
-/// Reports one presentation to the sync controller. A failed report means
-/// the track was revoked mid-stream (SyncController::RemoveTrack); the
-/// sink detaches from sync — presentation itself continues untouched —
-/// rather than paying a dead lookup and swallowing the error per element.
-void ReportSyncOrDetach(SinkOptions* options, const std::string& sink_name,
-                        int64_t ideal_ns, int64_t actual_ns) {
-  if (options->sync == nullptr || options->sync_track.empty()) return;
-  const Status reported =
-      options->sync->Report(options->sync_track, ideal_ns, actual_ns);
-  if (!reported.ok()) {
-    AVDB_LOG(Warning) << "sink " << sink_name
-                      << " detaching from revoked sync track: " << reported;
-    options->sync = nullptr;
+/// Serializes a writer's captured value into `store` as `blob_name` at end
+/// of stream; a writer without a store keeps it in memory only.
+void Persist(const MediaValue& captured, MediaStore* store,
+             const std::string& blob_name, const std::string& writer) {
+  if (store == nullptr || blob_name.empty()) return;
+  auto blob = value_serializer::Serialize(captured);
+  if (!blob.ok()) {
+    AVDB_LOG(Error) << writer << ": serialize failed: " << blob.status();
+    return;
+  }
+  auto put = store->Put(blob_name, blob.value());
+  if (!put.ok()) {
+    AVDB_LOG(Error) << writer << ": persist failed: " << put.status();
   }
 }
 
 }  // namespace
 
-// -------------------------------------------------------------- VideoWindow --
+// ----------------------------------------------------------- PresentingSink --
 
-VideoWindow::VideoWindow(const std::string& name, ActivityLocation location,
-                         ActivityEnv env, VideoQuality quality,
-                         SinkOptions options)
+PresentingSink::PresentingSink(const std::string& name,
+                               ActivityLocation location, ActivityEnv env,
+                               SinkOptions options, const char* port,
+                               MediaDataType port_type,
+                               const char* each_event, const char* last_event)
     : MediaActivity(name, location, env),
-      quality_(quality),
-      options_(options) {
-  in_ = DeclarePort(kPortIn, PortDirection::kIn,
-                    MediaDataType::RawVideo(quality.width(), quality.height(),
-                                            quality.depth_bits(),
-                                            quality.rate()));
-  DeclareEvent(kEachFrame);
-  DeclareEvent(kLastFrame);
+      options_(options),
+      each_event_(each_event),
+      last_event_(last_event) {
+  in_ = DeclarePort(port, PortDirection::kIn, std::move(port_type));
+  if (each_event_ != nullptr) DeclareEvent(each_event_);
+  if (last_event_ != nullptr) DeclareEvent(last_event_);
   stats_.BindTo(env.metrics);
   if (options_.degrade != nullptr) {
     options_.degrade->AttachStreamStats(&stats_);
   }
 }
 
-VideoWindow::~VideoWindow() {
+PresentingSink::~PresentingSink() {
   if (options_.degrade != nullptr) {
     options_.degrade->DetachStreamStats(&stats_);
   }
 }
+
+Status PresentingSink::ConfigureSync(SyncController* sync,
+                                     const std::string& track) {
+  sync_ = sync;
+  sync_track_ = track;
+  return Status::OK();
+}
+
+void PresentingSink::OnElement(Port* in, const StreamElement& element) {
+  AVDB_DCHECK(in == in_);
+  if (element.end_of_stream) {
+    if (last_event_ != nullptr) Raise(last_event_, element.index);
+    SelfStop();
+    return;
+  }
+  if (!Show(element)) {
+    AVDB_LOG(Error) << name() << ": element without payload";
+    return;
+  }
+  // Early elements wait for their slot, late ones show immediately.
+  const int64_t now_ns = engine()->now_ns();
+  const int64_t lateness_ns = now_ns - element.ideal_time_ns;
+  const int64_t presented_ns = std::max(now_ns, element.ideal_time_ns);
+  stats_.Record(presented_ns, lateness_ns, element.size_bytes);
+  if (options_.degrade != nullptr) {
+    options_.degrade->ReportLateness(now_ns, lateness_ns);
+  }
+  ReportSyncOrDetach(element.ideal_time_ns, presented_ns);
+  if (each_event_ != nullptr) Raise(each_event_, element.index);
+}
+
+void PresentingSink::ReportSyncOrDetach(int64_t ideal_ns, int64_t actual_ns) {
+  if (sync_ == nullptr || sync_track_.empty()) return;
+  const Status reported = sync_->Report(sync_track_, ideal_ns, actual_ns);
+  if (!reported.ok()) {
+    AVDB_LOG(Warning) << "sink " << name()
+                      << " detaching from revoked sync track: " << reported;
+    sync_ = nullptr;
+  }
+}
+
+// -------------------------------------------------------------- VideoWindow --
+
+VideoWindow::VideoWindow(const std::string& name, ActivityLocation location,
+                         ActivityEnv env, VideoQuality quality,
+                         SinkOptions options)
+    : PresentingSink(name, location, env, options, kPortIn,
+                     MediaDataType::RawVideo(quality.width(), quality.height(),
+                                             quality.depth_bits(),
+                                             quality.rate()),
+                     kEachFrame, kLastFrame),
+      quality_(quality) {}
 
 std::shared_ptr<VideoWindow> VideoWindow::Create(const std::string& name,
                                                  ActivityLocation location,
@@ -72,33 +112,10 @@ std::shared_ptr<VideoWindow> VideoWindow::Create(const std::string& name,
       new VideoWindow(name, location, env, quality, options));
 }
 
-void VideoWindow::OnElement(Port* in, const StreamElement& element) {
-  AVDB_DCHECK(in == in_);
-  if (element.end_of_stream) {
-    Raise(kLastFrame, element.index);
-    SelfStop();
-    return;
-  }
-  if (element.frame == nullptr) {
-    AVDB_LOG(Error) << name() << ": element without frame payload";
-    return;
-  }
-  const int64_t lateness = LatenessNs(*engine(), element);
-  stats_.Record(PresentationNs(*engine(), element), lateness, element.size_bytes);
-  if (options_.degrade != nullptr) {
-    options_.degrade->ReportLateness(engine()->now_ns(), lateness);
-  }
+bool VideoWindow::Show(const StreamElement& element) {
+  if (element.frame == nullptr) return false;
   last_frame_ = *element.frame;
-  ReportSyncOrDetach(&options_, name(), element.ideal_time_ns,
-                     std::max(engine()->now_ns(), element.ideal_time_ns));
-  Raise(kEachFrame, element.index);
-}
-
-Status VideoWindow::ConfigureSync(SyncController* sync,
-                                  const std::string& track) {
-  options_.sync = sync;
-  options_.sync_track = track;
-  return Status::OK();
+  return true;
 }
 
 // ---------------------------------------------------------------- AudioSink --
@@ -106,25 +123,11 @@ Status VideoWindow::ConfigureSync(SyncController* sync,
 AudioSink::AudioSink(const std::string& name, ActivityLocation location,
                      ActivityEnv env, AudioQuality quality,
                      SinkOptions options)
-    : MediaActivity(name, location, env),
-      quality_(quality),
-      options_(options) {
-  in_ = DeclarePort(kPortIn, PortDirection::kIn,
-                    MediaDataType::RawAudio(AudioQualityChannels(quality),
-                                            AudioQualitySampleRate(quality)));
-  DeclareEvent(kEachBlock);
-  DeclareEvent(kLastBlock);
-  stats_.BindTo(env.metrics);
-  if (options_.degrade != nullptr) {
-    options_.degrade->AttachStreamStats(&stats_);
-  }
-}
-
-AudioSink::~AudioSink() {
-  if (options_.degrade != nullptr) {
-    options_.degrade->DetachStreamStats(&stats_);
-  }
-}
+    : PresentingSink(name, location, env, options, kPortIn,
+                     MediaDataType::RawAudio(AudioQualityChannels(quality),
+                                             AudioQualitySampleRate(quality)),
+                     kEachBlock, kLastBlock),
+      quality_(quality) {}
 
 std::shared_ptr<AudioSink> AudioSink::Create(const std::string& name,
                                              ActivityLocation location,
@@ -135,52 +138,12 @@ std::shared_ptr<AudioSink> AudioSink::Create(const std::string& name,
       new AudioSink(name, location, env, quality, options));
 }
 
-void AudioSink::OnElement(Port* in, const StreamElement& element) {
-  AVDB_DCHECK(in == in_);
-  if (element.end_of_stream) {
-    Raise(kLastBlock, element.index);
-    SelfStop();
-    return;
-  }
-  if (element.audio == nullptr) {
-    AVDB_LOG(Error) << name() << ": element without audio payload";
-    return;
-  }
-  const int64_t lateness = LatenessNs(*engine(), element);
-  stats_.Record(PresentationNs(*engine(), element), lateness, element.size_bytes);
-  if (options_.degrade != nullptr) {
-    options_.degrade->ReportLateness(engine()->now_ns(), lateness);
-  }
-  ReportSyncOrDetach(&options_, name(), element.ideal_time_ns,
-                     std::max(engine()->now_ns(), element.ideal_time_ns));
-  Raise(kEachBlock, element.index);
-}
-
-Status AudioSink::ConfigureSync(SyncController* sync,
-                                const std::string& track) {
-  options_.sync = sync;
-  options_.sync_track = track;
-  return Status::OK();
-}
-
 // ----------------------------------------------------------------- TextSink --
 
 TextSink::TextSink(const std::string& name, ActivityLocation location,
                    ActivityEnv env, SinkOptions options)
-    : MediaActivity(name, location, env), options_(options) {
-  in_ = DeclarePort(kPortIn, PortDirection::kIn,
-                    MediaDataType::Text(Rational(30)));
-  stats_.BindTo(env.metrics);
-  if (options_.degrade != nullptr) {
-    options_.degrade->AttachStreamStats(&stats_);
-  }
-}
-
-TextSink::~TextSink() {
-  if (options_.degrade != nullptr) {
-    options_.degrade->DetachStreamStats(&stats_);
-  }
-}
+    : PresentingSink(name, location, env, options, kPortIn,
+                     MediaDataType::Text(Rational(30)), nullptr, nullptr) {}
 
 std::shared_ptr<TextSink> TextSink::Create(const std::string& name,
                                            ActivityLocation location,
@@ -190,28 +153,10 @@ std::shared_ptr<TextSink> TextSink::Create(const std::string& name,
       new TextSink(name, location, env, options));
 }
 
-void TextSink::OnElement(Port* in, const StreamElement& element) {
-  AVDB_DCHECK(in == in_);
-  if (element.end_of_stream) {
-    SelfStop();
-    return;
-  }
-  if (element.text == nullptr) {
-    AVDB_LOG(Error) << name() << ": element without text payload";
-    return;
-  }
-  stats_.Record(PresentationNs(*engine(), element),
-                LatenessNs(*engine(), element), element.size_bytes);
+bool TextSink::Show(const StreamElement& element) {
+  if (element.text == nullptr) return false;
   presented_.push_back(*element.text);
-  ReportSyncOrDetach(&options_, name(), element.ideal_time_ns,
-                     std::max(engine()->now_ns(), element.ideal_time_ns));
-}
-
-Status TextSink::ConfigureSync(SyncController* sync,
-                               const std::string& track) {
-  options_.sync = sync;
-  options_.sync_track = track;
-  return Status::OK();
+  return true;
 }
 
 // -------------------------------------------------------------- VideoWriter --
@@ -244,17 +189,7 @@ std::shared_ptr<VideoWriter> VideoWriter::Create(const std::string& name,
 void VideoWriter::OnElement(Port* in, const StreamElement& element) {
   AVDB_DCHECK(in == in_);
   if (element.end_of_stream) {
-    if (store_ != nullptr && !blob_name_.empty()) {
-      auto blob = value_serializer::Serialize(*captured_);
-      if (blob.ok()) {
-        auto put = store_->Put(blob_name_, blob.value());
-        if (!put.ok()) {
-          AVDB_LOG(Error) << name() << ": persist failed: " << put.status();
-        }
-      } else {
-        AVDB_LOG(Error) << name() << ": serialize failed: " << blob.status();
-      }
-    }
+    Persist(*captured_, store_, blob_name_, name());
     Raise(kDone, frames_written_);
     SelfStop();
     return;
@@ -301,17 +236,7 @@ std::shared_ptr<AudioWriter> AudioWriter::Create(const std::string& name,
 void AudioWriter::OnElement(Port* in, const StreamElement& element) {
   AVDB_DCHECK(in == in_);
   if (element.end_of_stream) {
-    if (store_ != nullptr && !blob_name_.empty()) {
-      auto blob = value_serializer::Serialize(*captured_);
-      if (blob.ok()) {
-        auto put = store_->Put(blob_name_, blob.value());
-        if (!put.ok()) {
-          AVDB_LOG(Error) << name() << ": persist failed: " << put.status();
-        }
-      } else {
-        AVDB_LOG(Error) << name() << ": serialize failed: " << blob.status();
-      }
-    }
+    Persist(*captured_, store_, blob_name_, name());
     Raise(kDone, blocks_written_);
     SelfStop();
     return;

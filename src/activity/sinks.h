@@ -15,25 +15,63 @@
 
 namespace avdb {
 
-/// Common sink wiring: stats recording and optional sync reporting.
+/// Common sink wiring.
 struct SinkOptions {
-  /// When set with `sync_track`, each presentation is reported to the
-  /// controller so lagging tracks can be resynchronized.
-  SyncController* sync = nullptr;
-  std::string sync_track;
   /// When set, each element's lateness feeds the shared degradation
   /// controller — the sink is the ladder's deadline-pressure sensor, the
   /// source its actuator.
   DegradationController* degrade = nullptr;
 };
 
+/// The presenting role of §4.2's sinks, shared by VideoWindow, AudioSink
+/// and TextSink. Presentation happens at max(arrival, ideal) and every
+/// element's lateness is recorded in StreamStats — our measuring substitute
+/// for the paper's workstation window (DESIGN.md §5) — and reported to the
+/// degradation controller and the sync domain. A kind supplies `Show`,
+/// which takes the element's payload.
+class PresentingSink : public MediaActivity {
+ public:
+  ~PresentingSink() override;
+
+  const StreamStats& stats() const { return stats_; }
+
+  void OnElement(Port* in, const StreamElement& element) final;
+  /// Joins the sync domain: each presentation is reported to the
+  /// controller so lagging tracks can be resynchronized.
+  Status ConfigureSync(SyncController* sync,
+                       const std::string& track) override;
+
+ protected:
+  /// `each_event` and `last_event` may be null: the kind raises none.
+  PresentingSink(const std::string& name, ActivityLocation location,
+                 ActivityEnv env, SinkOptions options, const char* port,
+                 MediaDataType port_type, const char* each_event,
+                 const char* last_event);
+
+  /// Presents the element's payload; false when it carries none.
+  virtual bool Show(const StreamElement& element) = 0;
+
+ private:
+  /// Reports one presentation to the sync controller. A failed report
+  /// means the track was revoked mid-stream (SyncController::RemoveTrack);
+  /// the sink detaches from sync — presentation itself continues untouched
+  /// — rather than paying a dead lookup and swallowing the error per
+  /// element.
+  void ReportSyncOrDetach(int64_t ideal_ns, int64_t actual_ns);
+
+  Port* in_;
+  SinkOptions options_;
+  const char* each_event_;
+  const char* last_event_;
+  SyncController* sync_ = nullptr;
+  std::string sync_track_;
+  StreamStats stats_;
+};
+
 /// Table 1's "video window": a sink presenting raw frames on a (virtual)
-/// display. Presentation happens at max(arrival, ideal) and every element's
-/// lateness is recorded in StreamStats — our measuring substitute for the
-/// paper's workstation window (DESIGN.md §5). Carries the §4.3 quality
-/// factor ("new activity VideoWindow quality 320x240x8@30"); its input port
-/// is typed to exactly that quality.
-class VideoWindow : public MediaActivity {
+/// display. Carries the §4.3 quality factor ("new activity VideoWindow
+/// quality 320x240x8@30"); its input port is typed to exactly that quality.
+class VideoWindow : public PresentingSink {
  public:
   static constexpr const char* kPortIn = "video_in";
   static constexpr const char* kEachFrame = "EACH_FRAME";
@@ -45,33 +83,26 @@ class VideoWindow : public MediaActivity {
                                              VideoQuality quality,
                                              SinkOptions options = {});
 
-  ~VideoWindow() override;
-
   const VideoQuality& quality() const { return quality_; }
-  const StreamStats& stats() const { return stats_; }
 
   /// Last frame presented (empty before the first arrival) — lets tests and
   /// examples inspect what "the screen" shows.
   const VideoFrame& last_frame() const { return last_frame_; }
 
-  void OnElement(Port* in, const StreamElement& element) override;
-  Status ConfigureSync(SyncController* sync,
-                       const std::string& track) override;
+ protected:
+  bool Show(const StreamElement& element) override;
 
  private:
   VideoWindow(const std::string& name, ActivityLocation location,
               ActivityEnv env, VideoQuality quality, SinkOptions options);
 
-  Port* in_;
   VideoQuality quality_;
-  SinkOptions options_;
-  StreamStats stats_;
   VideoFrame last_frame_;
 };
 
 /// Audio sink (virtual DAC) with a named §4.1 audio quality ("quality
-/// voice"). Statistics mirror VideoWindow's.
-class AudioSink : public MediaActivity {
+/// voice").
+class AudioSink : public PresentingSink {
  public:
   static constexpr const char* kPortIn = "audio_in";
   static constexpr const char* kEachBlock = "EACH_BLOCK";
@@ -83,27 +114,23 @@ class AudioSink : public MediaActivity {
                                            AudioQuality quality,
                                            SinkOptions options = {});
 
-  ~AudioSink() override;
-
   AudioQuality quality() const { return quality_; }
-  const StreamStats& stats() const { return stats_; }
 
-  void OnElement(Port* in, const StreamElement& element) override;
-  Status ConfigureSync(SyncController* sync,
-                       const std::string& track) override;
+ protected:
+  bool Show(const StreamElement& element) override {
+    return element.audio != nullptr;
+  }
 
  private:
   AudioSink(const std::string& name, ActivityLocation location,
             ActivityEnv env, AudioQuality quality, SinkOptions options);
 
-  Port* in_;
   AudioQuality quality_;
-  SinkOptions options_;
-  StreamStats stats_;
 };
 
-/// Caption sink: records presented captions (subtitle display).
-class TextSink : public MediaActivity {
+/// Caption sink: records presented captions (subtitle display). Raises no
+/// events.
+class TextSink : public PresentingSink {
  public:
   static constexpr const char* kPortIn = "text_in";
 
@@ -112,22 +139,15 @@ class TextSink : public MediaActivity {
                                           ActivityEnv env,
                                           SinkOptions options = {});
 
-  ~TextSink() override;
-
-  const StreamStats& stats() const { return stats_; }
   const std::vector<std::string>& presented() const { return presented_; }
 
-  void OnElement(Port* in, const StreamElement& element) override;
-  Status ConfigureSync(SyncController* sync,
-                       const std::string& track) override;
+ protected:
+  bool Show(const StreamElement& element) override;
 
  private:
   TextSink(const std::string& name, ActivityLocation location,
            ActivityEnv env, SinkOptions options);
 
-  Port* in_;
-  SinkOptions options_;
-  StreamStats stats_;
   std::vector<std::string> presented_;
 };
 

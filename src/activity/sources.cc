@@ -18,24 +18,178 @@ int64_t RateToPeriodNs(Rational rate) {
 
 }  // namespace
 
+RangeFetcher FetchFrom(MediaStore* store) {
+  return [store](const std::string& blob, int64_t offset, int64_t length,
+                 int64_t /*deadline_budget_ns*/) {
+    return store->ReadRange(blob, offset, length);
+  };
+}
+
+// ----------------------------------------------------------- StreamSource --
+
+StreamSource::StreamSource(const std::string& name, ActivityLocation location,
+                           ActivityEnv env, SourceOptions options,
+                           const char* port, MediaDataType port_type,
+                           Events events)
+    : MediaActivity(name, location, env),
+      options_(std::move(options)),
+      decode_unit_(name + ".decoder"),
+      events_(events) {
+  out_ = DeclarePort(port, PortDirection::kOut, std::move(port_type));
+  DeclareEvent(events_.each);
+  DeclareEvent(events_.last);
+  DeclareEvent(kFaultRetry);
+  DeclareEvent(events_.dropped);
+  DeclareEvent(kStreamAborted);
+}
+
+Status StreamSource::ConfigureSync(SyncController* sync,
+                                   const std::string& track) {
+  sync_ = sync;
+  sync_track_ = track;
+  return Status::OK();
+}
+
+Status StreamSource::OnStart() {
+  if (!bound()) {
+    return Status::FailedPrecondition("start before bind on " + name());
+  }
+  if (ElementCount() == 0) {
+    return Status::FailedPrecondition("bound value of " + name() +
+                                      " is empty");
+  }
+  // Stream epoch: element `next_index_` presents after preroll+offset.
+  const int64_t stream_start_ns =
+      engine()->now_ns() + kPrerollNs +
+      VirtualClock::ToNs(options_.start_offset) - next_index_ * PeriodNs();
+  ScheduleTick(next_index_, stream_start_ns);
+  return Status::OK();
+}
+
+Status StreamSource::OnStop() {
+  ReleaseStream();
+  return Status::OK();
+}
+
+void StreamSource::EndStream() {
+  ReleaseStream();
+  SelfStop();
+}
+
+void StreamSource::ScheduleTick(int64_t index, int64_t stream_start_ns) {
+  const int64_t gen = generation();
+  ScheduleOwned(IdealNs(index, stream_start_ns) - kPrerollNs,
+                [this, index, stream_start_ns, gen] {
+                  Tick(index, stream_start_ns, gen);
+                });
+}
+
+int64_t StreamSource::Resync(int64_t index) {
+  if (sync_ == nullptr || sync_track_.empty()) return index;
+  auto skip = sync_->RecommendSkip(sync_track_, PeriodNs());
+  return skip.ok() && skip.value() > 0 ? index + skip.value() : index;
+}
+
+void StreamSource::Tick(int64_t index, int64_t stream_start_ns, int64_t gen) {
+  if (state() != State::kRunning || gen != generation()) return;
+  index = Resync(index);
+  if (index >= ElementCount()) {
+    Emit(out_, StreamElement::EndOfStream(index,
+                                          IdealNs(index, stream_start_ns)));
+    Raise(events_.last, ElementCount() - 1);
+    EndStream();
+    return;
+  }
+  Produce(index, stream_start_ns);
+}
+
+std::optional<int64_t> StreamSource::Fetch(int64_t index,
+                                           int64_t stream_start_ns,
+                                           int64_t offset, int64_t length) {
+  const int64_t now_ns = engine()->now_ns();
+  if (!options_.fetcher) return now_ns;
+  const int64_t budget_ns =
+      IdealNs(index, stream_start_ns) + kDeadlineSlackNs - now_ns;
+  auto read = options_.fetcher(options_.blob_name, offset, length, budget_ns);
+  if (!read.ok()) {
+    // The store's retry policy already absorbed what it could; this failure
+    // is terminal for the *element*.
+    Fault(index, stream_start_ns, "fetch failed: " + read.status().message());
+    return std::nullopt;
+  }
+  if (read.value().retries > 0) {
+    Raise(kFaultRetry, index,
+          std::to_string(read.value().retries) + " retries absorbed");
+  }
+  if (options_.degrade != nullptr) {
+    options_.degrade->ReportFaultRecovered();
+  }
+  // Pay modeled device time, serialized on the device arm when queued.
+  const int64_t service_ns = VirtualClock::ToNs(read.value().duration);
+  return options_.device_queue != nullptr
+             ? options_.device_queue->Submit(now_ns, service_ns)
+             : now_ns + service_ns;
+}
+
+void StreamSource::Deliver(StreamElement element, int64_t ready_ns,
+                           int64_t stream_start_ns) {
+  next_index_ = element.index + 1;
+  const int64_t gen = generation();
+  ScheduleOwned(ready_ns, [this, element = std::move(element), gen] {
+    if (state() != State::kRunning || gen != generation()) return;
+    Emit(out_, element);
+    Raise(events_.each, element.index);
+  });
+  ScheduleTick(next_index_, stream_start_ns);
+}
+
+void StreamSource::Fault(int64_t index, int64_t stream_start_ns,
+                         const std::string& why) {
+  if (options_.degrade == nullptr) {
+    AVDB_LOG(Error) << name() << ": " << why;
+    EndStream();
+    return;
+  }
+  options_.degrade->ReportFault(engine()->now_ns());
+  ShedAfterFault(index, stream_start_ns, why);
+}
+
+void StreamSource::ShedAfterFault(int64_t index, int64_t stream_start_ns,
+                                  const std::string& why) {
+  DropElement(index, stream_start_ns, why);
+}
+
+void StreamSource::DropElement(int64_t index, int64_t stream_start_ns,
+                               const std::string& why) {
+  options_.degrade->AcknowledgeAction(DegradeAction::kDropFrame,
+                                      engine()->now_ns());
+  Raise(events_.dropped, index, why);
+  next_index_ = index + 1;
+  ScheduleTick(next_index_, stream_start_ns);
+}
+
+void StreamSource::Abort(int64_t index, int64_t stream_start_ns) {
+  options_.degrade->AcknowledgeAction(DegradeAction::kAbort,
+                                      engine()->now_ns());
+  Raise(kStreamAborted, index,
+        std::to_string(options_.degrade->ConsecutiveFaults()) +
+            " consecutive faults");
+  Emit(out_,
+       StreamElement::EndOfStream(index, IdealNs(index, stream_start_ns)));
+  EndStream();
+}
+
 // ------------------------------------------------------------ VideoSource --
 
 VideoSource::VideoSource(const std::string& name, ActivityLocation location,
                          ActivityEnv env, SourceOptions options,
                          bool emit_encoded)
-    : MediaActivity(name, location, env),
-      options_(std::move(options)),
-      emit_encoded_(emit_encoded),
-      decode_unit_(name + ".decoder") {
-  out_ = DeclarePort(kPortOut, PortDirection::kOut,
-                     MediaDataType::RawVideo(0, 0, 8, Rational(1)));
-  DeclareEvent(kEachFrame);
-  DeclareEvent(kLastFrame);
-  DeclareEvent(kFaultRetry);
-  DeclareEvent(kFrameDropped);
+    : StreamSource(name, location, env, std::move(options), kPortOut,
+                   MediaDataType::RawVideo(0, 0, 8, Rational(1)),
+                   {kEachFrame, kLastFrame, kFrameDropped}),
+      emit_encoded_(emit_encoded) {
   DeclareEvent(kQualityChanged);
   DeclareEvent(kStreamPaused);
-  DeclareEvent(kStreamAborted);
 }
 
 std::shared_ptr<VideoSource> VideoSource::Create(const std::string& name,
@@ -113,13 +267,6 @@ Status VideoSource::DoCue(WorldTime t) {
   return Status::OK();
 }
 
-Status VideoSource::ConfigureSync(SyncController* sync,
-                                  const std::string& track) {
-  options_.sync = sync;
-  options_.sync_track = track;
-  return Status::OK();
-}
-
 int64_t VideoSource::PeriodNs() const {
   return RateToPeriodNs(value_->frame_rate());
 }
@@ -140,16 +287,6 @@ Result<VideoFrame> VideoSource::DecodeFrame(int64_t index) {
   return reader_->DecodeFrame(index);
 }
 
-void VideoSource::EndStream() {
-  reader_.reset();
-  SelfStop();
-}
-
-Status VideoSource::OnStop() {
-  reader_.reset();
-  return Status::OK();
-}
-
 bool VideoSource::ApplyQualityStep(int delta) {
   if (scalable_value_ == nullptr || nominal_layers_ == 0) return false;
   const int target = active_layers_ + delta;
@@ -167,180 +304,80 @@ bool VideoSource::ApplyQualityStep(int delta) {
   return true;
 }
 
-void VideoSource::DropElement(int64_t index, int64_t stream_start_ns,
-                              const std::string& why) {
-  if (options_.degrade != nullptr) {
-    options_.degrade->AcknowledgeAction(DegradeAction::kDropFrame,
-                                        engine()->now_ns());
+bool VideoSource::Degrade(int64_t index, int64_t stream_start_ns) {
+  const int64_t now_ns = engine()->now_ns();
+  const DegradeAction action = options_.degrade->Recommend(now_ns);
+  switch (action) {
+    case DegradeAction::kAbort:
+      Abort(index, stream_start_ns);
+      return false;
+    case DegradeAction::kPause: {
+      // Re-anchor the stream epoch so this frame presents one preroll from
+      // now: downstream lateness restarts from zero instead of compounding
+      // frame after frame.
+      const int64_t new_start = now_ns + kPrerollNs - index * PeriodNs();
+      options_.degrade->AcknowledgeAction(action, now_ns);
+      Raise(kStreamPaused, index,
+            "epoch shifted " +
+                std::to_string((new_start - stream_start_ns) / 1000000) +
+                " ms");
+      ScheduleTick(index, new_start);
+      return false;
+    }
+    case DegradeAction::kLowerQuality:
+      if (!ApplyQualityStep(-1)) {
+        // Nothing left to shed but the frame itself.
+        DropElement(index, stream_start_ns, "no lower quality available");
+        return false;
+      }
+      options_.degrade->AcknowledgeAction(action, now_ns);
+      Raise(kQualityChanged, index,
+            "layers " + std::to_string(active_layers_ + 1) + "->" +
+                std::to_string(active_layers_));
+      break;
+    case DegradeAction::kRaiseQuality:
+      if (ApplyQualityStep(+1)) {
+        options_.degrade->AcknowledgeAction(action, now_ns);
+        Raise(kQualityChanged, index,
+              "layers " + std::to_string(active_layers_ - 1) + "->" +
+                  std::to_string(active_layers_));
+      }
+      break;
+    case DegradeAction::kDropFrame:
+      DropElement(index, stream_start_ns, "deadline pressure");
+      return false;
+    case DegradeAction::kNone:
+      break;
   }
-  Raise(kFrameDropped, index, why);
-  next_index_ = index + 1;
-  ScheduleTick(next_index_, stream_start_ns);
-}
-
-Status VideoSource::OnStart() {
-  if (value_ == nullptr) {
-    return Status::FailedPrecondition("start before bind on " + name());
-  }
-  if (value_->FrameCount() == 0) {
-    return Status::FailedPrecondition("bound video value is empty");
-  }
-  // Stream epoch: element `next_index_` presents after preroll+offset.
-  const int64_t base = next_index_;
-  const int64_t stream_start_ns =
-      engine()->now_ns() + VirtualClock::ToNs(options_.preroll) +
-      VirtualClock::ToNs(options_.start_offset) - base * PeriodNs();
-  ScheduleTick(next_index_, stream_start_ns);
-  return Status::OK();
-}
-
-void VideoSource::ScheduleTick(int64_t index, int64_t stream_start_ns) {
-  const int64_t ideal = stream_start_ns + index * PeriodNs();
-  const int64_t at = ideal - VirtualClock::ToNs(options_.preroll);
-  const int64_t gen = generation();
-  ScheduleOwned(at, [this, index, stream_start_ns, gen] {
-    Tick(index, stream_start_ns, gen);
-  });
-}
-
-void VideoSource::Tick(int64_t index, int64_t stream_start_ns, int64_t gen) {
-  if (state() != State::kRunning || gen != generation()) return;
-
-  // Resynchronization: a lagging track drops frames to catch up (§3.3).
-  if (options_.sync != nullptr && !options_.sync_track.empty()) {
-    auto skip = options_.sync->RecommendSkip(options_.sync_track, PeriodNs());
-    if (skip.ok() && skip.value() > 0) {
-      index += skip.value();
+  // Proactive shedding: a fetch that would queue behind this much device
+  // backlog cannot present on time, so skip it without paying the cost.
+  if (options_.device_queue != nullptr) {
+    const int64_t backlog = options_.device_queue->BacklogNs(now_ns);
+    if (backlog > options_.degrade->policy().pause_threshold_ns) {
+      DropElement(index, stream_start_ns,
+                  "device backlog " + std::to_string(backlog / 1000000) +
+                      " ms");
+      return false;
     }
   }
-  if (index >= value_->FrameCount()) {
-    const int64_t ideal = stream_start_ns + index * PeriodNs();
-    Emit(out_, StreamElement::EndOfStream(index, ideal));
-    Raise(kLastFrame, value_->FrameCount() - 1);
-    EndStream();
-    return;
-  }
+  return true;
+}
 
+void VideoSource::Produce(int64_t index, int64_t stream_start_ns) {
   // Graceful-degradation ladder: act on deadline pressure *before* paying
   // any fetch cost for this frame.
-  const int64_t now_ns = engine()->now_ns();
-  if (options_.degrade != nullptr) {
-    const DegradeAction action = options_.degrade->Recommend(now_ns);
-    switch (action) {
-      case DegradeAction::kAbort: {
-        options_.degrade->AcknowledgeAction(action, now_ns);
-        Raise(kStreamAborted, index,
-              std::to_string(options_.degrade->ConsecutiveFaults()) +
-                  " consecutive faults");
-        Emit(out_, StreamElement::EndOfStream(
-                       index, stream_start_ns + index * PeriodNs()));
-        EndStream();
-        return;
-      }
-      case DegradeAction::kPause: {
-        // Re-anchor the stream epoch so this frame presents one preroll
-        // from now: downstream lateness restarts from zero instead of
-        // compounding frame after frame.
-        const int64_t new_start = now_ns +
-                                  VirtualClock::ToNs(options_.preroll) -
-                                  index * PeriodNs();
-        options_.degrade->AcknowledgeAction(action, now_ns);
-        Raise(kStreamPaused, index,
-              "epoch shifted " +
-                  std::to_string((new_start - stream_start_ns) / 1000000) +
-                  " ms");
-        ScheduleTick(index, new_start);
-        return;
-      }
-      case DegradeAction::kLowerQuality:
-        if (ApplyQualityStep(-1)) {
-          options_.degrade->AcknowledgeAction(action, now_ns);
-          Raise(kQualityChanged, index,
-                "layers " + std::to_string(active_layers_ + 1) + "->" +
-                    std::to_string(active_layers_));
-        } else {
-          // Nothing left to shed but the frame itself.
-          DropElement(index, stream_start_ns, "no lower quality available");
-          return;
-        }
-        break;
-      case DegradeAction::kRaiseQuality:
-        if (ApplyQualityStep(+1)) {
-          options_.degrade->AcknowledgeAction(action, now_ns);
-          Raise(kQualityChanged, index,
-                "layers " + std::to_string(active_layers_ - 1) + "->" +
-                    std::to_string(active_layers_));
-        }
-        break;
-      case DegradeAction::kDropFrame:
-        DropElement(index, stream_start_ns, "deadline pressure");
-        return;
-      case DegradeAction::kNone:
-        break;
-    }
-    // Proactive shedding: a fetch that would queue behind this much device
-    // backlog cannot present on time, so skip it without paying the cost.
-    if (options_.device_queue != nullptr) {
-      const int64_t backlog = options_.device_queue->BacklogNs(now_ns);
-      if (backlog > options_.degrade->policy().pause_threshold_ns) {
-        DropElement(index, stream_start_ns,
-                    "device backlog " + std::to_string(backlog / 1000000) +
-                        " ms");
-        return;
-      }
-    }
+  if (options_.degrade != nullptr && !Degrade(index, stream_start_ns)) {
+    return;
   }
-
-  const int64_t ideal = stream_start_ns + index * PeriodNs();
-  int64_t ready_ns = engine()->now_ns();
-
-  // Storage fetch: pay modeled device time, serialized on the device arm.
-  // A routed fetch (options_.fetcher) additionally carries the element's
-  // remaining presentation budget so every hop below can cancel doomed work.
-  if (options_.fetcher || options_.store != nullptr) {
-    const int64_t budget_ns = ideal + kDeadlineSlackNs - ready_ns;
-    auto read = options_.fetcher
-                    ? options_.fetcher(options_.blob_name, FrameOffset(index),
-                                       FrameBytes(index), budget_ns)
-                    : options_.store->ReadRange(options_.blob_name,
-                                                FrameOffset(index),
-                                                FrameBytes(index));
-    if (!read.ok()) {
-      // The store's retry policy already absorbed what it could; this
-      // failure is terminal for the *frame*. With degradation the stream
-      // sheds it and carries on; without, it stops (pre-fault-model
-      // behavior).
-      if (options_.degrade != nullptr) {
-        options_.degrade->ReportFault(now_ns);
-        DropElement(index, stream_start_ns,
-                    "fetch failed: " + read.status().message());
-        return;
-      }
-      AVDB_LOG(Error) << name() << ": read failed: " << read.status();
-      EndStream();
-      return;
-    }
-    if (read.value().retries > 0) {
-      Raise(kFaultRetry, index,
-            std::to_string(read.value().retries) + " retries absorbed");
-    }
-    if (options_.degrade != nullptr) {
-      options_.degrade->ReportFaultRecovered();
-    }
-    const int64_t service_ns =
-        VirtualClock::ToNs(read.value().duration);
-    if (options_.device_queue != nullptr) {
-      ready_ns = options_.device_queue->Submit(ready_ns, service_ns);
-    } else {
-      ready_ns += service_ns;
-    }
-  }
+  const std::optional<int64_t> fetched =
+      Fetch(index, stream_start_ns, FrameOffset(index), FrameBytes(index));
+  if (!fetched.has_value()) return;
+  int64_t ready_ns = *fetched;
 
   StreamElement element;
   element.index = index;
-  element.ideal_time_ns = ideal;
+  element.ideal_time_ns = IdealNs(index, stream_start_ns);
   element.size_bytes = FrameBytes(index);
-
   if (emit_encoded_) {
     const auto& ef = encoded_->encoded().frames[static_cast<size_t>(index)];
     element.encoded = std::make_shared<Buffer>(ef.data);
@@ -348,14 +385,8 @@ void VideoSource::Tick(int64_t index, int64_t stream_start_ns, int64_t gen) {
   } else {
     auto frame = DecodeFrame(index);
     if (!frame.ok()) {
-      if (options_.degrade != nullptr) {
-        options_.degrade->ReportFault(now_ns);
-        DropElement(index, stream_start_ns,
-                    "decode failed: " + frame.status().message());
-        return;
-      }
-      AVDB_LOG(Error) << name() << ": decode failed: " << frame.status();
-      EndStream();
+      Fault(index, stream_start_ns,
+            "decode failed: " + frame.status().message());
       return;
     }
     if (value_->type().IsCompressed()) {
@@ -370,34 +401,16 @@ void VideoSource::Tick(int64_t index, int64_t stream_start_ns, int64_t gen) {
         std::make_shared<const VideoFrame>(std::move(frame).value());
     element.size_bytes = static_cast<int64_t>(element.frame->SizeBytes());
   }
-
-  const int64_t this_index = index;
-  ScheduleOwned(ready_ns, [this, element = std::move(element),
-                                  this_index, gen] {
-    if (state() != State::kRunning || gen != generation()) return;
-    Emit(out_, element);
-    Raise(kEachFrame, this_index);
-  });
-
-  next_index_ = index + 1;
-  ScheduleTick(next_index_, stream_start_ns);
+  Deliver(std::move(element), ready_ns, stream_start_ns);
 }
 
 // ------------------------------------------------------------ AudioSource --
 
 AudioSource::AudioSource(const std::string& name, ActivityLocation location,
                          ActivityEnv env, SourceOptions options)
-    : MediaActivity(name, location, env),
-      options_(std::move(options)),
-      decode_unit_(name + ".decoder") {
-  out_ = DeclarePort(kPortOut, PortDirection::kOut,
-                     MediaDataType::RawAudio(1, Rational(8000)));
-  DeclareEvent(kEachBlock);
-  DeclareEvent(kLastBlock);
-  DeclareEvent(kFaultRetry);
-  DeclareEvent(kBlockDropped);
-  DeclareEvent(kStreamAborted);
-}
+    : StreamSource(name, location, env, std::move(options), kPortOut,
+                   MediaDataType::RawAudio(1, Rational(8000)),
+                   {kEachBlock, kLastBlock, kBlockDropped}) {}
 
 std::shared_ptr<AudioSource> AudioSource::Create(const std::string& name,
                                                  ActivityLocation location,
@@ -421,10 +434,10 @@ Status AudioSource::DoBind(MediaValuePtr value, const std::string& port_name) {
   value_ = audio;
   // Approximate layout: fixed-rate bytes at the value's stored rate.
   stored_bytes_per_block_ =
-      audio->StoredBytes() / std::max<int64_t>(1, BlockCount());
+      audio->StoredBytes() / std::max<int64_t>(1, ElementCount());
   out_->set_data_type(
       MediaDataType::RawAudio(audio->channels(), audio->sample_rate()));
-  next_block_ = 0;
+  next_index_ = 0;
   return Status::OK();
 }
 
@@ -439,18 +452,11 @@ Status AudioSource::DoCue(WorldTime t) {
   if (sample < 0 || sample >= value_->SampleCount()) {
     return Status::InvalidArgument("cue time outside bound value");
   }
-  next_block_ = sample / kBlockFrames;
+  next_index_ = sample / kBlockFrames;
   return Status::OK();
 }
 
-Status AudioSource::ConfigureSync(SyncController* sync,
-                                  const std::string& track) {
-  options_.sync = sync;
-  options_.sync_track = track;
-  return Status::OK();
-}
-
-int64_t AudioSource::BlockCount() const {
+int64_t AudioSource::ElementCount() const {
   return (value_->SampleCount() + kBlockFrames - 1) / kBlockFrames;
 }
 
@@ -460,136 +466,46 @@ int64_t AudioSource::PeriodNs() const {
       .Rounded();
 }
 
-Status AudioSource::OnStart() {
-  if (value_ == nullptr) {
-    return Status::FailedPrecondition("start before bind on " + name());
-  }
-  if (value_->SampleCount() == 0) {
-    return Status::FailedPrecondition("bound audio value is empty");
-  }
-  const int64_t base = next_block_;
-  const int64_t stream_start_ns =
-      engine()->now_ns() + VirtualClock::ToNs(options_.preroll) +
-      VirtualClock::ToNs(options_.start_offset) - base * PeriodNs();
-  const int64_t gen = generation();
-  ScheduleOwned(
-      stream_start_ns + base * PeriodNs() -
-          VirtualClock::ToNs(options_.preroll),
-      [this, base, stream_start_ns, gen] { Tick(base, stream_start_ns, gen); });
-  return Status::OK();
-}
-
-void AudioSource::Tick(int64_t block_index, int64_t stream_start_ns,
-                       int64_t gen) {
-  if (state() != State::kRunning || gen != generation()) return;
-
-  if (options_.sync != nullptr && !options_.sync_track.empty()) {
-    auto skip = options_.sync->RecommendSkip(options_.sync_track, PeriodNs());
-    if (skip.ok() && skip.value() > 0) block_index += skip.value();
-  }
-  if (block_index >= BlockCount()) {
-    const int64_t ideal = stream_start_ns + block_index * PeriodNs();
-    Emit(out_, StreamElement::EndOfStream(block_index, ideal));
-    Raise(kLastBlock, BlockCount() - 1);
-    SelfStop();
-    return;
-  }
-
-  const int64_t first = block_index * kBlockFrames;
+void AudioSource::Produce(int64_t index, int64_t stream_start_ns) {
+  // The block is decoded before its bytes are fetched.
+  const int64_t first = index * kBlockFrames;
   const int64_t count =
       std::min<int64_t>(kBlockFrames, value_->SampleCount() - first);
   auto block = value_->Samples(first, count);
   if (!block.ok()) {
     AVDB_LOG(Error) << name() << ": sample read failed: " << block.status();
-    SelfStop();
+    EndStream();
     return;
   }
-
-  int64_t ready_ns = engine()->now_ns();
-  const int64_t payload_bytes = static_cast<int64_t>(block.value().SizeBytes());
-  if (options_.fetcher || options_.store != nullptr) {
-    const int64_t budget_ns = stream_start_ns + block_index * PeriodNs() +
-                              kDeadlineSlackNs - ready_ns;
-    auto read = options_.fetcher
-                    ? options_.fetcher(options_.blob_name,
-                                       block_index * stored_bytes_per_block_,
-                                       stored_bytes_per_block_, budget_ns)
-                    : options_.store->ReadRange(
-                          options_.blob_name,
-                          block_index * stored_bytes_per_block_,
-                          stored_bytes_per_block_);
-    if (!read.ok()) {
-      if (options_.degrade != nullptr) {
-        const int64_t now_ns = engine()->now_ns();
-        options_.degrade->ReportFault(now_ns);
-        if (options_.degrade->Recommend(now_ns) == DegradeAction::kAbort) {
-          options_.degrade->AcknowledgeAction(DegradeAction::kAbort, now_ns);
-          Raise(kStreamAborted, block_index,
-                std::to_string(options_.degrade->ConsecutiveFaults()) +
-                    " consecutive faults");
-          Emit(out_, StreamElement::EndOfStream(
-                         block_index,
-                         stream_start_ns + block_index * PeriodNs()));
-          SelfStop();
-          return;
-        }
-        // One block of silence beats a stalled stream; carry on.
-        options_.degrade->AcknowledgeAction(DegradeAction::kDropFrame,
-                                            now_ns);
-        Raise(kBlockDropped, block_index,
-              "fetch failed: " + read.status().message());
-        next_block_ = block_index + 1;
-        const int64_t retry_at = stream_start_ns + next_block_ * PeriodNs() -
-                                 VirtualClock::ToNs(options_.preroll);
-        ScheduleOwned(retry_at,
-                             [this, next = next_block_, stream_start_ns, gen] {
-                               Tick(next, stream_start_ns, gen);
-                             });
-        return;
-      }
-      AVDB_LOG(Error) << name() << ": read failed: " << read.status();
-      SelfStop();
-      return;
-    }
-    if (read.value().retries > 0) {
-      Raise(kFaultRetry, block_index,
-            std::to_string(read.value().retries) + " retries absorbed");
-    }
-    if (options_.degrade != nullptr) {
-      options_.degrade->ReportFaultRecovered();
-    }
-    const int64_t service_ns = VirtualClock::ToNs(read.value().duration);
-    ready_ns = options_.device_queue != nullptr
-                   ? options_.device_queue->Submit(ready_ns, service_ns)
-                   : ready_ns + service_ns;
-  }
+  const std::optional<int64_t> fetched =
+      Fetch(index, stream_start_ns, index * stored_bytes_per_block_,
+            stored_bytes_per_block_);
+  if (!fetched.has_value()) return;
+  int64_t ready_ns = *fetched;
   if (value_->type().IsCompressed()) {
     ready_ns = decode_unit_.Submit(
         ready_ns, options_.costs.AudioDecodeNs(count * value_->channels()));
   }
 
   StreamElement element;
-  element.index = block_index;
-  element.ideal_time_ns = stream_start_ns + block_index * PeriodNs();
-  element.size_bytes = payload_bytes;
+  element.index = index;
+  element.ideal_time_ns = IdealNs(index, stream_start_ns);
+  element.size_bytes = static_cast<int64_t>(block.value().SizeBytes());
   element.audio =
       std::make_shared<const AudioBlock>(std::move(block).value());
+  Deliver(std::move(element), ready_ns, stream_start_ns);
+}
 
-  ScheduleOwned(ready_ns,
-                       [this, element = std::move(element), block_index, gen] {
-                         if (state() != State::kRunning ||
-                             gen != generation()) {
-                           return;
-                         }
-                         Emit(out_, element);
-                         Raise(kEachBlock, block_index);
-                       });
-
-  next_block_ = block_index + 1;
-  const int64_t next_at = stream_start_ns + next_block_ * PeriodNs() -
-                          VirtualClock::ToNs(options_.preroll);
-  ScheduleOwned(next_at, [this, next = next_block_, stream_start_ns,
-                                 gen] { Tick(next, stream_start_ns, gen); });
+void AudioSource::ShedAfterFault(int64_t index, int64_t stream_start_ns,
+                                 const std::string& why) {
+  // No ladder runs before the fetch, so the fault count decides here: one
+  // block of silence beats a stalled stream, until the controller gives up.
+  if (options_.degrade->Recommend(engine()->now_ns()) ==
+      DegradeAction::kAbort) {
+    Abort(index, stream_start_ns);
+    return;
+  }
+  DropElement(index, stream_start_ns, why);
 }
 
 // ------------------------------------------------------------- TextSource --
@@ -638,19 +554,12 @@ Status TextSource::DoCue(WorldTime t) {
   return Status::OK();
 }
 
-Status TextSource::ConfigureSync(SyncController* sync,
-                                 const std::string& track) {
-  options_.sync = sync;
-  options_.sync_track = track;
-  return Status::OK();
-}
-
 Status TextSource::OnStart() {
   if (value_ == nullptr) {
     return Status::FailedPrecondition("start before bind on " + name());
   }
   const int64_t stream_start_ns = engine()->now_ns() +
-                                  VirtualClock::ToNs(options_.preroll) +
+                                  StreamSource::kPrerollNs +
                                   VirtualClock::ToNs(options_.start_offset);
   const int64_t period_ns = RateToPeriodNs(value_->ElementRate());
   const int64_t gen = generation();
@@ -663,7 +572,7 @@ Status TextSource::OnStart() {
     element.ideal_time_ns = ideal;
     element.text = std::make_shared<const std::string>(span.text);
     element.size_bytes = static_cast<int64_t>(span.text.size());
-    ScheduleOwned(ideal - VirtualClock::ToNs(options_.preroll),
+    ScheduleOwned(ideal - StreamSource::kPrerollNs,
                          [this, element = std::move(element), gen] {
                            if (state() != State::kRunning ||
                                gen != generation()) {

@@ -81,11 +81,7 @@ void VideoDecoderActivity::OnElement(Port* in, const StreamElement& element) {
   out_element.size_bytes =
       static_cast<int64_t>(out_element.frame->SizeBytes());
   ++frames_decoded_;
-  ScheduleOwned(ready_ns,
-                       [this, out_element = std::move(out_element)] {
-                         if (state() != State::kRunning) return;
-                         Emit(out_, out_element);
-                       });
+  EmitAt(ready_ns, out_, std::move(out_element));
 }
 
 Status VideoDecoderActivity::OnStop() {
@@ -146,26 +142,82 @@ void VideoEncoderActivity::OnElement(Port* in, const StreamElement& element) {
   out_element.encoded_is_intra = true;
   ++frames_encoded_;
   bytes_out_ += out_element.size_bytes;
-  ScheduleOwned(ready_ns,
-                       [this, out_element = std::move(out_element)] {
-                         if (state() != State::kRunning) return;
-                         Emit(out_, out_element);
-                       });
+  EmitAt(ready_ns, out_, std::move(out_element));
+}
+
+// ---------------------------------------------------------------- PairMixer --
+
+PairMixer::PairMixer(const std::string& name, ActivityLocation location,
+                     ActivityEnv env, const MediaDataType& type,
+                     const char* port_out, CostModel costs)
+    : MediaActivity(name, location, env),
+      costs_(costs),
+      mix_unit_(name + ".unit") {
+  in_a_ = DeclarePort(kPortInA, PortDirection::kIn, type);
+  in_b_ = DeclarePort(kPortInB, PortDirection::kIn, type);
+  out_ = DeclarePort(port_out, PortDirection::kOut, type);
+}
+
+void PairMixer::OnElement(Port* in, const StreamElement& element) {
+  if (element.end_of_stream) {
+    if (in == in_a_) a_done_ = true;
+    if (in == in_b_) b_done_ = true;
+    if (a_done_ && b_done_ && !eos_sent_) {
+      eos_sent_ = true;
+      Emit(out_, element);
+      SelfStop();
+    }
+    return;
+  }
+  const bool video = out_->data_type().kind() == MediaKind::kVideo;
+  if (video ? element.frame == nullptr : element.audio == nullptr) {
+    AVDB_LOG(Error) << name() << ": element without payload";
+    return;
+  }
+  if (in == in_a_) {
+    pending_a_[element.index] = element;
+  } else {
+    pending_b_[element.index] = element;
+  }
+  TryEmit(element.index);
+}
+
+void PairMixer::TryEmit(int64_t index) {
+  const auto a = pending_a_.find(index);
+  const auto b = pending_b_.find(index);
+  const bool have_a = a != pending_a_.end();
+  const bool have_b = b != pending_b_.end();
+  StreamElement out_element;
+  if (have_a && have_b) {
+    out_element = Mix(a->second, b->second);
+    out_element.index = index;
+    out_element.ideal_time_ns =
+        std::max(a->second.ideal_time_ns, b->second.ideal_time_ns);
+    pending_a_.erase(a);
+    pending_b_.erase(b);
+  } else if (have_a && b_done_) {
+    // Pass-through once one side has ended.
+    out_element = std::move(a->second);
+    pending_a_.erase(a);
+  } else if (have_b && a_done_) {
+    out_element = std::move(b->second);
+    pending_b_.erase(b);
+  } else {
+    return;  // waiting for the partner element
+  }
+  const int64_t ready_ns =
+      mix_unit_.Submit(engine()->now_ns(), CostNs(out_element));
+  ++elements_mixed_;
+  EmitAt(ready_ns, out_, std::move(out_element));
 }
 
 // --------------------------------------------------------------- VideoMixer --
 
 VideoMixer::VideoMixer(const std::string& name, ActivityLocation location,
-                       ActivityEnv env, MediaDataType video_type, double mix,
-                       CostModel costs)
-    : MediaActivity(name, location, env),
-      mix_(mix),
-      costs_(costs),
-      mix_unit_(name + ".unit") {
-  in_a_ = DeclarePort(kPortInA, PortDirection::kIn, video_type);
-  in_b_ = DeclarePort(kPortInB, PortDirection::kIn, video_type);
-  out_ = DeclarePort(kPortOut, PortDirection::kOut, video_type);
-}
+                       ActivityEnv env, const MediaDataType& video_type,
+                       double mix, CostModel costs)
+    : PairMixer(name, location, env, video_type, kPortOut, costs),
+      mix_(mix) {}
 
 std::shared_ptr<VideoMixer> VideoMixer::Create(const std::string& name,
                                                ActivityLocation location,
@@ -178,81 +230,35 @@ std::shared_ptr<VideoMixer> VideoMixer::Create(const std::string& name,
   if (mix < 0) mix = 0;
   if (mix > 1) mix = 1;
   return std::shared_ptr<VideoMixer>(
-      new VideoMixer(name, location, env, std::move(video_type), mix, costs));
+      new VideoMixer(name, location, env, video_type, mix, costs));
 }
 
-void VideoMixer::OnElement(Port* in, const StreamElement& element) {
-  if (element.end_of_stream) {
-    if (in == in_a_) a_done_ = true;
-    if (in == in_b_) b_done_ = true;
-    if (a_done_ && b_done_ && !eos_sent_) {
-      eos_sent_ = true;
-      Emit(out_, element);
-      SelfStop();
+StreamElement VideoMixer::Mix(const StreamElement& a,
+                              const StreamElement& b) const {
+  const VideoFrame& fa = *a.frame;
+  const VideoFrame& fb = *b.frame;
+  VideoFrame mixed(fa.width(), fa.height(), fa.depth_bits());
+  if (fb.width() == fa.width() && fb.height() == fa.height() &&
+      fb.depth_bits() == fa.depth_bits()) {
+    for (size_t i = 0; i < mixed.data().size(); ++i) {
+      mixed.data()[i] = static_cast<uint8_t>(mix_ * fa.data()[i] +
+                                             (1.0 - mix_) * fb.data()[i]);
     }
-    return;
-  }
-  if (element.frame == nullptr) {
-    AVDB_LOG(Error) << name() << ": element without frame payload";
-    return;
-  }
-  if (in == in_a_) {
-    pending_a_[element.index] = element;
   } else {
-    pending_b_[element.index] = element;
+    mixed = fa;  // geometry mismatch: favour input A
   }
-  TryEmit(element.index);
+  StreamElement out;
+  out.frame = std::make_shared<const VideoFrame>(std::move(mixed));
+  out.size_bytes = static_cast<int64_t>(out.frame->SizeBytes());
+  return out;
 }
 
-void VideoMixer::TryEmit(int64_t index) {
-  // Pass-through once one side has ended.
-  const bool have_a = pending_a_.count(index) > 0;
-  const bool have_b = pending_b_.count(index) > 0;
-  StreamElement out_element;
-  if (have_a && have_b) {
-    const StreamElement& a = pending_a_[index];
-    const StreamElement& b = pending_b_[index];
-    const VideoFrame& fa = *a.frame;
-    const VideoFrame& fb = *b.frame;
-    VideoFrame mixed(fa.width(), fa.height(), fa.depth_bits());
-    if (fb.width() == fa.width() && fb.height() == fa.height() &&
-        fb.depth_bits() == fa.depth_bits()) {
-      for (size_t i = 0; i < mixed.data().size(); ++i) {
-        mixed.data()[i] = static_cast<uint8_t>(mix_ * fa.data()[i] +
-                                               (1.0 - mix_) * fb.data()[i]);
-      }
-    } else {
-      mixed = fa;  // geometry mismatch: favour input A
-    }
-    out_element.index = index;
-    out_element.ideal_time_ns =
-        std::max(a.ideal_time_ns, b.ideal_time_ns);
-    out_element.frame = std::make_shared<const VideoFrame>(std::move(mixed));
-    out_element.size_bytes =
-        static_cast<int64_t>(out_element.frame->SizeBytes());
-    pending_a_.erase(index);
-    pending_b_.erase(index);
-  } else if (have_a && b_done_) {
-    out_element = pending_a_[index];
-    pending_a_.erase(index);
-  } else if (have_b && a_done_) {
-    out_element = pending_b_[index];
-    pending_b_.erase(index);
-  } else {
-    return;  // waiting for the partner frame
-  }
-  const int64_t pixels = out_element.frame == nullptr
-                             ? 0
-                             : static_cast<int64_t>(out_element.frame->width()) *
-                                   out_element.frame->height();
-  const int64_t ready_ns =
-      mix_unit_.Submit(engine()->now_ns(), costs_.MixNs(pixels));
-  ++frames_mixed_;
-  ScheduleOwned(ready_ns,
-                       [this, out_element = std::move(out_element)] {
-                         if (state() != State::kRunning) return;
-                         Emit(out_, out_element);
-                       });
+int64_t VideoMixer::CostNs(const StreamElement& out) const {
+  const int64_t pixels =
+      out.frame == nullptr
+          ? 0
+          : static_cast<int64_t>(out.frame->width()) * out.frame->height();
+  return costs_.MixNs(pixels);
 }
 
 // ----------------------------------------------------------------- VideoTee --
@@ -290,18 +296,12 @@ void VideoTee::OnElement(Port* in, const StreamElement& element) {
 AudioMixerActivity::AudioMixerActivity(const std::string& name,
                                        ActivityLocation location,
                                        ActivityEnv env,
-                                       MediaDataType audio_type,
+                                       const MediaDataType& audio_type,
                                        double gain_a, double gain_b,
                                        CostModel costs)
-    : MediaActivity(name, location, env),
+    : PairMixer(name, location, env, audio_type, kPortOut, costs),
       gain_a_(gain_a),
-      gain_b_(gain_b),
-      costs_(costs),
-      mix_unit_(name + ".unit") {
-  in_a_ = DeclarePort(kPortInA, PortDirection::kIn, audio_type);
-  in_b_ = DeclarePort(kPortInB, PortDirection::kIn, audio_type);
-  out_ = DeclarePort(kPortOut, PortDirection::kOut, audio_type);
-}
+      gain_b_(gain_b) {}
 
 std::shared_ptr<AudioMixerActivity> AudioMixerActivity::Create(
     const std::string& name, ActivityLocation location, ActivityEnv env,
@@ -309,87 +309,40 @@ std::shared_ptr<AudioMixerActivity> AudioMixerActivity::Create(
   AVDB_CHECK(audio_type.kind() == MediaKind::kAudio &&
              !audio_type.IsCompressed())
       << "audio mixer works on raw PCM";
-  return std::shared_ptr<AudioMixerActivity>(
-      new AudioMixerActivity(name, location, env, std::move(audio_type),
-                             gain_a, gain_b, costs));
+  return std::shared_ptr<AudioMixerActivity>(new AudioMixerActivity(
+      name, location, env, audio_type, gain_a, gain_b, costs));
 }
 
-void AudioMixerActivity::OnElement(Port* in, const StreamElement& element) {
-  if (element.end_of_stream) {
-    if (in == in_a_) a_done_ = true;
-    if (in == in_b_) b_done_ = true;
-    if (a_done_ && b_done_ && !eos_sent_) {
-      eos_sent_ = true;
-      Emit(out_, element);
-      SelfStop();
-    }
-    return;
-  }
-  if (element.audio == nullptr) {
-    AVDB_LOG(Error) << name() << ": element without audio payload";
-    return;
-  }
-  if (in == in_a_) {
-    pending_a_[element.index] = element;
-  } else {
-    pending_b_[element.index] = element;
-  }
-  TryEmit(element.index);
-}
-
-void AudioMixerActivity::TryEmit(int64_t index) {
-  const bool have_a = pending_a_.count(index) > 0;
-  const bool have_b = pending_b_.count(index) > 0;
-  StreamElement out_element;
-  if (have_a && have_b) {
-    const StreamElement& a = pending_a_[index];
-    const StreamElement& b = pending_b_[index];
-    const AudioBlock& block_a = *a.audio;
-    const AudioBlock& block_b = *b.audio;
-    const int frames =
-        std::max(block_a.frame_count(), block_b.frame_count());
-    AudioBlock mixed(block_a.channels(), frames);
-    for (int f = 0; f < frames; ++f) {
-      for (int c = 0; c < block_a.channels(); ++c) {
-        double sample = 0;
-        if (f < block_a.frame_count()) sample += gain_a_ * block_a.At(f, c);
-        if (f < block_b.frame_count() && c < block_b.channels()) {
-          sample += gain_b_ * block_b.At(f, c);
-        }
-        if (sample > 32767) sample = 32767;
-        if (sample < -32768) sample = -32768;
-        mixed.Set(f, c, static_cast<int16_t>(sample));
+StreamElement AudioMixerActivity::Mix(const StreamElement& a,
+                                      const StreamElement& b) const {
+  const AudioBlock& block_a = *a.audio;
+  const AudioBlock& block_b = *b.audio;
+  const int frames = std::max(block_a.frame_count(), block_b.frame_count());
+  AudioBlock mixed(block_a.channels(), frames);
+  for (int f = 0; f < frames; ++f) {
+    for (int c = 0; c < block_a.channels(); ++c) {
+      double sample = 0;
+      if (f < block_a.frame_count()) sample += gain_a_ * block_a.At(f, c);
+      if (f < block_b.frame_count() && c < block_b.channels()) {
+        sample += gain_b_ * block_b.At(f, c);
       }
+      if (sample > 32767) sample = 32767;
+      if (sample < -32768) sample = -32768;
+      mixed.Set(f, c, static_cast<int16_t>(sample));
     }
-    out_element.index = index;
-    out_element.ideal_time_ns = std::max(a.ideal_time_ns, b.ideal_time_ns);
-    out_element.audio = std::make_shared<const AudioBlock>(std::move(mixed));
-    out_element.size_bytes =
-        static_cast<int64_t>(out_element.audio->SizeBytes());
-    pending_a_.erase(index);
-    pending_b_.erase(index);
-  } else if (have_a && b_done_) {
-    out_element = pending_a_[index];
-    pending_a_.erase(index);
-  } else if (have_b && a_done_) {
-    out_element = pending_b_[index];
-    pending_b_.erase(index);
-  } else {
-    return;
   }
+  StreamElement out;
+  out.audio = std::make_shared<const AudioBlock>(std::move(mixed));
+  out.size_bytes = static_cast<int64_t>(out.audio->SizeBytes());
+  return out;
+}
+
+int64_t AudioMixerActivity::CostNs(const StreamElement& out) const {
   const int64_t samples =
-      out_element.audio == nullptr
+      out.audio == nullptr
           ? 0
-          : static_cast<int64_t>(out_element.audio->samples().size());
-  const int64_t ready_ns = mix_unit_.Submit(
-      engine()->now_ns(),
-      static_cast<int64_t>(costs_.audio_mix_ns_per_sample * samples));
-  ++blocks_mixed_;
-  ScheduleOwned(ready_ns,
-                       [this, out_element = std::move(out_element)] {
-                         if (state() != State::kRunning) return;
-                         Emit(out_, out_element);
-                       });
+          : static_cast<int64_t>(out.audio->samples().size());
+  return static_cast<int64_t>(costs_.audio_mix_ns_per_sample * samples);
 }
 
 // ---------------------------------------------------------- FormatConverter --
@@ -468,11 +421,7 @@ void FormatConverter::OnElement(Port* in, const StreamElement& element) {
       std::make_shared<const VideoFrame>(std::move(converted));
   out_element.size_bytes =
       static_cast<int64_t>(out_element.frame->SizeBytes());
-  ScheduleOwned(ready_ns,
-                       [this, out_element = std::move(out_element)] {
-                         if (state() != State::kRunning) return;
-                         Emit(out_, out_element);
-                       });
+  EmitAt(ready_ns, out_, std::move(out_element));
 }
 
 }  // namespace avdb

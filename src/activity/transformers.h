@@ -87,14 +87,55 @@ class VideoEncoderActivity : public MediaActivity {
   int64_t bytes_out_ = 0;
 };
 
-/// Table 1's "video mixer": two raw inputs ("in_a", "in_b") -> one raw
-/// output ("video_out"). The §3.3 data-placement example operation ("video
-/// mixing is commonly used during video editing"). Elements pair by index;
-/// output frame is a blend. When one input ends, the other passes through.
-class VideoMixer : public MediaActivity {
+/// The pair-by-index join of the two mixers: elements arriving on "in_a"
+/// and "in_b" pair by index and go through the kind's `Mix` kernel,
+/// paying its modeled cost on the mix unit. When one input ends, the
+/// other passes through; end of stream follows once both have ended.
+class PairMixer : public MediaActivity {
  public:
   static constexpr const char* kPortInA = "in_a";
   static constexpr const char* kPortInB = "in_b";
+
+  void OnElement(Port* in, const StreamElement& element) final;
+
+  /// Elements emitted: mixed pairs and passed-through singles.
+  int64_t elements_mixed() const { return elements_mixed_; }
+
+ protected:
+  PairMixer(const std::string& name, ActivityLocation location,
+            ActivityEnv env, const MediaDataType& type, const char* port_out,
+            CostModel costs);
+
+  /// The output payload (and its size) for the pair `a`, `b` at one index.
+  virtual StreamElement Mix(const StreamElement& a,
+                            const StreamElement& b) const = 0;
+  /// Modeled time to produce `out` (a mixed pair or a passed-through
+  /// single).
+  virtual int64_t CostNs(const StreamElement& out) const = 0;
+
+  CostModel costs_;
+
+ private:
+  void TryEmit(int64_t index);
+
+  Port* in_a_;
+  Port* in_b_;
+  Port* out_;
+  ServiceQueue mix_unit_;
+  std::map<int64_t, StreamElement> pending_a_;
+  std::map<int64_t, StreamElement> pending_b_;
+  bool a_done_ = false;
+  bool b_done_ = false;
+  bool eos_sent_ = false;
+  int64_t elements_mixed_ = 0;
+};
+
+/// Table 1's "video mixer": two raw inputs ("in_a", "in_b") -> one raw
+/// output ("video_out"). The §3.3 data-placement example operation ("video
+/// mixing is commonly used during video editing"). The output frame is a
+/// blend.
+class VideoMixer : public PairMixer {
+ public:
   static constexpr const char* kPortOut = "video_out";
 
   /// Blend weight of input A in [0,1]; 0.5 is an equal dissolve.
@@ -105,29 +146,17 @@ class VideoMixer : public MediaActivity {
                                             double mix = 0.5,
                                             CostModel costs = {});
 
-  void OnElement(Port* in, const StreamElement& element) override;
-
-  int64_t frames_mixed() const { return frames_mixed_; }
+ protected:
+  StreamElement Mix(const StreamElement& a,
+                    const StreamElement& b) const override;
+  int64_t CostNs(const StreamElement& out) const override;
 
  private:
   VideoMixer(const std::string& name, ActivityLocation location,
-             ActivityEnv env, MediaDataType video_type, double mix,
+             ActivityEnv env, const MediaDataType& video_type, double mix,
              CostModel costs);
 
-  void TryEmit(int64_t index);
-
-  Port* in_a_;
-  Port* in_b_;
-  Port* out_;
   double mix_;
-  CostModel costs_;
-  ServiceQueue mix_unit_;
-  std::map<int64_t, StreamElement> pending_a_;
-  std::map<int64_t, StreamElement> pending_b_;
-  bool a_done_ = false;
-  bool b_done_ = false;
-  bool eos_sent_ = false;
-  int64_t frames_mixed_ = 0;
 };
 
 /// Table 1's "video tee": one raw input fanned out to `fanout` raw outputs
@@ -153,13 +182,10 @@ class VideoTee : public MediaActivity {
 };
 
 /// Audio counterpart of the video mixer: two PCM inputs ("in_a", "in_b")
-/// -> one summed PCM output ("audio_out"), pairing blocks by index with
-/// saturating addition — the dubbing/voice-over operation of the corporate
-/// editing scenario. When one input ends, the other passes through.
-class AudioMixerActivity : public MediaActivity {
+/// -> one summed PCM output ("audio_out") with saturating addition — the
+/// dubbing/voice-over operation of the corporate editing scenario.
+class AudioMixerActivity : public PairMixer {
  public:
-  static constexpr const char* kPortInA = "in_a";
-  static constexpr const char* kPortInB = "in_b";
   static constexpr const char* kPortOut = "audio_out";
 
   static std::shared_ptr<AudioMixerActivity> Create(
@@ -167,30 +193,18 @@ class AudioMixerActivity : public MediaActivity {
       MediaDataType audio_type, double gain_a = 0.5, double gain_b = 0.5,
       CostModel costs = {});
 
-  void OnElement(Port* in, const StreamElement& element) override;
-
-  int64_t blocks_mixed() const { return blocks_mixed_; }
+ protected:
+  StreamElement Mix(const StreamElement& a,
+                    const StreamElement& b) const override;
+  int64_t CostNs(const StreamElement& out) const override;
 
  private:
   AudioMixerActivity(const std::string& name, ActivityLocation location,
-                     ActivityEnv env, MediaDataType audio_type, double gain_a,
-                     double gain_b, CostModel costs);
+                     ActivityEnv env, const MediaDataType& audio_type,
+                     double gain_a, double gain_b, CostModel costs);
 
-  void TryEmit(int64_t index);
-
-  Port* in_a_;
-  Port* in_b_;
-  Port* out_;
   double gain_a_;
   double gain_b_;
-  CostModel costs_;
-  ServiceQueue mix_unit_;
-  std::map<int64_t, StreamElement> pending_a_;
-  std::map<int64_t, StreamElement> pending_b_;
-  bool a_done_ = false;
-  bool b_done_ = false;
-  bool eos_sent_ = false;
-  int64_t blocks_mixed_ = 0;
 };
 
 /// Format conversion (§3.3 lists it among AV processing): raw video in one

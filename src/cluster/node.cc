@@ -210,35 +210,15 @@ Status ServerNode::Revive() {
   if (store_->mounted()) {
     // Crash-restart: the RAM directory died with the process; rebuild a
     // fresh store over the same media and recover from superblock +
-    // journal. The retry policy is node configuration, so it survives the
-    // restart.
+    // journal.
     auto fresh = std::make_shared<MediaStore>(store_->device_ptr(),
                                               store_->buffer_cache());
-    fresh->set_retry_policy(store_->retry_policy());
     auto recovered = fresh->Recover();
     if (!recovered.ok()) return recovered.status();
     store_ = std::move(fresh);
   }
   ++stats_.revives;
   return Status::OK();
-}
-
-void ClientNode::Connect(const ServerNodePtr& server, ChannelPtr channel) {
-  AVDB_CHECK(server != nullptr) << "client link needs a server";
-  for (auto& link : links_) {
-    if (link.first == server->name()) {
-      link.second = std::move(channel);
-      return;
-    }
-  }
-  links_.emplace_back(server->name(), std::move(channel));
-}
-
-Channel* ClientNode::LinkTo(const std::string& server_name) const {
-  for (const auto& link : links_) {
-    if (link.first == server_name) return link.second.get();
-  }
-  return nullptr;
 }
 
 }  // namespace avdb

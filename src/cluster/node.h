@@ -138,34 +138,6 @@ class ServerNode {
 
 using ServerNodePtr = std::shared_ptr<ServerNode>;
 
-/// The client end of the deployment: a named endpoint whose links to the
-/// servers are per-pair Channels. Purely a wiring record — routing policy
-/// lives in StreamRouter, which reads this map.
-class ClientNode {
- public:
-  explicit ClientNode(std::string name) : name_(std::move(name)) {}
-
-  const std::string& name() const { return name_; }
-
-  /// Connects this client to `server` over `channel`. A nullptr channel
-  /// models co-location (same machine: no transfer cost, no link faults) —
-  /// the configuration whose routed reads must stay byte-identical to
-  /// direct MediaStore reads.
-  void Connect(const ServerNodePtr& server, ChannelPtr channel);
-
-  /// Link to `server_name`; nullptr when co-located or unknown.
-  Channel* LinkTo(const std::string& server_name) const;
-
-  int64_t connection_count() const {
-    return static_cast<int64_t>(links_.size());
-  }
-
- private:
-  std::string name_;
-  // Server name -> link (nullptr = co-located). Small N; linear scan.
-  std::vector<std::pair<std::string, ChannelPtr>> links_;
-};
-
 }  // namespace avdb
 
 #endif  // AVDB_CLUSTER_NODE_H_

@@ -12,8 +12,6 @@ namespace {
 
 /// Buffer memory each admitted stream demands from the "db.buffers" pool.
 constexpr int64_t kBufferBytesPerStream = 512 * 1024;
-/// Fetch lead time handed to database-resident sources.
-constexpr int64_t kSourcePrerollMs = 80;
 
 /// Bytes/second a stored representation demands from its device when
 /// streamed at its natural rate. Bound video/audio values know their own
@@ -530,9 +528,8 @@ Result<MediaActivityPtr> AvDatabase::MakeSource(
   }
 
   SourceOptions options;
-  options.preroll = WorldTime::FromMillis(kSourcePrerollMs);
   options.start_offset = resolved.start_offset;
-  options.store = store.value();
+  options.fetcher = FetchFrom(store.value());
   options.blob_name = current.blob_name;
   options.device_queue = queue.value();
   options.costs = config_.costs;

@@ -178,15 +178,6 @@ class MediaStore {
   /// reading, quarantined ones fail fast with DataLoss.
   Result<ScrubReport> Scrub();
 
-  /// Retry discipline applied to every device read issued by this store.
-  /// Transient (Unavailable) failures are retried with exponential backoff
-  /// charged in modeled time; the per-operation deadline bounds how long a
-  /// stream can be held up before the error surfaces. Defaults to a modest
-  /// always-on policy — with a fault-free device it never engages, so the
-  /// read path is byte-identical to the no-retry one.
-  void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_policy_; }
-
   struct Stats {
     int64_t retries = 0;          ///< transient faults absorbed
     int64_t exhausted = 0;        ///< reads failed after all attempts
@@ -276,6 +267,11 @@ class MediaStore {
   std::shared_ptr<BufferCache> cache_;
   std::vector<std::unique_ptr<ExtentAllocator>> allocators_;  // per disc
   std::map<std::string, StoredBlob> directory_;
+  /// Retry discipline applied to every device read: transient
+  /// (Unavailable) failures are retried with exponential backoff charged in
+  /// modeled time, and the per-operation deadline bounds how long a stream
+  /// can be held up before the error surfaces. With a fault-free device it
+  /// never engages, so the read path is byte-identical to a no-retry one.
   RetryPolicy retry_policy_;
   Stats stats_;
   obs::CounterBinding counters_;

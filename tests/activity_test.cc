@@ -564,6 +564,83 @@ TEST(VideoSourceReaderTest, FetchOffsetsKeepTheStoredLayoutAcrossAQualityStep) {
   EXPECT_GT(reduced, 0);
 }
 
+// ------------------------------------------------------ AudioSource faults --
+
+// AudioSource consults the degradation ladder only after a failed fetch: a
+// failure drops its block (the sink counts it as shed) until the
+// controller's fault patience runs out, and then the stream aborts with an
+// end of stream the sink honours. Absorbed retries surface as FAULT_RETRY.
+TEST(AudioSourceFaultTest, DropsFailedBlocksThenAbortsAfterEightFaults) {
+  EventEngine engine;
+  ActivityEnv env{&engine, nullptr};
+  ActivityGraph graph(env);
+  auto clip = GenerateAudio(MediaDataType::VoiceAudio(),
+                            20 * AudioSource::kBlockFrames,
+                            synthetic::AudioPattern::kSpeechLike)
+                  .value();
+  DegradationController degrade;
+  int fetches = 0;
+  SourceOptions source_options;
+  source_options.degrade = &degrade;
+  source_options.fetcher = [&fetches](const std::string&, int64_t,
+                                      int64_t length, int64_t)
+      -> Result<MediaStore::ReadResult> {
+    ++fetches;
+    if (fetches >= 4) return Status::Unavailable("device gone");
+    return MediaStore::ReadResult{Buffer(static_cast<size_t>(length)),
+                                  WorldTime::FromMillis(1),
+                                  fetches == 1 ? 2 : 0};
+  };
+  auto source = AudioSource::Create("src", ActivityLocation::kDatabase, env,
+                                    source_options);
+  ASSERT_TRUE(source->Bind(clip, AudioSource::kPortOut).ok());
+  SinkOptions sink_options;
+  sink_options.degrade = &degrade;
+  auto sink = AudioSink::Create("sink", ActivityLocation::kClient, env,
+                                AudioQuality::kVoice, sink_options);
+  std::vector<std::string> events;
+  for (const char* kind :
+       {AudioSource::kEachBlock, AudioSource::kLastBlock,
+        AudioSource::kFaultRetry, AudioSource::kBlockDropped,
+        AudioSource::kStreamAborted}) {
+    ASSERT_TRUE(source
+                    ->Catch(kind,
+                            [&events](const ActivityEvent& e) {
+                              events.push_back(
+                                  std::to_string(e.time_ns) + " " + e.kind +
+                                  "@" + std::to_string(e.element_index) +
+                                  (e.detail.empty() ? "" : " " + e.detail));
+                            })
+                    .ok());
+  }
+  ASSERT_TRUE(graph.Add(source).ok());
+  ASSERT_TRUE(graph.Add(sink).ok());
+  ASSERT_TRUE(graph
+                  .Connect(source.get(), AudioSource::kPortOut, sink.get(),
+                           AudioSink::kPortIn)
+                  .ok());
+  ASSERT_TRUE(graph.StartAll().ok());
+  graph.RunUntilIdle();
+
+  // Block i is fetched at i * 128 ms (its ideal time less the 80 ms
+  // preroll) and presents 1 ms of fetch later.
+  std::vector<std::string> expected = {
+      "0 FAULT_RETRY@0 2 retries absorbed", "1000000 EACH_BLOCK@0",
+      "129000000 EACH_BLOCK@1", "257000000 EACH_BLOCK@2"};
+  for (int64_t block = 3; block <= 9; ++block) {
+    expected.push_back(std::to_string(block * 128000000) +
+                       " BLOCK_DROPPED@" + std::to_string(block) +
+                       " fetch failed: device gone");
+  }
+  expected.push_back("1280000000 STREAM_ABORTED@10 8 consecutive faults");
+  EXPECT_EQ(events, expected);
+  EXPECT_EQ(fetches, 11);
+  EXPECT_EQ(sink->stats().elements_presented, 3);
+  EXPECT_EQ(sink->stats().elements_skipped, 7);
+  EXPECT_EQ(source->state(), MediaActivity::State::kStopped);
+  EXPECT_EQ(sink->state(), MediaActivity::State::kStopped);
+}
+
 // --------------------------------------------------------- Reader->decoder --
 
 TEST(Fig2ChainTest, ReadDecodeDisplay) {
@@ -1006,7 +1083,7 @@ TEST(StoredStreamingTest, DeviceContentionDelaysSecondStream) {
     double total_lateness = 0;
     for (int s = 0; s < 2; ++s) {
       SourceOptions options;
-      options.store = s == 0 ? &store0 : s1;
+      options.fetcher = FetchFrom(s == 0 ? &store0 : s1);
       options.blob_name = s == 0 ? "a" : "b";
       options.device_queue = s == 0 ? &q0 : queue1;
       auto src = VideoSource::Create("src" + std::to_string(s),

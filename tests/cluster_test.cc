@@ -471,20 +471,6 @@ TEST(StreamRouterTest, BindsClusterMetrics) {
   EXPECT_TRUE(saw_failover_event);
 }
 
-TEST(ClientNodeTest, TracksLinksByServerName) {
-  ClientNode client("viewer");
-  auto a = MakeReplica("a");
-  auto b = MakeReplica("b");
-  auto link = std::make_shared<Channel>("viewer-a", Channel::Profile::T1());
-  client.Connect(a, link);
-  client.Connect(b, nullptr);  // co-located
-  EXPECT_EQ(client.connection_count(), 2);
-  EXPECT_EQ(client.LinkTo("a"), link.get());
-  EXPECT_EQ(client.LinkTo("b"), nullptr);
-  EXPECT_EQ(client.LinkTo("unknown"), nullptr);
-}
-
-
 // --------------------------------------------------------- ReplicatedStore --
 
 /// Replication policy for the quorum/repair tests: tight retries so a dead

@@ -117,7 +117,7 @@ TEST(AudioMixerActivityTest, MixesTwoStreams) {
                   .ok());
   ASSERT_TRUE(graph.StartAll().ok());
   graph.RunUntilIdle();
-  EXPECT_EQ(mixer->blocks_mixed(), 4);  // 4096 samples = 4 blocks
+  EXPECT_EQ(mixer->elements_mixed(), 4);  // 4096 samples = 4 blocks
   EXPECT_EQ(sink->stats().elements_presented, 4);
 }
 

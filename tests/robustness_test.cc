@@ -564,7 +564,7 @@ FaultyStreamRun RunFaultyStream(bool attach_injector, const FaultSpec& spec,
 
   DegradationController degrade;
   SourceOptions source_options;
-  source_options.store = &store;
+  source_options.fetcher = FetchFrom(&store);
   source_options.blob_name = "clip";
   source_options.device_queue = &queue;
   source_options.degrade = &degrade;
