@@ -26,6 +26,15 @@
 //      (the e2e vod_cold titles). Each clip's decoded frames hash to a
 //      pinned value, so a decode speed-up that changes a sample fails
 //      (exit 1).
+//   6. ADPCM decode µs per 1024-frame chunk of a seeded voice clip, mono
+//      and stereo, through AdpcmCodec::DecodeChunk, interleaved with the
+//      per-sample decoder it replaced (kept below as
+//      LegacyAdpcmDecodeChunk). Acceptance gates: each clip's samples hash
+//      to a pinned value, the legacy decoder yields the same samples, and
+//      the current decoder's median runs at least 1.5x legacy on mono (the
+//      voice workloads) and no slower than legacy on stereo, whose two
+//      channels the legacy loop overlapped while the current one decodes
+//      them one after the other (exit 1).
 //
 // Output: BENCH_codec_micro.json; timings, the SIMD levels and the gate
 // verdicts that depend on them sit under its `host` member.
@@ -42,6 +51,7 @@
 
 #include "base/buffer.h"
 #include "base/buffer_pool.h"
+#include "codec/audio_codec.h"
 #include "codec/block_transform.h"
 #include "codec/inter_codec.h"
 #include "codec/intra_codec.h"
@@ -64,6 +74,8 @@ constexpr int kKernelIters = 200;  // kernel calls per timed rep
 constexpr int kFpsReps = 21;       // interleaved legacy/current encodes
 constexpr int kDecodeFrames = 12;  // frames per decode-row clip
 constexpr int kDecodeReps = 15;    // interleaved whole-clip decodes
+constexpr int kAdpcmChunks = 16;   // 1024-frame chunks per ADPCM clip
+constexpr int kAdpcmReps = 41;     // interleaved whole-clip ADPCM decodes
 constexpr double kKernelGateMinSpeedup = 1.0;
 constexpr double kFpsGateMinSpeedup = 2.0;
 
@@ -164,6 +176,91 @@ Buffer LegacyEncodeFrame(const VideoFrame& frame, int quality) {
 }
 
 // ---------------------------------------------------------------------------
+
+// ---------------------------------------------------------------------------
+// The ADPCM decoder AdpcmCodec used before its register-state loop,
+// verbatim from the old audio_codec.cc: the delta recomputed from the step
+// per sample, code bit by code bit, the clamps as branches, and each
+// channel's state in a heap vector indexed per sample of the interleaved
+// stream.
+
+constexpr int kLegacyIndexTable[16] = {-1, -1, -1, -1, 2, 4, 6, 8,
+                                       -1, -1, -1, -1, 2, 4, 6, 8};
+constexpr int kLegacyStepTable[89] = {
+    7,     8,     9,     10,    11,    12,    13,    14,    16,    17,
+    19,    21,    23,    25,    28,    31,    34,    37,    41,    45,
+    50,    55,    60,    66,    73,    80,    88,    97,    107,   118,
+    130,   143,   157,   173,   190,   209,   230,   253,   279,   307,
+    337,   371,   408,   449,   494,   544,   598,   658,   724,   796,
+    876,   963,   1060,  1166,  1282,  1411,  1552,  1707,  1878,  2066,
+    2272,  2499,  2749,  3024,  3327,  3660,  4026,  4428,  4871,  5358,
+    5894,  6484,  7132,  7845,  8630,  9493,  10442, 11487, 12635, 13899,
+    15289, 16818, 18500, 20350, 22385, 24623, 27086, 29794, 32767};
+
+struct LegacyAdpcmState {
+  int predictor = 0;
+  int index = 0;
+};
+
+int16_t LegacyAdpcmDecodeSample(LegacyAdpcmState* state, uint8_t code) {
+  const int step = kLegacyStepTable[state->index];
+  int accum = step >> 3;
+  if (code & 4) accum += step;
+  if (code & 2) accum += step >> 1;
+  if (code & 1) accum += step >> 2;
+  if (code & 8) {
+    state->predictor -= accum;
+  } else {
+    state->predictor += accum;
+  }
+  if (state->predictor > 32767) state->predictor = 32767;
+  if (state->predictor < -32768) state->predictor = -32768;
+  state->index += kLegacyIndexTable[code];
+  if (state->index < 0) state->index = 0;
+  if (state->index > 88) state->index = 88;
+  return static_cast<int16_t>(state->predictor);
+}
+
+Result<AudioBlock> LegacyAdpcmDecodeChunk(const EncodedAudio& audio,
+                                          int64_t index) {
+  if (index < 0 || index >= static_cast<int64_t>(audio.chunks.size())) {
+    return Status::InvalidArgument("chunk index out of range");
+  }
+  const int channels = audio.raw_type.channels();
+  const int64_t start = index * audio.chunk_frames;
+  const int frames = static_cast<int>(
+      std::min<int64_t>(audio.chunk_frames, audio.total_frames - start));
+  const Buffer& chunk = audio.chunks[static_cast<size_t>(index)];
+  if (channels < 0 || frames < 0) {
+    return Status::DataLoss("adpcm chunk shape is negative");
+  }
+  const int64_t samples = static_cast<int64_t>(frames) * channels;
+  const int64_t header_bytes = 3 * static_cast<int64_t>(channels);
+  if (static_cast<int64_t>(chunk.size()) < header_bytes + (samples + 1) / 2) {
+    return Status::DataLoss("adpcm chunk too short");
+  }
+  const uint8_t* bytes = chunk.data();
+  std::vector<LegacyAdpcmState> states(static_cast<size_t>(channels));
+  for (int c = 0; c < channels; ++c) {
+    const uint8_t* h = bytes + 3 * c;
+    if (h[2] > 88) return Status::DataLoss("adpcm step index out of range");
+    states[static_cast<size_t>(c)].predictor =
+        static_cast<int16_t>(h[0] | (h[1] << 8));
+    states[static_cast<size_t>(c)].index = h[2];
+  }
+  AudioBlock block(channels, frames);
+  const uint8_t* codes = bytes + header_bytes;
+  int16_t* out = block.samples().data();
+  int64_t i = 0;
+  for (int f = 0; f < frames; ++f) {
+    for (int c = 0; c < channels; ++c, ++i) {
+      const uint8_t byte = codes[i >> 1];
+      const uint8_t code = (i & 1) == 0 ? byte >> 4 : byte & 0x0F;
+      out[i] = LegacyAdpcmDecodeSample(&states[static_cast<size_t>(c)], code);
+    }
+  }
+  return block;
+}
 
 struct KernelPoint {
   const char* name;
@@ -514,6 +611,82 @@ std::vector<DecodePoint> MeasureDecode() {
   return points;
 }
 
+struct AdpcmPoint {
+  const char* name;
+  uint64_t samples_hash;  // FastHash64 of every chunk's decoded samples
+  uint64_t pinned_hash;   // what samples_hash must be
+  double min_speedup;     // the gate on speedup()
+  bool legacy_identical;  // LegacyAdpcmDecodeChunk decodes the same samples
+  bench::Summary clip_ns;         // host ns per decode of the whole clip
+  bench::Summary legacy_clip_ns;  // the same through the legacy decoder
+  double speedup() const { return legacy_clip_ns.median / clip_ns.median; }
+};
+
+// FastHash64 of the samples `decode` yields for every chunk of `audio`, in
+// chunk order.
+template <typename Decode>
+uint64_t AdpcmSamplesHash(const EncodedAudio& audio, Decode decode) {
+  std::vector<int16_t> samples;
+  for (int64_t c = 0; c < static_cast<int64_t>(audio.chunks.size()); ++c) {
+    const AudioBlock block = decode(audio, c).value();
+    samples.insert(samples.end(), block.samples().begin(),
+                   block.samples().end());
+  }
+  return FastHash64(reinterpret_cast<const uint8_t*>(samples.data()),
+                    samples.size() * sizeof(int16_t));
+}
+
+// Decodes each voice clip chunk by chunk, through the codec and through the
+// legacy decoder, the four variants interleaved on bench::Measure.
+std::vector<AdpcmPoint> MeasureAdpcm() {
+  struct Clip {
+    const char* name;
+    int channels;
+    uint64_t pinned_hash;
+    double min_speedup;
+  };
+  const Clip clips[] = {{"voice_mono", 1, 0x8669fba8cfc55f96, 1.5},
+                        {"voice_stereo", 2, 0x31a4784938323cf9, 1.0}};
+  const AdpcmCodec codec;
+  std::vector<EncodedAudio> streams;
+  for (const Clip& clip : clips) {
+    auto raw = synthetic::GenerateAudio(
+                   MediaDataType::RawAudio(clip.channels, Rational(8000)),
+                   int64_t{kAdpcmChunks} * AudioCodec::kDefaultChunkFrames,
+                   synthetic::AudioPattern::kSpeechLike, 11)
+                   .value();
+    streams.push_back(codec.Encode(*raw).value());
+  }
+  const auto current = [&codec](const EncodedAudio& audio, int64_t c) {
+    return codec.DecodeChunk(audio, c);
+  };
+  std::vector<std::function<void()>> variants;
+  for (const EncodedAudio& stream : streams) {
+    variants.push_back([&stream, &current] {
+      for (int64_t c = 0; c < kAdpcmChunks; ++c) {
+        Sink(static_cast<uint32_t>(current(stream, c).value().At(0, 0)));
+      }
+    });
+    variants.push_back([&stream] {
+      for (int64_t c = 0; c < kAdpcmChunks; ++c) {
+        Sink(static_cast<uint32_t>(
+            LegacyAdpcmDecodeChunk(stream, c).value().At(0, 0)));
+      }
+    });
+  }
+  const std::vector<bench::Summary> timings =
+      bench::Measure(kAdpcmReps, variants);
+  std::vector<AdpcmPoint> points;
+  for (size_t c = 0; c < streams.size(); ++c) {
+    const uint64_t hash = AdpcmSamplesHash(streams[c], current);
+    points.push_back(
+        {clips[c].name, hash, clips[c].pinned_hash, clips[c].min_speedup,
+         hash == AdpcmSamplesHash(streams[c], LegacyAdpcmDecodeChunk),
+         timings[2 * c], timings[2 * c + 1]});
+  }
+  return points;
+}
+
 }  // namespace
 
 int main() {
@@ -524,6 +697,7 @@ int main() {
   const IdentityPoint identity = CheckByteIdentity();
   const SteadyStatePoint steady = MeasureSteadyState();
   const std::vector<DecodePoint> decode = MeasureDecode();
+  const std::vector<AdpcmPoint> adpcm = MeasureAdpcm();
 
   // The 2x gate prices the *dispatched SIMD* pipeline; in a scalar-only
   // build (AVDB_SIMD=OFF or an unsupported CPU) the fps is reported but
@@ -559,10 +733,33 @@ int main() {
          {"q1", us_per_frame(p.clip_ns.q1)},
          {"q3", us_per_frame(p.clip_ns.q3)}});
   }
+  const auto us_per_chunk = [](double clip_ns) {
+    return bench::Fixed(clip_ns / kAdpcmChunks / 1e3, 2);
+  };
+  std::vector<bench::Object> adpcm_rows;
+  std::vector<bench::Object> adpcm_timing_rows;
+  for (const AdpcmPoint& p : adpcm) {
+    adpcm_rows.push_back(
+        {{"name", p.name},
+         {"chunks", kAdpcmChunks},
+         {"samples_hash", Hex(p.samples_hash)},
+         {"legacy_identical", p.legacy_identical},
+         {"gate_min_speedup", bench::Fixed(p.min_speedup, 1)}});
+    adpcm_timing_rows.push_back(
+        {{"name", p.name},
+         {"us_per_chunk", us_per_chunk(p.clip_ns.median)},
+         {"q1", us_per_chunk(p.clip_ns.q1)},
+         {"q3", us_per_chunk(p.clip_ns.q3)},
+         {"legacy_us_per_chunk", us_per_chunk(p.legacy_clip_ns.median)},
+         {"legacy_q1", us_per_chunk(p.legacy_clip_ns.q1)},
+         {"legacy_q3", us_per_chunk(p.legacy_clip_ns.q3)},
+         {"speedup", bench::Fixed(p.speedup(), 2)}});
+  }
   const bench::Object doc = {
       {"intra_fps", bench::Object{{"gate_min_speedup",
                                    bench::Fixed(kFpsGateMinSpeedup, 1)}}},
       {"decode", decode_rows},
+      {"adpcm_decode", adpcm_rows},
       {"byte_identity", bench::Object{{"identical", identity.pass}}},
       {"steady_state",
        bench::Object{{"frames", steady.frames},
@@ -579,7 +776,8 @@ int main() {
                      {"speedup", bench::Fixed(fps.speedup, 2)},
                      {"gate_enforced", fps_gate_enforced}}},
       {"byte_identity", bench::Object{{"levels", identity.levels}}},
-      {"decode", decode_timing_rows}};
+      {"decode", decode_timing_rows},
+      {"adpcm_decode", adpcm_timing_rows}};
 
   bench::Gates gates;
   gates.Check(bench::WriteReport("BENCH_codec_micro.json", doc, host),
@@ -599,6 +797,18 @@ int main() {
                 std::string(p.name) + " decoded frames hash " +
                     Hex(p.frames_hash) + " equals the pinned " +
                     Hex(p.pinned_hash));
+  }
+  for (const AdpcmPoint& p : adpcm) {
+    gates.Check(p.samples_hash == p.pinned_hash,
+                std::string(p.name) + " ADPCM samples hash " +
+                    Hex(p.samples_hash) + " equals the pinned " +
+                    Hex(p.pinned_hash));
+    gates.Check(p.legacy_identical,
+                std::string(p.name) + " legacy ADPCM decode is identical");
+    char gate[64];
+    std::snprintf(gate, sizeof(gate),
+                  " ADPCM decode median at least %.1fx legacy", p.min_speedup);
+    gates.Check(p.speedup() >= p.min_speedup, std::string(p.name) + gate);
   }
   return gates.ExitCode();
 }

@@ -431,10 +431,16 @@ Status AudioSource::DoBind(MediaValuePtr value, const std::string& port_name) {
   if (audio == nullptr) {
     return Status::InvalidArgument("AudioSource requires an AudioValue");
   }
+  if (audio->sample_rate().num() <= 0) {
+    return Status::InvalidArgument("AudioSource requires a positive rate");
+  }
   value_ = audio;
   // Approximate layout: fixed-rate bytes at the value's stored rate.
   stored_bytes_per_block_ =
       audio->StoredBytes() / std::max<int64_t>(1, ElementCount());
+  period_ns_ = (Rational(kBlockFrames) / audio->sample_rate() *
+                Rational(1000000000))
+                   .Rounded();
   out_->set_data_type(
       MediaDataType::RawAudio(audio->channels(), audio->sample_rate()));
   next_index_ = 0;
@@ -458,12 +464,6 @@ Status AudioSource::DoCue(WorldTime t) {
 
 int64_t AudioSource::ElementCount() const {
   return (value_->SampleCount() + kBlockFrames - 1) / kBlockFrames;
-}
-
-int64_t AudioSource::PeriodNs() const {
-  return (Rational(kBlockFrames) / value_->sample_rate() *
-          Rational(1000000000))
-      .Rounded();
 }
 
 void AudioSource::Produce(int64_t index, int64_t stream_start_ns) {

@@ -281,7 +281,7 @@ class AudioSource : public StreamSource {
  protected:
   bool bound() const override { return value_ != nullptr; }
   int64_t ElementCount() const override;
-  int64_t PeriodNs() const override;
+  int64_t PeriodNs() const override { return period_ns_; }
   void Produce(int64_t index, int64_t stream_start_ns) override;
   void ShedAfterFault(int64_t index, int64_t stream_start_ns,
                       const std::string& why) override;
@@ -293,6 +293,8 @@ class AudioSource : public StreamSource {
   AudioValuePtr value_;
   /// Stored bytes fetched per block, computed at bind.
   int64_t stored_bytes_per_block_ = 0;
+  /// Presentation period of one block, computed at bind.
+  int64_t period_ns_ = 0;
 };
 
 /// Produces caption elements of a bound TextStreamValue through

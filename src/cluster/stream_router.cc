@@ -32,6 +32,7 @@ StreamRouter::StreamRouter(std::string name, RouterPolicy policy,
   AVDB_CHECK(policy_.max_attempts > 0) << "router needs at least one attempt";
   AVDB_CHECK(replicas_ != nullptr) << "router needs a replica set";
   latency_window_.reserve(static_cast<size_t>(kLatencyWindow));
+  latency_sorted_.reserve(static_cast<size_t>(kLatencyWindow));
 }
 
 void StreamRouter::AddReplica(ServerNodePtr server, ChannelPtr channel) {
@@ -43,19 +44,21 @@ void StreamRouter::ObserveAttemptLatency(int64_t latency_ns) {
   if (latency_window_.size() < static_cast<size_t>(kLatencyWindow)) {
     latency_window_.push_back(latency_ns);
   } else {
-    latency_window_[static_cast<size_t>(latency_next_)] = latency_ns;
+    int64_t& oldest = latency_window_[static_cast<size_t>(latency_next_)];
+    latency_sorted_.erase(std::lower_bound(latency_sorted_.begin(),
+                                           latency_sorted_.end(), oldest));
+    oldest = latency_ns;
     latency_next_ = (latency_next_ + 1) % kLatencyWindow;
   }
+  latency_sorted_.insert(std::upper_bound(latency_sorted_.begin(),
+                                          latency_sorted_.end(), latency_ns),
+                         latency_ns);
 }
 
 int64_t StreamRouter::HedgeDelayNs() const {
-  if (latency_window_.size() < static_cast<size_t>(policy_.min_hedge_samples)) {
-    return 0;
-  }
-  std::vector<int64_t> sorted = latency_window_;
-  std::sort(sorted.begin(), sorted.end());
-  const size_t idx = (sorted.size() * 95) / 100;
-  const int64_t p95 = sorted[std::min(idx, sorted.size() - 1)];
+  const size_t n = latency_sorted_.size();
+  if (n < static_cast<size_t>(policy_.min_hedge_samples)) return 0;
+  const int64_t p95 = latency_sorted_[std::min((n * 95) / 100, n - 1)];
   return std::max(p95, kHedgeFloorNs);
 }
 
@@ -123,7 +126,7 @@ Result<MediaStore::ReadResult> StreamRouter::Fetch(const std::string& blob,
   int attempts = 0;
   int failed_attempts = 0;
   bool hedged = false;
-  Status last_error = Status::Unavailable("no replicas configured");
+  Status last_error;  // of the latest failed attempt
 
   while (attempts < policy_.max_attempts) {
     const int64_t now = start_ns + elapsed;
@@ -234,6 +237,7 @@ Result<MediaStore::ReadResult> StreamRouter::Fetch(const std::string& blob,
   }
 
   ++stats_.exhausted;
+  if (last_error.ok()) return Status::Unavailable("no replicas configured");
   return last_error;
 }
 

@@ -138,9 +138,12 @@ class StreamRouter {
   std::function<bool(int64_t, const std::string&)> read_repair_;
   Stats stats_;
 
-  /// Ring of recent attempt latencies feeding the p95 hedge delay.
+  /// Ring of recent attempt latencies feeding the p95 hedge delay, and the
+  /// same values in ascending order, kept in step by ObserveAttemptLatency
+  /// so the delay is one indexed read.
   static constexpr int64_t kLatencyWindow = 128;
   std::vector<int64_t> latency_window_;
+  std::vector<int64_t> latency_sorted_;
   int64_t latency_next_ = 0;
 
   /// Inclusive upper bounds of the exported fetch-latency histogram.

@@ -1,5 +1,8 @@
 #include "codec/audio_codec.h"
 
+#include <algorithm>
+#include <array>
+
 namespace avdb {
 
 namespace {
@@ -59,23 +62,38 @@ uint8_t AdpcmEncodeSample(AdpcmState* state, int16_t sample) {
   return code;
 }
 
-int16_t AdpcmDecodeSample(AdpcmState* state, uint8_t code) {
-  const int step = kStepTable[state->index];
-  int accum = step >> 3;
-  if (code & 4) accum += step;
-  if (code & 2) accum += step >> 1;
-  if (code & 1) accum += step >> 2;
-  if (code & 8) {
-    state->predictor -= accum;
-  } else {
-    state->predictor += accum;
+// The predictor delta of every (step index, code) pair: step/8, plus step,
+// step/2 and step/4 for code bits 2, 1 and 0, negated by bit 3, as the IMA
+// reference decoder computes it per sample, so every decoded sample is
+// unchanged. A delta reaches 61,436 at step 32,767, so it is an int32_t.
+using AdpcmDeltaTable = std::array<std::array<int32_t, 16>, 89>;
+
+constexpr AdpcmDeltaTable MakeAdpcmDeltaTable() {
+  AdpcmDeltaTable table{};
+  for (int index = 0; index < 89; ++index) {
+    const int step = kStepTable[index];
+    for (int code = 0; code < 16; ++code) {
+      int accum = step >> 3;
+      if (code & 4) accum += step;
+      if (code & 2) accum += step >> 1;
+      if (code & 1) accum += step >> 2;
+      table[index][code] = (code & 8) != 0 ? -accum : accum;
+    }
   }
-  if (state->predictor > 32767) state->predictor = 32767;
-  if (state->predictor < -32768) state->predictor = -32768;
-  state->index += kIndexTable[code];
-  if (state->index < 0) state->index = 0;
-  if (state->index > 88) state->index = 88;
-  return static_cast<int16_t>(state->predictor);
+  return table;
+}
+
+constexpr AdpcmDeltaTable kAdpcmDelta = MakeAdpcmDeltaTable();
+
+// One decode step of a channel whose whole state is `predictor` and
+// `index`. Each clamp is two branch-free selects whose compares both read
+// the unclamped value, so they run side by side.
+inline int16_t AdpcmDecodeStep(int* predictor, int* index, int code) {
+  const int sum = *predictor + kAdpcmDelta[*index][code];
+  *predictor = sum > 32767 ? 32767 : (sum < -32768 ? -32768 : sum);
+  const int next = *index + kIndexTable[code];
+  *index = next > 88 ? 88 : (next < 0 ? 0 : next);
+  return static_cast<int16_t>(*predictor);
 }
 
 Status ValidateChunkIndex(const EncodedAudio& audio, int64_t index) {
@@ -145,6 +163,14 @@ Result<EncodedAudio> EncodedAudio::Deserialize(const Buffer& buffer) {
   a.total_frames = total.value();
   auto count = r.ReadU32();
   if (!count.ok()) return count.status();
+  // Readers divide by the chunk length and step by the channel count, so a
+  // header must describe the chunks it carries before anything reads them.
+  if (channels.value() < 1 || a.chunk_frames < 1 || a.total_frames < 0 ||
+      a.total_frames / a.chunk_frames +
+              (a.total_frames % a.chunk_frames != 0 ? 1 : 0) !=
+          static_cast<int64_t>(count.value())) {
+    return Status::DataLoss("encoded-audio header does not match its chunks");
+  }
   for (uint32_t i = 0; i < count.value(); ++i) {
     auto size = r.ReadU32();
     if (!size.ok()) return size.status();
@@ -292,23 +318,36 @@ Result<AudioBlock> AdpcmCodec::DecodeChunk(const EncodedAudio& audio,
     return Status::DataLoss("adpcm chunk too short");
   }
   const uint8_t* bytes = chunk.data();
-  std::vector<AdpcmState> states(static_cast<size_t>(channels));
-  for (int c = 0; c < channels; ++c) {
-    const uint8_t* h = bytes + 3 * c;
-    if (h[2] > 88) return Status::DataLoss("adpcm step index out of range");
-    states[static_cast<size_t>(c)].predictor =
-        static_cast<int16_t>(h[0] | (h[1] << 8));
-    states[static_cast<size_t>(c)].index = h[2];
-  }
   AudioBlock block(channels, frames);
   const uint8_t* codes = bytes + header_bytes;
   int16_t* out = block.samples().data();
-  int64_t i = 0;  // sample (and nibble) number, channel-interleaved
-  for (int f = 0; f < frames; ++f) {
-    for (int c = 0; c < channels; ++c, ++i) {
-      const uint8_t byte = codes[i >> 1];
-      const uint8_t code = (i & 1) == 0 ? byte >> 4 : byte & 0x0F;
-      out[i] = AdpcmDecodeSample(&states[static_cast<size_t>(c)], code);
+  // One channel at a time, its predictor and step index in locals. Sample
+  // k of channel c is nibble c + k * channels of the interleaved codes (high
+  // nibble first), so samples 2j and 2j + 1 each keep one nibble position
+  // within a byte for the whole channel: the loop takes them in pairs.
+  for (int c = 0; c < channels; ++c) {
+    const uint8_t* h = bytes + 3 * c;
+    if (h[2] > 88) return Status::DataLoss("adpcm step index out of range");
+    int predictor = static_cast<int16_t>(h[0] | (h[1] << 8));
+    int index = h[2];
+    const int even_shift = (c & 1) == 0 ? 4 : 0;
+    const int odd_shift = ((c + channels) & 1) == 0 ? 4 : 0;
+    const uint8_t* even = codes + (c >> 1);
+    const uint8_t* odd = codes + ((c + channels) >> 1);
+    int16_t* sample = out + c;
+    int f = 0;
+    for (; f + 1 < frames; f += 2) {
+      sample[0] = AdpcmDecodeStep(&predictor, &index,
+                                  (*even >> even_shift) & 0x0F);
+      sample[channels] = AdpcmDecodeStep(&predictor, &index,
+                                         (*odd >> odd_shift) & 0x0F);
+      even += channels;
+      odd += channels;
+      sample += 2 * channels;
+    }
+    if (f < frames) {
+      sample[0] = AdpcmDecodeStep(&predictor, &index,
+                                  (*even >> even_shift) & 0x0F);
     }
   }
   return block;

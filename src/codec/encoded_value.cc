@@ -118,6 +118,12 @@ Result<AudioBlock> EncodedAudioValue::Samples(int64_t first,
   if (first < 0 || count < 0 || first + count > ElementCount()) {
     return Status::InvalidArgument("sample range out of bounds");
   }
+  if (first % audio_.chunk_frames == 0 && count > 0 &&
+      count == std::min<int64_t>(audio_.chunk_frames,
+                                 audio_.total_frames - first)) {
+    // The range is one whole chunk: its decode is the answer, uncopied.
+    return codec_->DecodeChunk(audio_, first / audio_.chunk_frames);
+  }
   const int channels = audio_.raw_type.channels();
   AudioBlock out(channels, static_cast<int>(count));
   int64_t written = 0;

@@ -1,6 +1,7 @@
 #include "storage/media_store.h"
 
 #include <algorithm>
+#include <charconv>
 #include <optional>
 #include <utility>
 
@@ -775,6 +776,18 @@ Result<MediaStore::ReadResult> MediaStore::ReadRange(const std::string& name,
   return ReadRangeImpl(name, offset, length, &budget);
 }
 
+const std::string& MediaStore::PageKey(const std::string& name,
+                                      int64_t page) {
+  page_key_.assign(device_->name());
+  page_key_ += '/';
+  page_key_ += name;
+  page_key_ += '#';
+  char digits[20];
+  const char* end = std::to_chars(digits, digits + sizeof(digits), page).ptr;
+  page_key_.append(digits, static_cast<size_t>(end - digits));
+  return page_key_;
+}
+
 Result<MediaStore::ReadResult> MediaStore::ReadRangeImpl(
     const std::string& name, int64_t offset, int64_t length,
     DeadlineBudget* budget) {
@@ -811,8 +824,7 @@ Result<MediaStore::ReadResult> MediaStore::ReadRangeImpl(
   const int64_t first_page = offset / kCachePageBytes;
   const int64_t last_page = (offset + length - 1) / kCachePageBytes;
   for (int64_t page = first_page; page <= last_page; ++page) {
-    const std::string key =
-        device_->name() + "/" + name + "#" + std::to_string(page);
+    const std::string& key = PageKey(name, page);
     std::optional<uint64_t> digest;  // what a fill verifies and tags with
     if (page < static_cast<int64_t>(entry.page_checksums.size())) {
       digest = entry.page_checksums[static_cast<size_t>(page)];
@@ -874,9 +886,7 @@ Status MediaStore::Delete(const std::string& name) {
   if (cache_ != nullptr) {
     const int64_t pages =
         (it->second.size_bytes + kCachePageBytes - 1) / kCachePageBytes;
-    for (int64_t p = 0; p < pages; ++p) {
-      cache_->Erase(device_->name() + "/" + name + "#" + std::to_string(p));
-    }
+    for (int64_t p = 0; p < pages; ++p) cache_->Erase(PageKey(name, p));
   }
   directory_.erase(it);
   return Status::OK();

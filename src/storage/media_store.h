@@ -211,6 +211,10 @@ class MediaStore {
   Result<ReadResult> ReadRangeImpl(const std::string& name, int64_t offset,
                                    int64_t length, DeadlineBudget* budget);
 
+  /// The cache key of page `page` of blob `name`, "device/name#page",
+  /// written into page_key_ (whose capacity every later key reuses).
+  const std::string& PageKey(const std::string& name, int64_t page);
+
   /// Uncached read of a blob byte range straight from the device.
   /// `budget`, when non-null, is charged per device read and cuts the
   /// operation off once spent.
@@ -276,6 +280,7 @@ class MediaStore {
   Stats stats_;
   obs::CounterBinding counters_;
   obs::Tracer* tracer_ = nullptr;
+  std::string page_key_;  ///< PageKey's output
 
   bool mounted_ = false;
   uint64_t generation_ = 0;      ///< superblock sequence == record generation

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "base/fault_injector.h"
+#include "base/rng.h"
 #include "cluster/node.h"
 #include "cluster/replica_set.h"
 #include "cluster/replicated_store.h"
@@ -16,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/block_device.h"
+#include "storage/buffer_cache.h"
 #include "storage/media_store.h"
 #include "time/virtual_clock.h"
 
@@ -317,6 +320,60 @@ TEST(StreamRouterTest, HedgesSlowPrimaryAndCountsWins) {
   // what the client pays.
   EXPECT_LT(VirtualClock::ToNs(read.value().duration),
             a->stats().busy_ns);
+}
+
+TEST(StreamRouterTest, HedgeDelayIsP95OfTheLast128AttemptLatencies) {
+  // One co-located replica, so each fetch's duration is the one attempt
+  // latency the router records and no hedge is ever possible. The cache
+  // holds a quarter of the blob: a read misses (device time) or hits (0 ns,
+  // unless it queues behind a miss on the device arm), so the window holds
+  // many ties. While the reads stay on two pages the p95 falls to 0 and the
+  // 1 ms floor applies; 320 fetches wrap the ring twice.
+  constexpr int64_t kPage = MediaStore::kCachePageBytes;
+  constexpr int64_t kPages = 16;
+  constexpr size_t kWindow = 128;
+  auto dev =
+      std::make_shared<BlockDevice>("n.dev", DeviceProfile::MagneticDisk());
+  auto cache = std::make_shared<BufferCache>(4 * kPage);
+  auto store = std::make_shared<MediaStore>(dev, cache);
+  ASSERT_TRUE(store->Put("clip", MakeBlob(kPages * kPage)).ok());
+  auto node = std::make_shared<ServerNode>("n", store);
+  ManualClock clock;
+  const RouterPolicy policy = TestPolicy();
+  StreamRouter router("router", policy, clock.fn());
+  router.AddReplica(node, nullptr);
+
+  Rng rng(5);
+  std::vector<int64_t> latencies;
+  int zeros = 0;
+  int floored = 0;
+  for (int i = 0; i < 320; ++i) {
+    int64_t want = 0;
+    if (latencies.size() >= static_cast<size_t>(policy.min_hedge_samples)) {
+      std::vector<int64_t> window(
+          latencies.end() -
+              static_cast<int64_t>(std::min(latencies.size(), kWindow)),
+          latencies.end());
+      std::sort(window.begin(), window.end());
+      const int64_t p95 =
+          window[std::min(window.size() * 95 / 100, window.size() - 1)];
+      if (p95 < kMs) ++floored;
+      want = std::max(p95, kMs);
+    }
+    ASSERT_EQ(router.HedgeDelayNs(), want) << "before fetch " << i;
+    const int64_t span = (i < 100 ? 2 : kPages) * kPage - 4096;
+    const int64_t offset =
+        static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(span)));
+    clock.Step(rng.NextInRange(1, 50) * kMs);
+    auto read = router.Fetch("clip", offset, 4096, 10 * kSecond);
+    ASSERT_TRUE(read.ok()) << "fetch " << i;
+    latencies.push_back(VirtualClock::ToNs(read.value().duration));
+    if (latencies.back() == 0) ++zeros;
+  }
+  EXPECT_GT(zeros, 50);
+  EXPECT_LT(zeros, 250);
+  EXPECT_GT(floored, 0);
+  EXPECT_EQ(router.stats().hedges, 0);
 }
 
 TEST(StreamRouterTest, SpentBudgetFailsFastWithoutTouchingReplicas) {

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
+
 #include "activity/graph.h"
 #include "activity/sinks.h"
 #include "activity/sources.h"
@@ -14,6 +18,7 @@
 #include "base/rng.h"
 #include "codec/audio_codec.h"
 #include "codec/delta_codec.h"
+#include "codec/encoded_value.h"
 #include "codec/inter_codec.h"
 #include "codec/intra_codec.h"
 #include "codec/registry.h"
@@ -246,6 +251,71 @@ TEST(CorruptStreamTest, MissingEnhancementLayersAreDataLoss) {
   auto frame = ScalableCodec().NewDecoder(video).value()->DecodeFrame(0);
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
+}
+
+// A stored encoded-audio blob of a 3000-frame voice clip whose header
+// `corrupt` edited before it was written.
+Buffer AudioBlobWith(EncodingFamily family,
+                     const std::function<void(EncodedAudio*)>& corrupt) {
+  auto raw = GenerateAudio(MediaDataType::VoiceAudio(), 3000,
+                           AudioPattern::kSpeechLike)
+                 .value();
+  auto codec = CodecRegistry::Default().AudioCodecFor(family).value();
+  EncodedAudio encoded = codec->Encode(*raw).value();
+  corrupt(&encoded);
+  auto value = EncodedAudioValue::Create(codec, std::move(encoded)).value();
+  return value_serializer::Serialize(*value).value();
+}
+
+// What a player does with a stored blob: deserialize it, then read its
+// first samples. A header the reader would divide by, or loop on, must be
+// refused before the read.
+Status ReadStoredAudio(const Buffer& blob) {
+  AVDB_ASSIGN_OR_RETURN(AudioValuePtr audio,
+                        value_serializer::DeserializeAudio(blob));
+  return audio->Samples(0, std::min<int64_t>(16, audio->SampleCount()))
+      .status();
+}
+
+TEST(CorruptStreamTest, AudioHeaderWithZeroChunkFramesIsDataLoss) {
+  for (EncodingFamily family :
+       {EncodingFamily::kAdpcm, EncodingFamily::kMulaw}) {
+    const Buffer blob =
+        AudioBlobWith(family, [](EncodedAudio* a) { a->chunk_frames = 0; });
+    EXPECT_EQ(ReadStoredAudio(blob).code(), StatusCode::kDataLoss)
+        << EncodingFamilyName(family);
+  }
+}
+
+TEST(CorruptStreamTest, AudioHeaderWithZeroChannelsIsDataLoss) {
+  for (EncodingFamily family :
+       {EncodingFamily::kAdpcm, EncodingFamily::kMulaw}) {
+    const Buffer blob = AudioBlobWith(family, [](EncodedAudio* a) {
+      a->raw_type = MediaDataType::RawAudio(0, Rational(8000));
+    });
+    EXPECT_EQ(ReadStoredAudio(blob).code(), StatusCode::kDataLoss)
+        << EncodingFamilyName(family);
+  }
+}
+
+TEST(CorruptStreamTest, AudioHeaderShapeMustMatchItsChunks) {
+  const std::function<void(EncodedAudio*)> kShapes[] = {
+      [](EncodedAudio* a) { a->chunk_frames = -5; },
+      [](EncodedAudio* a) { a->total_frames = -7; },
+      [](EncodedAudio* a) { a->total_frames = int64_t{1} << 40; },
+      [](EncodedAudio* a) { a->total_frames -= a->chunk_frames; },
+      [](EncodedAudio* a) { a->chunks.pop_back(); },
+      [](EncodedAudio* a) { a->chunk_frames = 512; }};
+  for (EncodingFamily family :
+       {EncodingFamily::kAdpcm, EncodingFamily::kMulaw}) {
+    for (size_t i = 0; i < std::size(kShapes); ++i) {
+      const Buffer blob = AudioBlobWith(family, kShapes[i]);
+      auto audio = value_serializer::DeserializeAudio(blob);
+      ASSERT_FALSE(audio.ok()) << EncodingFamilyName(family) << " shape " << i;
+      EXPECT_EQ(audio.status().code(), StatusCode::kDataLoss)
+          << EncodingFamilyName(family) << " shape " << i;
+    }
+  }
 }
 
 // ----------------------------------------------------- cross-module invariants --
