@@ -17,7 +17,8 @@ struct CostModel {
   double render_ns_per_pixel = 100.0;
   double convert_ns_per_pixel = 40.0;
   double audio_decode_ns_per_sample = 300.0;
-  double audio_mix_ns_per_sample = 100.0;
+  /// Audio mixing costs the same on every platform profile.
+  static constexpr double kAudioMixNsPerSample = 100.0;
 
   int64_t VideoDecodeNs(int64_t pixels) const {
     return static_cast<int64_t>(decode_ns_per_pixel * pixels);

@@ -92,7 +92,6 @@ class MediaActivity {
 
   // --- ports (PortSet) -----------------------------------------------------
 
-  const std::vector<std::unique_ptr<Port>>& ports() const { return ports_; }
   /// Resolves a port by name. Virtual so composite activities can expose
   /// child ports under their own names (§4.2 flow-composition rule 2).
   virtual Result<Port*> FindPort(const std::string& name) const;

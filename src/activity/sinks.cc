@@ -75,7 +75,7 @@ void PresentingSink::OnElement(Port* in, const StreamElement& element) {
   const int64_t presented_ns = std::max(now_ns, element.ideal_time_ns);
   stats_.Record(presented_ns, lateness_ns, element.size_bytes);
   if (options_.degrade != nullptr) {
-    options_.degrade->ReportLateness(now_ns, lateness_ns);
+    options_.degrade->ReportLateness(lateness_ns);
   }
   ReportSyncOrDetach(element.ideal_time_ns, presented_ns);
   if (each_event_ != nullptr) Raise(each_event_, element.index);

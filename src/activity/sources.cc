@@ -353,7 +353,7 @@ bool VideoSource::Degrade(int64_t index, int64_t stream_start_ns) {
   // backlog cannot present on time, so skip it without paying the cost.
   if (options_.device_queue != nullptr) {
     const int64_t backlog = options_.device_queue->BacklogNs(now_ns);
-    if (backlog > options_.degrade->policy().pause_threshold_ns) {
+    if (backlog > DegradationController::kPauseThresholdNs) {
       DropElement(index, stream_start_ns,
                   "device backlog " + std::to_string(backlog / 1000000) +
                       " ms");

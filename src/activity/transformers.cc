@@ -342,7 +342,7 @@ int64_t AudioMixerActivity::CostNs(const StreamElement& out) const {
       out.audio == nullptr
           ? 0
           : static_cast<int64_t>(out.audio->samples().size());
-  return static_cast<int64_t>(costs_.audio_mix_ns_per_sample * samples);
+  return static_cast<int64_t>(CostModel::kAudioMixNsPerSample * samples);
 }
 
 // ---------------------------------------------------------- FormatConverter --

@@ -1,7 +1,5 @@
 #include "base/fault_injector.h"
 
-#include <cstdio>
-
 namespace avdb {
 
 FaultSpec FaultSpec::TransientReads(double p) {
@@ -26,9 +24,8 @@ FaultSpec FaultSpec::NodeCrash(int64_t nth_op) {
 
 bool FaultSpec::Enabled() const {
   return read_error_rate > 0 || latency_spike_rate > 0 ||
-         stuck_head_rate > 0 || exchange_failure_rate > 0 ||
-         bandwidth_collapse_rate > 0 || WritesEnabled() ||
-         NodeFaultsEnabled();
+         stuck_head_rate > 0 || bandwidth_collapse_rate > 0 ||
+         WritesEnabled() || NodeFaultsEnabled();
 }
 
 bool FaultSpec::WritesEnabled() const {
@@ -41,25 +38,7 @@ bool FaultSpec::NodeFaultsEnabled() const {
          node_slow_rate > 0 || repair_crash_rate > 0;
 }
 
-std::string FaultSpec::ToString() const {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "read=%.3f spike=%.3f/%lldns stuck=%.3f exch=%.3f "
-                "collapse=%.3f@%.2f torn=%.3f drop=%.3f flip=%.3f cut@%lld "
-                "crash@%lld part=%.3f/%lld slow=%.3f@%.1fx repair=%.3f",
-                read_error_rate, latency_spike_rate,
-                static_cast<long long>(latency_spike_ns), stuck_head_rate,
-                exchange_failure_rate, bandwidth_collapse_rate,
-                bandwidth_collapse_factor, torn_write_rate, dropped_write_rate,
-                write_bit_flip_rate,
-                static_cast<long long>(power_cut_at_write),
-                static_cast<long long>(node_crash_at_op), node_partition_rate,
-                static_cast<long long>(node_partition_ops), node_slow_rate,
-                node_slow_factor, repair_crash_rate);
-  return buf;
-}
-
-FaultDecision FaultInjector::OnDeviceRead(bool needs_exchange) {
+FaultDecision FaultInjector::OnDeviceRead() {
   if (powered_off_) {
     FaultDecision decision;
     decision.fail = true;
@@ -69,20 +48,13 @@ FaultDecision FaultInjector::OnDeviceRead(bool needs_exchange) {
     return decision;
   }
   // A fixed draw order per decision keeps the trace a pure function of the
-  // call sequence even as individual rates change between specs.
+  // call sequence; a zero rate draws nothing.
   const bool read_error = rng_.NextBool(spec_.read_error_rate);
-  const bool exchange_failure = rng_.NextBool(spec_.exchange_failure_rate);
   const bool spike = rng_.NextBool(spec_.latency_spike_rate);
   const bool stuck = rng_.NextBool(spec_.stuck_head_rate);
 
   FaultDecision decision;
   ++stats_.decisions;
-  if (needs_exchange && exchange_failure) {
-    decision.fail = true;
-    decision.kind = "exchange";
-    ++stats_.exchange_failures;
-    return decision;
-  }
   if (read_error) {
     decision.fail = true;
     decision.kind = "read-error";
@@ -115,8 +87,9 @@ WriteFaultDecision FaultInjector::OnDeviceWrite(int64_t length) {
   }
   ++stats_.write_decisions;
   ++writes_seen_;
-  // Fixed draw order, always five variates, so the trace stays a pure
-  // function of (seed, spec, call sequence).
+  // Fixed draw order: one variate per non-zero rate, then the fraction and
+  // the position, so the trace stays a pure function of (seed, spec, call
+  // sequence).
   const bool torn = rng_.NextBool(spec_.torn_write_rate);
   const bool dropped = rng_.NextBool(spec_.dropped_write_rate);
   const bool flip = rng_.NextBool(spec_.write_bit_flip_rate);

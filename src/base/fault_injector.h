@@ -2,7 +2,6 @@
 #define AVDB_BASE_FAULT_INJECTOR_H_
 
 #include <cstdint>
-#include <string>
 
 #include "base/rng.h"
 
@@ -15,9 +14,8 @@ namespace avdb {
 ///
 /// The fault classes mirror what the paper's §3.3 resource discussion takes
 /// for granted can go wrong on 1993 hardware: transient SCSI/read errors,
-/// latency spikes from bus contention, a jukebox arm failing a disc swap,
-/// a stuck head that stalls the stream, and a network whose effective rate
-/// collapses under cross traffic.
+/// latency spikes from bus contention, a stuck head that stalls the stream,
+/// and a network whose effective rate collapses under cross traffic.
 struct FaultSpec {
   /// P(one device read fails with Unavailable) — transient I/O error.
   double read_error_rate = 0.0;
@@ -27,9 +25,6 @@ struct FaultSpec {
   /// P(one device read stalls for `stuck_head_stall_ns`) — recalibration.
   double stuck_head_rate = 0.0;
   int64_t stuck_head_stall_ns = 0;
-  /// P(a read that needs a disc exchange fails with Unavailable) — the
-  /// jukebox robot missing a swap. Only consulted on exchange reads.
-  double exchange_failure_rate = 0.0;
   /// P(one channel transfer runs at `bandwidth_collapse_factor` of line
   /// rate) — congestion collapse on the shared link.
   double bandwidth_collapse_rate = 0.0;
@@ -111,8 +106,6 @@ struct FaultSpec {
   /// Node-kill-only spec: the node dies at its `nth_op`-th consulted
   /// operation — the replication bench's mid-stream node loss.
   static FaultSpec NodeCrash(int64_t nth_op);
-
-  std::string ToString() const;
 };
 
 /// Outcome of consulting the injector for one device operation.
@@ -121,8 +114,8 @@ struct FaultDecision {
   bool fail = false;
   /// Extra modeled latency charged to the operation (spikes, stalls).
   int64_t extra_latency_ns = 0;
-  /// Label of the fault class that fired ("", "read-error", "exchange",
-  /// "spike", "stuck-head", "power-off") for logs and typed notifications.
+  /// Label of the fault class that fired ("", "read-error", "spike",
+  /// "stuck-head", "power-off") for logs and typed notifications.
   const char* kind = "";
 };
 
@@ -162,8 +155,9 @@ struct NodeFaultDecision {
 };
 
 /// Deterministic, seeded fault source shared by simulated devices and
-/// channels. Every decision draws a fixed number of variates from one
-/// explicitly seeded Rng in a fixed order, so the fault trace is a pure
+/// channels. Every decision draws one variate per non-zero rate from one
+/// explicitly seeded Rng in a fixed order, and a zero rate draws nothing
+/// (Rng::NextBool returns before drawing), so the fault trace is a pure
 /// function of (seed, spec, call sequence): two runs with equal seeds see
 /// byte-identical fault schedules — the property the robustness tests pin.
 class FaultInjector {
@@ -173,10 +167,9 @@ class FaultInjector {
 
   const FaultSpec& spec() const { return spec_; }
 
-  /// Decision for one device read. `needs_exchange` marks reads that cross
-  /// discs (eligible for disc-exchange failure). After a power cut every
-  /// read fails ("power-off") without drawing from the rng.
-  FaultDecision OnDeviceRead(bool needs_exchange);
+  /// Decision for one device read. After a power cut every read fails
+  /// ("power-off") without drawing from the rng.
+  FaultDecision OnDeviceRead();
 
   /// Decision for one device write of `length` bytes. Draws nothing (and
   /// fires nothing) unless the spec enables write faults, so read-only
@@ -215,7 +208,6 @@ class FaultInjector {
   struct Stats {
     int64_t decisions = 0;          ///< device reads consulted
     int64_t read_errors = 0;
-    int64_t exchange_failures = 0;
     int64_t latency_spikes = 0;
     int64_t stuck_heads = 0;
     int64_t transfers = 0;          ///< channel transfers consulted

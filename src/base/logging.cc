@@ -1,14 +1,11 @@
 #include "base/logging.h"
 
-#include <atomic>
 #include <cstdlib>
 #include <iostream>
 
 namespace avdb {
 
 namespace {
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kWarning)};
-
 const char* LevelTag(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug:
@@ -26,13 +23,7 @@ const char* LevelTag(LogLevel level) {
 }
 }  // namespace
 
-void SetMinLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel MinLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
+LogLevel MinLogLevel() { return LogLevel::kWarning; }
 
 namespace internal_logging {
 

@@ -9,9 +9,8 @@ namespace avdb {
 /// Severity of a log record. `kFatal` aborts after emitting the record.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
 
-/// Process-wide minimum severity; records below it are dropped. Defaults to
-/// kWarning so tests and benches stay quiet unless something is wrong.
-void SetMinLogLevel(LogLevel level);
+/// Minimum severity; records below it are dropped. It is kWarning so tests
+/// and benches stay quiet unless something is wrong.
 LogLevel MinLogLevel();
 
 namespace internal_logging {

@@ -19,8 +19,8 @@ int64_t RetryPolicy::BackoffNs(int retry) const {
     int64_t backoff = initial_backoff_ns;
     for (int i = 1; i <= retry; ++i) {
       const int64_t upper =
-          std::min(max_backoff_ns,
-                   backoff > max_backoff_ns ? max_backoff_ns : 3 * backoff);
+          std::min(kMaxBackoffNs,
+                   backoff > kMaxBackoffNs ? kMaxBackoffNs : 3 * backoff);
       backoff = upper <= initial_backoff_ns
                     ? initial_backoff_ns
                     : rng.NextInRange(initial_backoff_ns, upper);
@@ -28,8 +28,8 @@ int64_t RetryPolicy::BackoffNs(int retry) const {
     return backoff;
   }
   double backoff = static_cast<double>(initial_backoff_ns);
-  for (int i = 1; i < retry; ++i) backoff *= backoff_multiplier;
-  const double cap = static_cast<double>(max_backoff_ns);
+  for (int i = 1; i < retry; ++i) backoff *= kBackoffMultiplier;
+  const double cap = static_cast<double>(kMaxBackoffNs);
   if (backoff > cap) backoff = cap;
   return static_cast<int64_t>(backoff);
 }

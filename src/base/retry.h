@@ -18,9 +18,9 @@ struct RetryPolicy {
   /// Backoff before the first retry.
   int64_t initial_backoff_ns = 2 * 1000 * 1000;  // 2 ms
   /// Backoff growth per retry.
-  double backoff_multiplier = 2.0;
+  static constexpr double kBackoffMultiplier = 2.0;
   /// Cap on a single backoff wait.
-  int64_t max_backoff_ns = 50 * 1000 * 1000;  // 50 ms
+  static constexpr int64_t kMaxBackoffNs = 50 * 1000 * 1000;  // 50 ms
   /// Hard budget for one logical operation, attempts + backoffs included.
   /// Exceeding it fails the operation with DeadlineExceeded even if
   /// attempts remain — a stalled stream must be told, not kept waiting.

@@ -51,7 +51,6 @@ class ServerNode {
   /// detaches). Distinct from the store's device injector: this one models
   /// the machine, that one the platter.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-  FaultInjector* fault_injector() const { return injector_; }
 
   /// Serves one ranged read arriving at `request_ns` under `budget`.
   /// On success `*latency_ns` is the full server-side latency (queue wait +

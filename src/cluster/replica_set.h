@@ -76,7 +76,6 @@ class ReplicaHealth {
 
   int64_t ewma_latency_ns() const { return ewma_latency_ns_; }
   int consecutive_failures() const { return consecutive_failures_; }
-  int64_t open_until_ns() const { return open_until_ns_; }
   bool probe_in_flight() const { return probe_in_flight_; }
 
  private:

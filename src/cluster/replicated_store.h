@@ -66,9 +66,6 @@ class ReplicatedStore {
                   std::shared_ptr<ReplicaSet> replicas);
 
   const std::string& name() const { return name_; }
-  const ReplicationPolicy& policy() const { return policy_; }
-  ReplicaSet& replicas() { return *replicas_; }
-  const std::shared_ptr<ReplicaSet>& replica_set() const { return replicas_; }
 
   struct WriteResult {
     /// Client-visible quorum latency: the W-th fastest replica ack.

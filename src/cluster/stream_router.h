@@ -64,16 +64,11 @@ class StreamRouter {
                std::shared_ptr<ReplicaSet> replicas);
 
   const std::string& name() const { return name_; }
-  const RouterPolicy& policy() const { return policy_; }
 
   /// Adds a replica; nullptr channel = co-located (no transfer cost —
   /// routed reads through a single co-located replica are byte-identical
   /// to direct MediaStore reads).
   void AddReplica(ServerNodePtr server, ChannelPtr channel = nullptr);
-
-  ReplicaSet& replicas() { return *replicas_; }
-  const ReplicaSet& replicas() const { return *replicas_; }
-  const std::shared_ptr<ReplicaSet>& replica_set() const { return replicas_; }
 
   /// Hooks the self-healing read path in: when an attempt fails with
   /// DataLoss (corrupt page, quarantined blob), the router calls

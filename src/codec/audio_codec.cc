@@ -135,6 +135,13 @@ Buffer EncodedAudio::Serialize() const {
   return out;
 }
 
+bool EncodedAudio::ShapeMatches(int64_t chunk_count) const {
+  return raw_type.channels() >= 1 && chunk_frames >= 1 && total_frames >= 0 &&
+         total_frames / chunk_frames +
+                 (total_frames % chunk_frames != 0 ? 1 : 0) ==
+             chunk_count;
+}
+
 Result<EncodedAudio> EncodedAudio::Deserialize(const Buffer& buffer) {
   BufferReader r(buffer);
   auto magic = r.ReadU32();
@@ -163,12 +170,7 @@ Result<EncodedAudio> EncodedAudio::Deserialize(const Buffer& buffer) {
   a.total_frames = total.value();
   auto count = r.ReadU32();
   if (!count.ok()) return count.status();
-  // Readers divide by the chunk length and step by the channel count, so a
-  // header must describe the chunks it carries before anything reads them.
-  if (channels.value() < 1 || a.chunk_frames < 1 || a.total_frames < 0 ||
-      a.total_frames / a.chunk_frames +
-              (a.total_frames % a.chunk_frames != 0 ? 1 : 0) !=
-          static_cast<int64_t>(count.value())) {
+  if (!a.ShapeMatches(count.value())) {
     return Status::DataLoss("encoded-audio header does not match its chunks");
   }
   for (uint32_t i = 0; i < count.value(); ++i) {

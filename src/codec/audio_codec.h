@@ -26,6 +26,12 @@ struct EncodedAudio {
 
   int64_t TotalBytes() const;
 
+  /// Whether the header fits `chunk_count` chunks: at least one channel and
+  /// one frame per chunk, no negative length, and ceil(total_frames /
+  /// chunk_frames) chunks. Readers divide by the chunk length and step by
+  /// the channel count, so no stream that fails this may be read.
+  bool ShapeMatches(int64_t chunk_count) const;
+
   Buffer Serialize() const;
   static Result<EncodedAudio> Deserialize(const Buffer& buffer);
 };

@@ -107,6 +107,10 @@ Result<std::shared_ptr<EncodedAudioValue>> EncodedAudioValue::Create(
   if (codec->family() != audio.family) {
     return Status::InvalidArgument("codec family does not match stream");
   }
+  if (!audio.ShapeMatches(static_cast<int64_t>(audio.chunks.size()))) {
+    return Status::InvalidArgument(
+        "encoded-audio shape does not match its chunks");
+  }
   MediaDataType decoded_type = MediaDataType::CompressedAudio(
       audio.family, audio.raw_type.channels(), audio.raw_type.element_rate());
   return std::shared_ptr<EncodedAudioValue>(new EncodedAudioValue(

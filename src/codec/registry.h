@@ -29,9 +29,6 @@ class CodecRegistry {
   const std::vector<std::shared_ptr<const VideoCodec>>& video_codecs() const {
     return video_codecs_;
   }
-  const std::vector<std::shared_ptr<const AudioCodec>>& audio_codecs() const {
-    return audio_codecs_;
-  }
 
  private:
   std::vector<std::shared_ptr<const VideoCodec>> video_codecs_;

@@ -75,7 +75,6 @@ class AvDatabase {
   DeviceManager& devices() { return devices_; }
   AdmissionController& admission() { return admission_; }
   LockManager& locks() { return locks_; }
-  const AvDatabaseConfig& config() const { return config_; }
 
   /// Environment for activities located at the database.
   ActivityEnv env() {

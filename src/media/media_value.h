@@ -48,9 +48,6 @@ class MediaValue {
   /// Elements per second on the value's own axis.
   Rational ElementRate() const { return type_.element_rate(); }
 
-  /// Placement of this value on the world-time axis.
-  const TemporalTransform& transform() const { return transform_; }
-
   /// World instant of the first element.
   WorldTime start() const {
     return transform_.ToWorld(WorldTime());
@@ -88,8 +85,6 @@ class MediaValue {
 
  protected:
   explicit MediaValue(MediaDataType type) : type_(std::move(type)) {}
-
-  void set_type(MediaDataType type) { type_ = std::move(type); }
 
  private:
   MediaDataType type_;

@@ -102,7 +102,6 @@ class Channel {
   void set_fault_injector(FaultInjector* injector) {
     fault_injector_ = injector;
   }
-  FaultInjector* fault_injector() const { return fault_injector_; }
 
   struct Stats {
     int64_t transfers = 0;

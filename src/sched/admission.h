@@ -42,7 +42,6 @@ class AdmissionTicket {
   AdmissionTicket() = default;
 
   bool IsActive() const { return active_; }
-  int64_t id() const { return id_; }
   /// Reserved demands, merged per pool and interned. Names resolve via
   /// AdmissionController::PoolName.
   const std::vector<PooledDemand>& demands() const { return demands_; }

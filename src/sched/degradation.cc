@@ -16,9 +16,7 @@ const char* DegradeActionName(DegradeAction action) {
   return "unknown";
 }
 
-void DegradationController::ReportLateness(int64_t now_ns,
-                                           int64_t lateness_ns) {
-  (void)now_ns;  // kept in the signature for future rate-based detectors
+void DegradationController::ReportLateness(int64_t lateness_ns) {
   const double sample =
       static_cast<double>(lateness_ns > 0 ? lateness_ns : 0);
   if (!have_lateness_) {
@@ -26,7 +24,7 @@ void DegradationController::ReportLateness(int64_t now_ns,
     have_lateness_ = true;
   } else {
     smoothed_lateness_ns_ +=
-        policy_.ewma_alpha * (sample - smoothed_lateness_ns_);
+        kEwmaAlpha * (sample - smoothed_lateness_ns_);
   }
   ++stats_.lateness_reports;
   stats_.max_smoothed_lateness_ns =
@@ -57,23 +55,22 @@ DegradeAction DegradationController::Recommend(int64_t now_ns) const {
     const int64_t accounted = stream_stats_->elements_presented +
                               stream_stats_->elements_skipped;
     if (accounted >= policy_.miss_rate_min_elements &&
-        stream_stats_->MissRate() >= policy_.abort_miss_rate) {
+        stream_stats_->MissRate() >= kAbortMissRate) {
       return DegradeAction::kAbort;
     }
   }
   const int64_t smoothed = SmoothedLatenessNs();
-  if (smoothed >= policy_.pause_threshold_ns && DwellElapsed(now_ns)) {
+  if (smoothed >= kPauseThresholdNs && DwellElapsed(now_ns)) {
     return DegradeAction::kPause;
   }
-  if (smoothed >= policy_.lower_threshold_ns &&
-      steps_below_nominal_ < policy_.max_lower_steps &&
+  if (smoothed >= kLowerThresholdNs && steps_below_nominal_ < kMaxLowerSteps &&
       DwellElapsed(now_ns)) {
     return DegradeAction::kLowerQuality;
   }
-  if (smoothed >= policy_.drop_threshold_ns) {
+  if (smoothed >= kDropThresholdNs) {
     return DegradeAction::kDropFrame;
   }
-  if (smoothed <= policy_.recover_threshold_ns && steps_below_nominal_ > 0 &&
+  if (smoothed <= kRecoverThresholdNs && steps_below_nominal_ > 0 &&
       have_lateness_ && DwellElapsed(now_ns)) {
     return DegradeAction::kRaiseQuality;
   }
@@ -91,7 +88,7 @@ void DegradationController::AcknowledgeAction(DegradeAction action,
       // Decay the EWMA with a zero sample here, or the pressure signal
       // freezes above the drop threshold and the ladder sheds every
       // remaining frame.
-      smoothed_lateness_ns_ -= policy_.ewma_alpha * smoothed_lateness_ns_;
+      smoothed_lateness_ns_ -= kEwmaAlpha * smoothed_lateness_ns_;
       ++stats_.drops_taken;
       // The sink never sees the shed element; account it here so the
       // stream's MissRate reflects what the viewer actually lost.

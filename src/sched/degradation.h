@@ -26,38 +26,15 @@ enum class DegradeAction {
 
 const char* DegradeActionName(DegradeAction action);
 
-/// Thresholds and damping for the ladder. All lateness thresholds compare
-/// against the *smoothed* (EWMA) lateness so a single jitter spike does not
-/// trigger a quality switch; the dwell time keeps switches from
-/// oscillating.
+/// The ladder's settings that a caller may vary: its patience with faults
+/// and the warm-up of its miss-rate abort. Its thresholds and damping are
+/// DegradationController constants.
 struct DegradationPolicy {
-  /// EWMA smoothing factor for reported lateness.
-  double ewma_alpha = 0.3;
-  /// Smoothed lateness beyond which individual frames are shed.
-  int64_t drop_threshold_ns = 20 * 1000 * 1000;      // 20 ms
-  /// Smoothed lateness beyond which a quality step-down is recommended.
-  int64_t lower_threshold_ns = 60 * 1000 * 1000;     // 60 ms
-  /// Smoothed lateness beyond which the stream should pause and re-anchor.
-  int64_t pause_threshold_ns = 250 * 1000 * 1000;    // 250 ms
-  /// Smoothed lateness below which a quality step back up is allowed.
-  int64_t recover_threshold_ns = 5 * 1000 * 1000;    // 5 ms
-  /// Minimum virtual time between quality switches (and after a pause)
-  /// before the next switch may fire.
-  int64_t dwell_ns = 500 * 1000 * 1000;              // 500 ms
-  /// How many quality steps below nominal the stream may sink (for a
-  /// 3-layer scalable encoding: 2).
-  int max_lower_steps = 2;
   /// Consecutive unrecovered faults before the stream is abandoned.
   int max_consecutive_faults = 8;
-  /// Shed-corrected MissRate() at or beyond which a stream with attached
-  /// StreamStats is recommended abort: at this point drops + misses mean
-  /// the viewer effectively sees nothing, so degrading further is futile.
-  double abort_miss_rate = 0.95;
   /// Minimum accounted elements (presented + skipped) before the miss-rate
   /// abort rung may fire — a short warm-up must not kill a stream.
   int64_t miss_rate_min_elements = 50;
-
-  static DegradationPolicy Default() { return DegradationPolicy{}; }
 };
 
 /// Deadline-pressure detector + degradation ladder shared between a sink
@@ -66,15 +43,38 @@ struct DegradationPolicy {
 /// bookkeeping in virtual time — deterministic, no clock or RNG of its own.
 class DegradationController {
  public:
+  /// EWMA smoothing factor for reported lateness. All lateness thresholds
+  /// compare against the *smoothed* lateness so a single jitter spike does
+  /// not trigger a quality switch; the dwell time keeps switches from
+  /// oscillating.
+  static constexpr double kEwmaAlpha = 0.3;
+  /// Smoothed lateness beyond which individual frames are shed.
+  static constexpr int64_t kDropThresholdNs = 20 * 1000 * 1000;      // 20 ms
+  /// Smoothed lateness beyond which a quality step-down is recommended.
+  static constexpr int64_t kLowerThresholdNs = 60 * 1000 * 1000;     // 60 ms
+  /// Smoothed lateness beyond which the stream should pause and re-anchor
+  /// (VideoSource also sheds a fetch queued behind this much backlog).
+  static constexpr int64_t kPauseThresholdNs = 250 * 1000 * 1000;    // 250 ms
+  /// Smoothed lateness below which a quality step back up is allowed.
+  static constexpr int64_t kRecoverThresholdNs = 5 * 1000 * 1000;    // 5 ms
+  /// Minimum virtual time between quality switches (and after a pause)
+  /// before the next switch may fire.
+  static constexpr int64_t kDwellNs = 500 * 1000 * 1000;             // 500 ms
+  /// How many quality steps below nominal the stream may sink (for a
+  /// 3-layer scalable encoding: 2).
+  static constexpr int kMaxLowerSteps = 2;
+  /// Shed-corrected MissRate() at or beyond which a stream with attached
+  /// StreamStats is recommended abort: at this point drops + misses mean
+  /// the viewer effectively sees nothing, so degrading further is futile.
+  static constexpr double kAbortMissRate = 0.95;
+
   DegradationController() : DegradationController(DegradationPolicy{}) {}
   explicit DegradationController(DegradationPolicy policy)
       : policy_(policy) {}
 
-  const DegradationPolicy& policy() const { return policy_; }
-
   /// Sink side: one element presented with the given (positive = late)
   /// lateness. Early/on-time elements pull the EWMA toward zero.
-  void ReportLateness(int64_t now_ns, int64_t lateness_ns);
+  void ReportLateness(int64_t lateness_ns);
 
   /// Source side: a fetch failed even after retries (one strike), or
   /// succeeded again (strikes reset).
@@ -130,7 +130,7 @@ class DegradationController {
 
  private:
   bool DwellElapsed(int64_t now_ns) const {
-    return now_ns - last_switch_ns_ >= policy_.dwell_ns;
+    return now_ns - last_switch_ns_ >= kDwellNs;
   }
 
   DegradationPolicy policy_;

@@ -117,7 +117,6 @@ class EventCallback {
 class TimerHandle {
  public:
   TimerHandle() = default;
-  bool IsValid() const { return gen_ != 0; }
 
  private:
   friend class EventEngine;

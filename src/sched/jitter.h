@@ -44,8 +44,6 @@ class JitterModel {
   /// Samples the next delay; never negative.
   int64_t Sample();
 
-  const Params& params() const { return params_; }
-
   struct Stats {
     int64_t samples = 0;
     int64_t spikes = 0;        ///< samples that included a spike

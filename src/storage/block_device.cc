@@ -160,13 +160,10 @@ Result<WorldTime> BlockDevice::Read(int disc, int64_t offset, int64_t length,
   }
 
   // Fault injection happens before any state changes: a failed attempt
-  // leaves the head where it was (the arm never completed the motion), so
-  // a retry of an exchange read is itself an exchange read again.
+  // leaves the head where it was (the arm never completed the motion).
   WorldTime injected;
   if (fault_injector_ != nullptr) {
-    const FaultDecision decision =
-        fault_injector_->OnDeviceRead(/*needs_exchange=*/disc !=
-                                      current_disc_);
+    const FaultDecision decision = fault_injector_->OnDeviceRead();
     if (decision.fail) {
       ++stats_.injected_faults;
       return Status::Unavailable(std::string("injected ") + decision.kind +
@@ -185,14 +182,8 @@ Result<WorldTime> BlockDevice::Read(int disc, int64_t offset, int64_t length,
   cost += SequentialReadTime(length);
   head_position_ = offset + length;
   ++stats_.reads;
-  stats_.bytes_read += length;
   stats_.busy_time += cost;
   return cost;
-}
-
-void BlockDevice::ResetHead() {
-  current_disc_ = 0;
-  head_position_ = 0;
 }
 
 Status BlockDevice::ReserveCapacity(int64_t bytes) {

@@ -83,9 +83,6 @@ class BlockDevice {
   /// the best case used for bandwidth budgeting.
   WorldTime SequentialReadTime(int64_t length) const;
 
-  /// Resets head/disc state (e.g. between experiments).
-  void ResetHead();
-
   /// Attaches a fault injector consulted on every read and write
   /// (non-owning; nullptr detaches — after a power cut, detaching is the
   /// "reboot"). With no injector — the default — both paths are exactly
@@ -93,7 +90,6 @@ class BlockDevice {
   void set_fault_injector(FaultInjector* injector) {
     fault_injector_ = injector;
   }
-  FaultInjector* fault_injector() const { return fault_injector_; }
 
   /// Bookkeeping for allocators: reserve/free capacity.
   Status ReserveCapacity(int64_t bytes);
@@ -103,7 +99,6 @@ class BlockDevice {
   struct Stats {
     int64_t reads = 0;
     int64_t writes = 0;
-    int64_t bytes_read = 0;
     int64_t bytes_written = 0;
     int64_t seeks = 0;
     int64_t disc_exchanges = 0;

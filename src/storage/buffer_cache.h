@@ -25,7 +25,6 @@ class BufferCache {
   /// Cache holding at most `capacity_bytes` of page payload.
   explicit BufferCache(int64_t capacity_bytes);
 
-  int64_t capacity_bytes() const { return capacity_bytes_; }
   int64_t used_bytes() const { return used_bytes_; }
 
   /// Looks up a page; returns nullptr on miss. Hits refresh LRU position.

@@ -91,13 +91,6 @@ Result<MediaStore::ReadResult> DeviceManager::Fetch(
   return holder.value()->store->Get(blob_name);
 }
 
-Result<MediaStore::ReadResult> DeviceManager::FetchRange(
-    const std::string& blob_name, int64_t offset, int64_t length) {
-  auto holder = FindHolder(blob_name);
-  if (!holder.ok()) return holder.status();
-  return holder.value()->store->ReadRange(blob_name, offset, length);
-}
-
 Result<WorldTime> DeviceManager::Copy(const std::string& blob_name,
                                       const std::string& to_device,
                                       const std::string& new_name) {

@@ -44,10 +44,6 @@ class DeviceManager {
   /// Reads the whole blob wherever it lives.
   Result<MediaStore::ReadResult> Fetch(const std::string& blob_name);
 
-  /// Reads a byte range of the blob wherever it lives.
-  Result<MediaStore::ReadResult> FetchRange(const std::string& blob_name,
-                                            int64_t offset, int64_t length);
-
   /// Copies a blob to another device under `new_name` (may equal the old
   /// name since namespaces are per-device). Returns the modeled read+write
   /// duration — the §3.3 placement-copy cost.

@@ -28,7 +28,6 @@ class ExtentAllocator {
   /// Manages [0, capacity) on disc `disc`.
   ExtentAllocator(int disc, int64_t capacity);
 
-  int disc() const { return disc_; }
   int64_t capacity() const { return capacity_; }
   int64_t FreeBytes() const;
   /// Size of the largest free hole (what a contiguous allocation can get).

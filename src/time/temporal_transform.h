@@ -23,7 +23,6 @@ class TemporalTransform {
   TemporalTransform(Rational scale, WorldTime translate)
       : scale_(scale), translate_(translate) {}
 
-  static TemporalTransform Identity() { return TemporalTransform(); }
   static TemporalTransform Scaling(Rational scale) {
     return TemporalTransform(scale, WorldTime());
   }

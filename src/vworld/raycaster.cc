@@ -55,9 +55,9 @@ Raycaster::Hit Raycaster::CastRay(const Pose& pose, double ray_angle) const {
       hit.texture_u = hit_coord - std::floor(hit_coord);
       return hit;
     }
-    if ((side ? side_y : side_x) > options_.max_distance) break;
+    if ((side ? side_y : side_x) > kMaxDistance) break;
   }
-  hit.distance = options_.max_distance;
+  hit.distance = kMaxDistance;
   hit.kind = CellKind::kEmpty;
   return hit;
 }
@@ -69,7 +69,7 @@ VideoFrame Raycaster::Render(const Pose& pose,
   const int h = options_.height;
   for (int col = 0; col < w; ++col) {
     const double ray_angle =
-        pose.angle + options_.fov * (static_cast<double>(col) / w - 0.5);
+        pose.angle + kFov * (static_cast<double>(col) / w - 0.5);
     const Hit hit = CastRay(pose, ray_angle);
     // Correct fish-eye: project distance onto the view axis.
     const double corrected =

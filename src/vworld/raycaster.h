@@ -16,9 +16,11 @@ class Raycaster {
   struct Options {
     int width = 160;
     int height = 120;
-    double fov = 1.15;           ///< horizontal field of view, radians
-    double max_distance = 32.0;  ///< ray cutoff
   };
+  /// Horizontal field of view, radians.
+  static constexpr double kFov = 1.15;
+  /// Ray cutoff.
+  static constexpr double kMaxDistance = 32.0;
 
   Raycaster(const Scene* scene, Options options)
       : scene_(scene), options_(options) {}

@@ -541,7 +541,7 @@ TEST(VideoSourceReaderTest, FetchOffsetsKeepTheStoredLayoutAcrossAQualityStep) {
                    .value();
   std::vector<Fetch> fetches;
   DegradationController degrade;
-  degrade.ReportLateness(0, 100 * 1000 * 1000);  // lower quality at once
+  degrade.ReportLateness(100 * 1000 * 1000);  // lower quality at once
   SourceOptions options;
   options.fetcher = RecordingFetcher(&fetches);
   options.degrade = &degrade;

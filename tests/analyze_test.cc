@@ -107,7 +107,8 @@ TEST(AnalyzeTool, TreeIsCleanAndJsonReportsZeroFindings) {
        {"budget-propagation", "check-in-hot-path", "determinism",
         "direct-replica-write", "layer-cycle", "lease-escape",
         "lock-foreign-call", "lock-order", "metric-prefix", "naked-new",
-        "naked-retry", "plane-copy", "void-cast-call", "wallclock"}) {
+        "naked-retry", "plane-copy", "unused-api", "void-cast-call",
+        "wallclock"}) {
     EXPECT_NE(json.find(std::string("\"") + rule + "\": 0"),
               std::string::npos)
         << "summary missing zeroed rule " << rule << "\n"
@@ -220,6 +221,48 @@ TEST(AnalyzeTool, LineRulesCoverTestsAndSemanticRulesStayOnSrc) {
   EXPECT_NE(out.find("src/base/stamp.cc:11: [determinism]"),
             std::string::npos)
       << out;
+}
+
+TEST(AnalyzeTool, UnusedApiReportsTestOnlyUseWithoutFailing) {
+  // A header function only tests/ call is listed in the JSON report and
+  // leaves the run clean; one bench/ calls is in use and goes unlisted.
+  // Once the tests/ call goes, nothing uses it and the run fails.
+  const std::string root = MakeScratchRoot("unused_api");
+  SyncLockOrder(root);
+  ASSERT_EQ(std::system(("mkdir -p \"" + root + "/tests\" \"" + root +
+                         "/bench\"")
+                            .c_str()),
+            0);
+  WriteFile(root + "/src/base/probe.h",
+            "namespace avdb {\n"
+            "int TestOnlyProbe();\n"
+            "int BenchOnlyProbe();\n"
+            "}  // namespace avdb\n");
+  WriteFile(root + "/tests/probe_test.cc",
+            "int Check() { return avdb::TestOnlyProbe(); }\n");
+  WriteFile(root + "/bench/probe_bench.cc",
+            "int Run() { return avdb::BenchOnlyProbe(); }\n");
+  const std::string json_path = root + "/findings.json";
+  std::string out;
+  EXPECT_EQ(RunAnalyzer("--root \"" + root + "\" --json \"" + json_path +
+                            "\"",
+                        &out),
+            0)
+      << out;
+  const std::string json = ReadFile(json_path);
+  EXPECT_NE(json.find("\"unused-api\": 0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"test_only_functions\""), std::string::npos) << json;
+  EXPECT_NE(json.find("src/base/probe.h:2: TestOnlyProbe()"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("BenchOnlyProbe"), std::string::npos) << json;
+
+  WriteFile(root + "/tests/probe_test.cc", "int Check() { return 0; }\n");
+  EXPECT_EQ(RunAnalyzer("--root \"" + root + "\"", &out), 1) << out;
+  EXPECT_NE(out.find("src/base/probe.h:2: [unused-api] TestOnlyProbe()"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("1 finding(s)"), std::string::npos) << out;
 }
 
 TEST(AnalyzeTool, UnknownAllowlistRuleFailsTheRun) {

@@ -316,6 +316,18 @@ TEST(RngTest, DoubleInUnitInterval) {
   }
 }
 
+// A certain outcome (p <= 0 or p >= 1) draws no variate, so a zero-rate
+// fault class leaves every seeded fault trace where it was.
+TEST(RngTest, CertainOutcomesDrawNothing) {
+  Rng plain(2024), probed(2024);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(probed.NextBool(0.0));
+    EXPECT_FALSE(probed.NextBool(-1.0));
+    EXPECT_TRUE(probed.NextBool(1.0));
+    EXPECT_EQ(plain.NextU64(), probed.NextU64()) << "draw " << i;
+  }
+}
+
 TEST(RngTest, GaussianMomentsRoughlyStandard) {
   Rng rng(13);
   double sum = 0, sum2 = 0;

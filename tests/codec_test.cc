@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -521,6 +523,32 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(AudioPattern::kTone,
                                          AudioPattern::kChirp,
                                          AudioPattern::kSpeechLike)));
+
+// A value whose header its readers would divide by, or loop on, is refused
+// when it is made, not when Samples first reads it.
+TEST(EncodedAudioValueTest, CreateRefusesAShapeItsReadersCannotUse) {
+  const std::function<void(EncodedAudio*)> kShapes[] = {
+      [](EncodedAudio* a) {
+        a->raw_type = MediaDataType::RawAudio(0, Rational(8000));
+      },
+      [](EncodedAudio* a) { a->chunk_frames = 0; },
+      [](EncodedAudio* a) { a->chunks.pop_back(); }};
+  auto raw = GenerateAudio(MediaDataType::VoiceAudio(), 3000,
+                           AudioPattern::kSpeechLike)
+                 .value();
+  for (EncodingFamily family :
+       {EncodingFamily::kAdpcm, EncodingFamily::kMulaw}) {
+    auto codec = CodecRegistry::Default().AudioCodecFor(family).value();
+    for (size_t i = 0; i < std::size(kShapes); ++i) {
+      EncodedAudio encoded = codec->Encode(*raw).value();
+      kShapes[i](&encoded);
+      auto value = EncodedAudioValue::Create(codec, std::move(encoded));
+      ASSERT_FALSE(value.ok()) << EncodingFamilyName(family) << " shape " << i;
+      EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument)
+          << EncodingFamilyName(family) << " shape " << i;
+    }
+  }
+}
 
 TEST(MulawCodecTest, ScalarCompandingMonotone) {
   int16_t prev_decoded = -32768;

@@ -254,7 +254,9 @@ TEST(CorruptStreamTest, MissingEnhancementLayersAreDataLoss) {
 }
 
 // A stored encoded-audio blob of a 3000-frame voice clip whose header
-// `corrupt` edited before it was written.
+// `corrupt` edited before it was written. EncodedAudioValue::Create refuses
+// such a header, so the blob is written the way value_serializer writes
+// one: the encoded-audio kind byte, then the stream.
 Buffer AudioBlobWith(EncodingFamily family,
                      const std::function<void(EncodedAudio*)>& corrupt) {
   auto raw = GenerateAudio(MediaDataType::VoiceAudio(), 3000,
@@ -263,8 +265,10 @@ Buffer AudioBlobWith(EncodingFamily family,
   auto codec = CodecRegistry::Default().AudioCodecFor(family).value();
   EncodedAudio encoded = codec->Encode(*raw).value();
   corrupt(&encoded);
-  auto value = EncodedAudioValue::Create(codec, std::move(encoded)).value();
-  return value_serializer::Serialize(*value).value();
+  Buffer blob;
+  blob.AppendU8(4);  // value_serializer's kind byte for encoded audio
+  blob.AppendBuffer(encoded.Serialize());
+  return blob;
 }
 
 // What a player does with a stored blob: deserialize it, then read its
@@ -412,8 +416,8 @@ TEST(FaultInjectorTest, TraceIsAPureFunctionOfSeedAndSpec) {
   FaultInjector a(spec, 99);
   FaultInjector b(spec, 99);
   for (int i = 0; i < 500; ++i) {
-    const FaultDecision da = a.OnDeviceRead(i % 7 == 0);
-    const FaultDecision db = b.OnDeviceRead(i % 7 == 0);
+    const FaultDecision da = a.OnDeviceRead();
+    const FaultDecision db = b.OnDeviceRead();
     ASSERT_EQ(da.fail, db.fail);
     ASSERT_EQ(da.extra_latency_ns, db.extra_latency_ns);
     ASSERT_STREQ(da.kind, db.kind);
@@ -427,7 +431,7 @@ TEST(FaultInjectorTest, TraceIsAPureFunctionOfSeedAndSpec) {
   bool any_difference = false;
   FaultInjector a2(spec, 99);
   for (int i = 0; i < 500 && !any_difference; ++i) {
-    any_difference = a2.OnDeviceRead(false).fail != c.OnDeviceRead(false).fail;
+    any_difference = a2.OnDeviceRead().fail != c.OnDeviceRead().fail;
   }
   EXPECT_TRUE(any_difference);
 }
@@ -437,7 +441,7 @@ TEST(FaultInjectorTest, DisabledSpecNeverFires) {
   EXPECT_TRUE(FaultSpec::TransientReads(0.01).Enabled());
   FaultInjector injector(FaultSpec::None(), 1);
   for (int i = 0; i < 1000; ++i) {
-    const FaultDecision d = injector.OnDeviceRead(true);
+    const FaultDecision d = injector.OnDeviceRead();
     ASSERT_FALSE(d.fail);
     ASSERT_EQ(d.extra_latency_ns, 0);
     ASSERT_EQ(injector.OnTransfer(), 1.0);
@@ -453,7 +457,7 @@ TEST(RetryPolicyTest, BackoffIsExponentialAndCapped) {
   EXPECT_EQ(policy.BackoffNs(1), 2 * 1000 * 1000);
   EXPECT_EQ(policy.BackoffNs(2), 4 * 1000 * 1000);
   EXPECT_EQ(policy.BackoffNs(3), 8 * 1000 * 1000);
-  EXPECT_EQ(policy.BackoffNs(10), policy.max_backoff_ns);
+  EXPECT_EQ(policy.BackoffNs(10), RetryPolicy::kMaxBackoffNs);
 }
 
 TEST(RetryPolicyTest, ZeroJitterSeedKeepsDeterministicSchedule) {
@@ -474,7 +478,7 @@ TEST(RetryPolicyTest, DecorrelatedJitterIsBoundedAndPure) {
     const int64_t backoff = policy.BackoffNs(r);
     // Every jittered wait stays within [initial, cap].
     EXPECT_GE(backoff, policy.initial_backoff_ns) << "retry " << r;
-    EXPECT_LE(backoff, policy.max_backoff_ns) << "retry " << r;
+    EXPECT_LE(backoff, RetryPolicy::kMaxBackoffNs) << "retry " << r;
     // Pure function of (seed, retry): probing any retry number — in any
     // order, any number of times — never perturbs the schedule. This is
     // what lets RetryState peek at BackoffNs(r + 1) for its deadline check

@@ -859,7 +859,7 @@ constexpr int64_t kMs = 1000 * 1000;
 TEST(DegradationTest, QuietStreamRecommendsNothing) {
   DegradationController dc;
   EXPECT_EQ(dc.Recommend(0), DegradeAction::kNone);
-  for (int i = 0; i < 10; ++i) dc.ReportLateness(i * 100 * kMs, 0);
+  for (int i = 0; i < 10; ++i) dc.ReportLateness(0);
   EXPECT_EQ(dc.Recommend(1000 * kMs), DegradeAction::kNone);
   EXPECT_EQ(dc.SmoothedLatenessNs(), 0);
 }
@@ -868,42 +868,42 @@ TEST(DegradationTest, LadderEscalatesWithSmoothedLateness) {
   DegradationController dc;
   // One 100 ms spike smooths to 100 ms (first sample seeds the EWMA):
   // above the 60 ms lower-quality threshold, below the 250 ms pause one.
-  dc.ReportLateness(0, 100 * kMs);
+  dc.ReportLateness(100 * kMs);
   EXPECT_EQ(dc.Recommend(0), DegradeAction::kLowerQuality);
   dc.AcknowledgeAction(DegradeAction::kLowerQuality, 0);
   EXPECT_EQ(dc.StepsBelowNominal(), 1);
   // Pressure between drop and lower thresholds, dwell still armed: shed
   // frames (cheap, reversible, no dwell).
-  dc.ReportLateness(1, 30 * kMs);
-  dc.ReportLateness(2, 30 * kMs);
+  dc.ReportLateness(30 * kMs);
+  dc.ReportLateness(30 * kMs);
   EXPECT_EQ(dc.Recommend(3), DegradeAction::kDropFrame);
   // Sustained heavy pressure past the dwell: pause and re-anchor.
-  for (int i = 0; i < 10; ++i) dc.ReportLateness(i, 400 * kMs);
+  for (int i = 0; i < 10; ++i) dc.ReportLateness(400 * kMs);
   EXPECT_EQ(dc.Recommend(600 * kMs), DegradeAction::kPause);
 }
 
 TEST(DegradationTest, DwellBlocksImmediateSecondSwitch) {
   DegradationController dc;
-  dc.ReportLateness(0, 100 * kMs);
+  dc.ReportLateness(100 * kMs);
   ASSERT_EQ(dc.Recommend(0), DegradeAction::kLowerQuality);
   dc.AcknowledgeAction(DegradeAction::kLowerQuality, 0);
   // Still above the lower threshold, but inside the dwell window the ladder
   // may only shed frames, not switch quality again.
-  dc.ReportLateness(1, 100 * kMs);
+  dc.ReportLateness(100 * kMs);
   EXPECT_EQ(dc.Recommend(100 * kMs), DegradeAction::kDropFrame);
   // After the dwell elapses the second step down is allowed...
-  dc.ReportLateness(2, 100 * kMs);
+  dc.ReportLateness(100 * kMs);
   EXPECT_EQ(dc.Recommend(600 * kMs), DegradeAction::kLowerQuality);
   dc.AcknowledgeAction(DegradeAction::kLowerQuality, 600 * kMs);
   EXPECT_EQ(dc.StepsBelowNominal(), 2);
-  // ...but never below the policy floor (max_lower_steps = 2).
-  dc.ReportLateness(3, 100 * kMs);
+  // ...but never below the floor (kMaxLowerSteps = 2).
+  dc.ReportLateness(100 * kMs);
   EXPECT_EQ(dc.Recommend(2000 * kMs), DegradeAction::kDropFrame);
 }
 
 TEST(DegradationTest, AcknowledgedDropDecaysPressure) {
   DegradationController dc;
-  dc.ReportLateness(0, 50 * kMs);
+  dc.ReportLateness(50 * kMs);
   ASSERT_EQ(dc.Recommend(0), DegradeAction::kDropFrame);
   // A dropped frame is never presented, so the sink will not report it.
   // The acknowledgement itself must decay the EWMA or the ladder would shed
@@ -921,7 +921,7 @@ TEST(DegradationTest, AcknowledgedDropDecaysPressure) {
 
 TEST(DegradationTest, PauseResetsPressure) {
   DegradationController dc;
-  for (int i = 0; i < 10; ++i) dc.ReportLateness(i, 400 * kMs);
+  for (int i = 0; i < 10; ++i) dc.ReportLateness(400 * kMs);
   ASSERT_EQ(dc.Recommend(0), DegradeAction::kPause);
   dc.AcknowledgeAction(DegradeAction::kPause, 0);
   // The pause re-anchored the epoch: pre-pause lateness no longer describes
@@ -974,7 +974,7 @@ TEST(DegradationTest, DropAckFeedsAttachedStreamStats) {
   DegradationController dc;
   StreamStats stats;
   dc.AttachStreamStats(&stats);
-  dc.ReportLateness(0, 30 * kMs);
+  dc.ReportLateness(30 * kMs);
   ASSERT_EQ(dc.Recommend(0), DegradeAction::kDropFrame);
   dc.AcknowledgeAction(DegradeAction::kDropFrame, 0);
   EXPECT_EQ(stats.elements_skipped, 1);
@@ -1002,12 +1002,12 @@ TEST(DegradationTest, BindObservabilityCountsActionsAndFaults) {
 
 TEST(DegradationTest, RecoveryRaisesQualityTowardNominal) {
   DegradationController dc;
-  dc.ReportLateness(0, 100 * kMs);
+  dc.ReportLateness(100 * kMs);
   ASSERT_EQ(dc.Recommend(0), DegradeAction::kLowerQuality);
   dc.AcknowledgeAction(DegradeAction::kLowerQuality, 0);
   // Pressure subsides below the recovery threshold; once the dwell opens,
   // quality steps back up, and only as far as nominal.
-  for (int i = 0; i < 30; ++i) dc.ReportLateness(i, 0);
+  for (int i = 0; i < 30; ++i) dc.ReportLateness(0);
   ASSERT_LE(dc.SmoothedLatenessNs(), 5 * kMs);
   EXPECT_EQ(dc.Recommend(100 * kMs), DegradeAction::kNone);  // dwell armed
   EXPECT_EQ(dc.Recommend(600 * kMs), DegradeAction::kRaiseQuality);

@@ -391,16 +391,6 @@ TEST(DeviceManagerTest, CopyPaysReadPlusWrite) {
   EXPECT_EQ(fetched.value().data, blob);
 }
 
-TEST(DeviceManagerTest, FetchRangeRoutesToHolder) {
-  DeviceManager dm;
-  ASSERT_TRUE(dm.CreateDevice("disk0", DeviceProfile::MagneticDisk()).ok());
-  ASSERT_TRUE(dm.CreateDevice("cdrom", DeviceProfile::CdRom()).ok());
-  ASSERT_TRUE(dm.Store("clip", MakeBlob(5000), "cdrom").ok());
-  auto range = dm.FetchRange("clip", 100, 50);
-  ASSERT_TRUE(range.ok());
-  EXPECT_EQ(range.value().data.size(), 50u);
-}
-
 TEST(DeviceManagerTest, DuplicateDeviceRejected) {
   DeviceManager dm;
   ASSERT_TRUE(dm.CreateDevice("d", DeviceProfile::RamDisk()).ok());

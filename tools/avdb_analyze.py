@@ -3,7 +3,7 @@
 can't enforce (see DESIGN.md §15 "Static analysis model").
 
 Every source file under src/, tests/, bench/ and examples/ is tokenized
-once. Fourteen rules run over the tokens.
+once. Fifteen rules run over the tokens.
 
 Line rules look at one file at a time; each finding names one line:
 
@@ -97,6 +97,29 @@ per-function scope model:
                        pointer-keyed std::map/std::set is flagged
                        unconditionally (pointer order varies run to run).
 
+One rule reads all four trees, by name:
+
+  unused-api           A function declared at namespace or class scope in
+                       a src/**/*.h header that nothing in src/, bench/,
+                       examples/ or tests/ uses: no call (`f(`, `f<…>(`,
+                       through `.`, `->` or `::`), no address (`&f`,
+                       `&X::f`), no bare argument (`g(f)`, unless the file
+                       declares a variable f) and no mention in a #define
+                       body. Declarations and definitions are no uses.
+                       Constructors, destructors, operators, `= default` /
+                       `= delete` and virtual functions and overrides are
+                       exempt. Also a data member with a default
+                       initializer in a class named …Policy, …Options,
+                       …Spec, …Config, …Params, …Profile or …Model that no
+                       code sets (assignment, compound assignment, ++/--,
+                       designated initializer, or a write through a
+                       sub-field). A use of any same-named function keeps
+                       every declaration of that name, so the rule can
+                       miss a dead function but never flags a used one.
+                       Functions only tests/ use and knobs only tests/ set
+                       are reported, never failed: printed on every run
+                       and written to --json as unused_api_report.
+
 A retry loop, for naked-retry and budget-propagation alike, is a for /
 while / do loop whose brace-matched body calls one of RETRYABLE_CALLEES
 through a receiver (`device_->Read(`, `link.Transfer(`).
@@ -124,7 +147,7 @@ RULES = frozenset({
     "void-cast-call", "metric-prefix", "plane-copy", "naked-retry",
     "direct-replica-write",
     "lock-order", "lock-foreign-call", "lease-escape",
-    "budget-propagation", "determinism",
+    "budget-propagation", "determinism", "unused-api",
 })
 
 SCAN_DIRS = ("src", "tests", "bench", "examples")
@@ -259,13 +282,15 @@ _PUNCT2 = {"::", "->", "+=", "-=", "*=", "/=", "|=", "&=", "^=", "==",
 
 
 _INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
+_DEFINE_RE = re.compile(r"#\s*define\b")
 
 
 def tokenize(text):
     """Tokenizes C++ source. Comments are dropped. A `#include "path"` line
-    becomes one 'include' token carrying the path; every other
-    preprocessor line is dropped (continuation lines of a macro definition
-    included). String and char literals become single 'str' tokens."""
+    becomes one 'include' token carrying the path, a `#define` one 'define'
+    token carrying the rest of the definition (continuation lines
+    included); every other preprocessor line is dropped. String and char
+    literals become single 'str' tokens."""
     toks = []
     i, n, line = 0, len(text), 1
     at_line_start = True
@@ -283,6 +308,8 @@ def tokenize(text):
             m = _INCLUDE_RE.match(text, i)
             if m:
                 toks.append(Tok("include", m.group(1), line))
+            define = _DEFINE_RE.match(text, i)
+            first_line = line
             # Skip to end of line, honoring backslash continuations.
             while i < n:
                 if text[i] == "\\" and i + 1 < n and text[i + 1] == "\n":
@@ -292,6 +319,8 @@ def tokenize(text):
                 if text[i] == "\n":
                     break
                 i += 1
+            if define:
+                toks.append(Tok("define", text[define.end():i], first_line))
             continue
         at_line_start = False
         if c == "/" and i + 1 < n:
@@ -1670,21 +1699,393 @@ def lock_order_document():
 
 
 # ---------------------------------------------------------------------------
+# unused-api: uncalled header functions and never-set knobs
+# ---------------------------------------------------------------------------
+
+# A class whose name ends in one of these holds settings ("knobs").
+KNOB_SUFFIXES = ("Policy", "Options", "Spec", "Config", "Params", "Profile",
+                 "Model")
+# An id before a '(' at declaration scope that names no function: builtin
+# types (`void (*fn)(int)` declares a pointer) and keywords.
+NON_DECLARATORS = frozenset({
+    "void", "bool", "char", "short", "int", "long", "float", "double",
+    "signed", "unsigned", "auto",
+}) | CONTROL_KEYWORDS
+# Parenthesized specifiers stepped over on the way to a declarator.
+SPECIFIERS = frozenset({"alignas", "decltype", "noexcept", "__attribute__"})
+ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "|=", "&=", "^=",
+                        "++", "--"})
+# Assignments the tokenizer splits: %= is '%' '=', <<= is '<' '<='.
+SPLIT_ASSIGN_OPS = frozenset({("%", "="), ("<", "<="), (">", ">=")})
+# Where a use or a write keeps a declaration alive; tests/ alone only
+# puts it in the report.
+USE_DIRS = frozenset({"src", "bench", "examples"})
+
+# The run's report, filled by unused_api_findings: the functions only
+# tests/ use and the knob fields only tests/ set.
+UNUSED_API_REPORT = {"test_only_functions": [], "test_only_knobs": []}
+
+
+def _typeish(tok):
+    """tok can end a type, so a name or '&' right after it declares."""
+    return (tok.kind == "id" and tok.text not in CONTROL_KEYWORDS) \
+        or tok.text in (">", "*", "&", "&&")
+
+
+def _skip_statement(toks, i):
+    """Index past the ';' ending the statement at toks[i], stepping over
+    bracketed groups; the index of a scope-closing '}' if that comes
+    first."""
+    n = len(toks)
+    while i < n and toks[i].text != ";":
+        x = toks[i].text
+        if x == "}":
+            return i
+        if x in ("(", "[", "{"):
+            i = match_forward(toks, i, x, {"(": ")", "[": "]", "{": "}"}[x])
+        i += 1
+    return i + 1
+
+
+class ApiDecl:
+    def __init__(self, name, qual, line, exempt):
+        self.name = name        # unqualified
+        self.qual = qual        # Class::name, or name at namespace scope
+        self.line = line
+        self.exempt = exempt    # None, "virtual" or "special"
+
+
+def _function_tail(toks, j):
+    """toks[j] follows a declarator's parameter list. Returns (end, stop,
+    marks): end is the index past the declaration (its ';' or its body's
+    '}'), stop where its signature ends (the ';' or the body's '{'), marks
+    the word of an `= 0|default|delete` tail."""
+    n = len(toks)
+    init_list = False
+    marks = set()
+    while j < n:
+        x = toks[j].text
+        if x == ";":
+            return j + 1, j, marks
+        if x == "}":
+            return j, j, marks
+        if x in ("(", "["):
+            j = match_forward(toks, j, x, ")" if x == "(" else "]")
+        elif x == "{":
+            close = match_forward(toks, j, "{", "}")
+            prev = toks[j - 1]
+            if not (init_list and (prev.kind == "id" or prev.text == ">")):
+                return close + 1, j, marks
+            j = close                 # `member{...}` in a ctor init-list
+        elif x == ":":
+            init_list = True
+        elif x == "=" and j + 1 < n:
+            marks.add(toks[j + 1].text)
+        j += 1
+    return n, n, marks
+
+
+def _declaration(toks, i, scope, out):
+    """Parses the declaration at toks[i], at namespace scope (scope None)
+    or in class `scope`. A function declarator's name index goes to
+    out['decl_at'] and an ApiDecl to out['funcs']; a data member with a
+    default initializer in a knob class goes to out['fields']. Returns
+    the index past the declaration."""
+    n = len(toks)
+    if toks[i].text in ("using", "typedef", "static_assert") or (
+            toks[i].text == "friend" and i + 1 < n
+            and toks[i + 1].text in ("class", "struct")):
+        return _skip_statement(toks, i)
+    angle = 0
+    j = i
+    while j < n:
+        x = toks[j].text
+        if x in (";", "{") or (x == "=" and angle == 0):
+            if x == "{" and toks[j - 1].text == ")":
+                # A function-like macro's body: TEST_F(Suite, Name) { ... }
+                return match_forward(toks, j, "{", "}") + 1
+            _knob_field(toks, i, j, scope, out)
+            return _skip_statement(toks, j)
+        if x == "}":
+            return j
+        if x == "[":
+            j = match_forward(toks, j, "[", "]")
+        elif x == "<":
+            angle += 1
+        elif x == ">" and angle:
+            angle -= 1
+        elif x == "operator":
+            k = j + 1
+            if k + 1 < n and toks[k].text == "(" and toks[k + 1].text == ")":
+                k += 2
+            while k < n and toks[k].text != "(":
+                k += 1
+            out["decl_at"].add(j)
+            return _function_tail(
+                toks, match_forward(toks, k, "(", ")") + 1)[0]
+        elif x == "(" and angle == 0:
+            prev = toks[j - 1]
+            if prev.kind == "id" and (is_macro(prev.text)
+                                      or prev.text in SPECIFIERS):
+                j = match_forward(toks, j, "(", ")") + 1
+                continue
+            if prev.kind != "id" or prev.text in NON_DECLARATORS:
+                return _skip_statement(toks, j)
+            out["decl_at"].add(j - 1)
+            end, stop, marks = _function_tail(
+                toks, match_forward(toks, j, "(", ")") + 1)
+            qual = []
+            k = j - 2
+            while k >= 1 and toks[k].text == "::" \
+                    and toks[k - 1].kind == "id":
+                qual.insert(0, toks[k - 1].text)
+                k -= 2
+            words = {t.text for t in toks[i:stop]}
+            exempt = None
+            if words & {"virtual", "override", "final"} or "0" in marks:
+                exempt = "virtual"
+            elif marks & {"default", "delete"} \
+                    or toks[j - 2].text == "~" \
+                    or (qual and qual[-1] == prev.text):
+                exempt = "special"
+            owner = "::".join(qual) or scope
+            out["funcs"].append(ApiDecl(
+                prev.text, f"{owner}::{prev.text}" if owner else prev.text,
+                prev.line, exempt))
+            return end
+        j += 1
+    return n
+
+
+def _knob_field(toks, start, end, scope, out):
+    """toks[start:end] is a data declaration up to its initializer ('=' or
+    '{') or its ';'. Records a member of a knob class that has a default
+    initializer."""
+    if scope is None or not scope.split("::")[-1].endswith(KNOB_SUFFIXES) \
+            or toks[end].text not in ("=", "{") \
+            or toks[end - 1].kind != "id" \
+            or {t.text for t in toks[start:end]} & {"static", "constexpr"}:
+        return
+    out["fields"].append((end - 1, scope))
+
+
+def _declarations(toks):
+    """Walks one file's namespace and class scopes. Function bodies and
+    initializers are stepped over whole, so a local such as
+    `std::vector<T> slots(n)` in an inline body declares nothing. Returns
+    {'decl_at': token indexes of function declarator names, 'funcs':
+    [ApiDecl], 'fields': [(name index, class)], 'classes': class names}."""
+    out = {"decl_at": set(), "funcs": [], "fields": [], "classes": set()}
+    scopes = []                 # qualified class name, or None (namespace)
+    n = len(toks)
+    i = 0
+    while i < n:
+        x = toks[i].text
+        cur = scopes[-1] if scopes else None
+        if x == "}":
+            if scopes:
+                scopes.pop()
+            i += 1
+        elif x == ";":
+            i += 1
+        elif x in ("public", "private", "protected") and i + 1 < n \
+                and toks[i + 1].text == ":":
+            i += 2
+        elif x == "template" and i + 1 < n and toks[i + 1].text == "<":
+            i = match_forward(toks, i + 1, "<", ">") + 1
+        elif x == "namespace" or (x == "extern" and i + 2 < n
+                                  and toks[i + 1].kind == "str"
+                                  and toks[i + 2].text == "{"):
+            j = i + 1
+            while j < n and toks[j].text not in ("{", ";", "="):
+                j += 1
+            if j < n and toks[j].text == "{":
+                scopes.append(None)
+                i = j + 1
+            else:
+                i = _skip_statement(toks, j)
+        elif x == "enum":
+            i = _skip_statement(toks, i)
+        elif x in ("class", "struct", "union"):
+            j = i + 1
+            name = ""
+            while j < n and toks[j].text not in ("{", ";", "(", "=", ":"):
+                if toks[j].text == "alignas":
+                    j = match_forward(toks, j + 1, "(", ")")
+                elif toks[j].text == "[":
+                    j = match_forward(toks, j, "[", "]")
+                elif toks[j].text == "<":
+                    j = match_forward(toks, j, "<", ">")
+                elif toks[j].kind == "id" and not name \
+                        and not is_macro(toks[j].text):
+                    name = toks[j].text
+                j += 1
+            while j < n and toks[j].text not in ("{", ";", "(", "="):
+                j += 1                # the base-clause
+            if j < n and toks[j].text == "{":
+                out["classes"].add(name)
+                scopes.append(f"{cur}::{name}" if cur else name)
+                i = j + 1
+            else:
+                i = _declaration(toks, i, cur, out)
+        else:
+            i = _declaration(toks, i, cur, out)
+    return out
+
+
+def _template_call(toks, i):
+    """toks[i + 1] is '<': whether `name<…>(` follows (not a comparison)."""
+    depth = 0
+    for j in range(i + 1, len(toks) - 1):
+        x = toks[j].text
+        if x in (";", "{", "}"):
+            return False
+        if x == "<":
+            depth += 1
+        elif x == ">":
+            depth -= 1
+            if depth == 0:
+                return toks[j + 1].text == "("
+    return False
+
+
+def _uses(toks, decl_at):
+    """Yields every name the file uses as a function: a call (`f(`,
+    `f<…>(`, through `.`, `->` or `::`), an address (`&f`, `&X::f`) or a
+    bare argument (`g(f)`, unless the file declares a variable named f).
+    The file's own declarator names are no uses."""
+    n = len(toks)
+    variables = {toks[i].text for i in range(1, n - 1)
+                 if toks[i].kind == "id" and i not in decl_at
+                 and _typeish(toks[i - 1])
+                 and toks[i + 1].text in ("=", ";", ",", ")", "{", "[", ":")}
+    for i in range(n - 1):
+        t = toks[i]
+        if t.kind != "id" or i in decl_at:
+            continue
+        nxt = toks[i + 1].text
+        if nxt == "(" or nxt == "<" and _template_call(toks, i):
+            yield t.text
+            continue
+        head = i
+        while head >= 2 and toks[head - 1].text == "::" \
+                and toks[head - 2].kind == "id":
+            head -= 2
+        if head == 0 or toks[i - 1].text in (".", "->"):
+            continue
+        before = toks[head - 1].text
+        if before == "&" and not (head >= 2 and _typeish(toks[head - 2])):
+            yield t.text
+        elif before in ("(", ",") and nxt in (")", ",") \
+                and t.text not in variables:
+            yield t.text
+
+
+def _sets(toks):
+    """Yields every member name the file writes: the target of an
+    assignment, compound assignment, ++/-- or designated initializer, and
+    each member on the way to it (`p.retry.max_attempts = 2` writes retry
+    and max_attempts). A declaration's initializer writes nothing."""
+    n = len(toks)
+    for i, t in enumerate(toks):
+        if t.kind != "id":
+            continue
+        j = i + 1
+        if j < n and toks[j].text == "[":
+            j = match_forward(toks, j, "[", "]") + 1
+        if j >= n:
+            continue
+        op = (toks[j].text, toks[j + 1].text if j + 1 < n else "")
+        chain = [t.text]
+        head = i
+        while head >= 2 and toks[head - 1].text in (".", "->") \
+                and toks[head - 2].kind == "id":
+            head -= 2
+            chain.append(toks[head].text)
+        member = toks[i - 1].text in (".", "->") if i else False
+        before = toks[head - 1] if head else None
+        if op[0] in ASSIGN_OPS or op in SPLIT_ASSIGN_OPS:
+            if member or before is None or not _typeish(before):
+                yield from chain
+        elif before is not None and before.text in ("++", "--"):
+            yield from chain
+
+
+def unused_api_findings(files_toks, defines, findings):
+    """The unused-api rule over {relpath: tokens} and {relpath: [#define
+    bodies]}. A function declared in a src/ header that nothing in src/,
+    bench/, examples/ or tests/ uses, and a knob field that no code sets,
+    are findings; those only tests/ use or set go to UNUSED_API_REPORT.
+    Matching is by name, so a use of any same-named function counts."""
+    walked = {rel: _declarations(toks) for rel, toks in files_toks.items()}
+    classes = set()
+    virtual = set()
+    for w in walked.values():
+        classes |= w["classes"]
+        virtual |= {d.name for d in w["funcs"] if d.exempt == "virtual"}
+    used, written = {}, {}
+    for rel, toks in files_toks.items():
+        top = rel.split("/")[0]
+        names = set(_uses(toks, walked[rel]["decl_at"]))
+        for body in defines.get(rel, ()):
+            names.update(x.text for x in tokenize(body) if x.kind == "id")
+        for name in names:
+            used.setdefault(name, set()).add(top)
+        for name in set(_sets(toks)):
+            written.setdefault(name, set()).add(top)
+    test_fns, test_knobs = [], []
+    for rel in sorted(walked):
+        if not (rel.startswith("src/") and rel.endswith((".h", ".hpp"))):
+            continue
+        seen = set()
+        for d in walked[rel]["funcs"]:
+            if d.exempt or d.name in classes or d.name in virtual \
+                    or d.qual in seen:
+                continue
+            seen.add(d.qual)
+            where = used.get(d.name, set())
+            if not where:
+                findings.append(Finding(
+                    "unused-api", rel, d.line,
+                    f"{d.qual}() has no use in src/, bench/, examples/ or "
+                    f"tests/"))
+            elif not where & USE_DIRS:
+                test_fns.append(f"{rel}:{d.line}: {d.qual}()")
+        toks = files_toks[rel]
+        for at, cls in walked[rel]["fields"]:
+            name, line = toks[at].text, toks[at].line
+            where = written.get(name, set())
+            if not where:
+                findings.append(Finding(
+                    "unused-api", rel, line,
+                    f"{cls}::{name} is never set: a knob with one setting "
+                    f"is a constant"))
+            elif not where & USE_DIRS:
+                test_knobs.append(f"{rel}:{line}: {cls}::{name}")
+    UNUSED_API_REPORT["test_only_functions"] = test_fns
+    UNUSED_API_REPORT["test_only_knobs"] = test_knobs
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
 def analyze_tree(files):
-    """Runs every rule over {relpath: source text}: the line rules on every
-    file, the semantic rules on the src/ files. Returns the finding list
-    (unfiltered by the allowlist)."""
+    """Runs every rule over {relpath: source text}: the line rules and
+    unused-api on every file, the other semantic rules on the src/ files.
+    Returns the finding list (unfiltered by the allowlist)."""
     reset_index()
     findings = []
     tokenized = {}
+    code, defines = {}, {}
     for rel in sorted(files):
         toks = tokenize(files[rel])
+        defines[rel] = [t.text for t in toks if t.kind == "define"]
+        toks = [t for t in toks if t.kind != "define"]
         findings.extend(line_findings(rel, toks, files[rel].split("\n")))
+        code[rel] = [t for t in toks if t.kind != "include"]
         if rel.startswith("src/"):
-            tokenized[rel] = [t for t in toks if t.kind != "include"]
+            tokenized[rel] = code[rel]
             index_file(rel, tokenized[rel])
     for cls in CLASSES.values():
         for m in cls.mutex_members:
@@ -1694,6 +2095,7 @@ def analyze_tree(files):
     interprocedural_pass(findings)
     borrow_member_findings(findings)
     lock_cycle_findings(findings)
+    unused_api_findings(code, defines, findings)
     return findings
 
 
@@ -1787,12 +2189,19 @@ def run_analyze(root, json_out=None, write_lock_order=False):
             "summary": {r: sum(1 for v in kept if v.rule == r)
                         for r in sorted(RULES)},
             "lock_order": doc,
+            "unused_api_report": UNUSED_API_REPORT,
             "errors": errors,
         }
         with open(json_out, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2)
             f.write("\n")
 
+    for key, what in (("test_only_functions", "function(s) only tests/ use"),
+                      ("test_only_knobs", "knob field(s) only tests/ set")):
+        entries = UNUSED_API_REPORT[key]
+        print(f"avdb-analyze: unused-api report: {len(entries)} {what}")
+        for entry in entries:
+            print(f"  {entry}")
     for v in kept:
         print(v)
     for err in errors:
