@@ -65,6 +65,16 @@ void EncodePlane(const int16_t* plane, int width, int height, int quality,
 [[nodiscard]] Status DecodePlaneInto(int width, int height, int quality,
                                      VarintReader* in, int16_t* out);
 
+/// Reverses EncodePlane onto a width×height u8 `plane` that already holds
+/// the prediction: each coded block is added onto it with saturation, and
+/// an all-zero block leaves it as it is. The result equals DecodePlaneInto
+/// followed by reconstruct_u8 of the prediction, at every kernel level. A
+/// block with at most simd::kSparseIdctMaxCoeffs nonzero coefficients is
+/// dequantized coefficient by coefficient and goes through
+/// idct8x8_sparse, which equals idct8x8 on it.
+[[nodiscard]] Status DecodePlaneOnto(int width, int height, int quality,
+                                     VarintReader* in, uint8_t* plane);
+
 }  // namespace block_transform
 }  // namespace avdb
 

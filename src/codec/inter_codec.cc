@@ -98,13 +98,13 @@ MotionVector ThreeStepSearch(const PlaneView& cur, const PlaneView& ref,
 }
 
 // Builds the motion-compensated prediction of a whole plane from `ref`
-// given per-macroblock vectors, into caller-owned (pooled) storage of
-// width×height bytes. Macroblocks whose displaced source sits fully inside
-// the frame copy row-wise; edge macroblocks take the clamped per-sample
-// path. Output matches the per-pixel definition exactly.
-void PredictPlaneInto(const PlaneView& ref,
-                      const std::vector<MotionVector>& mvs, int mb_cols,
-                      uint8_t* out) {
+// given per-macroblock vectors, into width×height bytes of caller-owned
+// storage. Macroblocks whose displaced source sits fully inside the frame
+// copy row-wise, 16 bytes at a time when they are full width; edge
+// macroblocks take the clamped per-sample path. Output matches the
+// per-pixel definition exactly.
+void PredictPlaneInto(const PlaneView& ref, const MotionVector* mvs,
+                      int mb_cols, uint8_t* out) {
   const int width = ref.width();
   const int height = ref.height();
   const int mb_rows = (height + kMacroblock - 1) / kMacroblock;
@@ -117,10 +117,16 @@ void PredictPlaneInto(const PlaneView& ref,
       const MotionVector& mv = mvs[static_cast<size_t>(my) * mb_cols + mx];
       if (bx + mv.dx >= 0 && bx + mv.dx + bw <= width && by + mv.dy >= 0 &&
           by + mv.dy + bh <= height) {
-        for (int y = 0; y < bh; ++y) {
-          std::memcpy(out + static_cast<size_t>(by + y) * width + bx,
-                      ref.row(by + y + mv.dy) + (bx + mv.dx),
-                      static_cast<size_t>(bw));
+        uint8_t* dst = out + static_cast<size_t>(by) * width + bx;
+        const uint8_t* src = ref.row(by + mv.dy) + (bx + mv.dx);
+        if (bw == kMacroblock) {
+          for (int y = 0; y < bh; ++y, dst += width, src += width) {
+            std::memcpy(dst, src, kMacroblock);
+          }
+        } else {
+          for (int y = 0; y < bh; ++y, dst += width, src += width) {
+            std::memcpy(dst, src, static_cast<size_t>(bw));
+          }
         }
       } else {
         for (int y = 0; y < bh; ++y) {
@@ -134,11 +140,6 @@ void PredictPlaneInto(const PlaneView& ref,
     }
   }
 }
-
-struct PFrameData {
-  std::vector<MotionVector> mvs;
-  // Residual plane bitstream is appended after the vectors in `data`.
-};
 
 // Encodes a P-frame: motion vectors from plane 0, shared across planes;
 // residuals transform-coded per plane. Returns the encoded bits and the
@@ -186,7 +187,7 @@ Buffer EncodePFrame(const VideoFrame& cur, const VideoFrame& recon_ref,
   for (int p = 0; p < cur.plane_count(); ++p) {
     const PlaneView cur_plane = cur.plane(p);
     const PlaneView ref_plane = recon_ref.plane(p);
-    PredictPlaneInto(ref_plane, mvs, mb_cols, pred->data());
+    PredictPlaneInto(ref_plane, mvs.data(), mb_cols, pred->data());
     kernels.residual_u8(cur_plane.data(), pred->data(), residual->data(),
                         pixels);
     block_transform::EncodePlane(residual->data(), width, height, quality,
@@ -198,20 +199,21 @@ Buffer EncodePFrame(const VideoFrame& cur, const VideoFrame& recon_ref,
   return writer.Finish();
 }
 
-// Decodes a P-frame given the previously reconstructed reference.
+// Decodes a P-frame given the previously reconstructed reference. Each
+// plane's prediction is written straight into the output frame and the
+// coded residual blocks are added onto it. `mvs` is the caller's vector
+// storage, reused from frame to frame.
 Result<VideoFrame> DecodePFrame(const Buffer& data,
-                                const VideoFrame& recon_ref, int quality) {
-  const simd::CodecKernels& kernels = simd::ActiveKernels();
-  BufferPool& pool = BufferPool::Shared();
+                                const VideoFrame& recon_ref, int quality,
+                                std::vector<MotionVector>* mvs) {
   const int width = recon_ref.width();
   const int height = recon_ref.height();
-  const size_t pixels = recon_ref.plane_size();
   const int mb_cols = (width + kMacroblock - 1) / kMacroblock;
   const int mb_rows = (height + kMacroblock - 1) / kMacroblock;
 
   VarintReader reader(data);
-  std::vector<MotionVector> mvs(static_cast<size_t>(mb_cols) * mb_rows);
-  for (auto& mv : mvs) {
+  mvs->resize(static_cast<size_t>(mb_cols) * mb_rows);
+  for (auto& mv : *mvs) {
     const int64_t dx = reader.ReadSignedVarint();
     const int64_t dy = reader.ReadSignedVarint();
     // The encoder's search never leaves ±kMaxSearchRange.
@@ -224,16 +226,12 @@ Result<VideoFrame> DecodePFrame(const Buffer& data,
   if (!reader.ok()) return reader.status();
 
   VideoFrame out(width, height, recon_ref.depth_bits());
-  BufferPool::BytesLease pred(&pool, pixels);
-  BufferPool::I16Lease residual(&pool, pixels);
   for (int p = 0; p < recon_ref.plane_count(); ++p) {
-    const PlaneView ref_plane = recon_ref.plane(p);
-    PredictPlaneInto(ref_plane, mvs, mb_cols, pred->data());
-    AVDB_RETURN_IF_ERROR(block_transform::DecodePlaneInto(
-        width, height, quality, &reader, residual->data()));
     const PlaneSpan out_plane = out.plane_span(p);
-    kernels.reconstruct_u8(pred->data(), residual->data(), out_plane.data(),
-                           pixels);
+    PredictPlaneInto(recon_ref.plane(p), mvs->data(), mb_cols,
+                     out_plane.data());
+    AVDB_RETURN_IF_ERROR(block_transform::DecodePlaneOnto(
+        width, height, quality, &reader, out_plane.data()));
   }
   return out;
 }
@@ -284,7 +282,7 @@ class InterDecoderSession final : public VideoDecoderSession {
         return Status::DataLoss("P-frame without reference at frame " +
                                 std::to_string(next_index_));
       }
-      frame = DecodePFrame(ef.data, ref_, video_.params.quality);
+      frame = DecodePFrame(ef.data, ref_, video_.params.quality, &mvs_);
     }
     if (!frame.ok()) return frame.status();
     ref_ = frame.value();
@@ -296,6 +294,7 @@ class InterDecoderSession final : public VideoDecoderSession {
 
   const EncodedVideo& video_;
   VideoFrame ref_;
+  std::vector<MotionVector> mvs_;  // the P-frame vectors, one per macroblock
   bool have_ref_ = false;
   int64_t next_index_ = 0;
   int64_t decoded_ = 0;

@@ -1,6 +1,9 @@
 #include "codec/intra_codec.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
+#include <utility>
 
 #include "base/buffer_pool.h"
 #include "base/work_pool.h"
@@ -11,6 +14,9 @@
 namespace avdb {
 
 namespace {
+
+// A VideoFrame holds 8-bit (one plane) or 24-bit (three planes) pixels.
+constexpr int kMaxPlanes = 3;
 
 /// Decoder over independently coded frames. Sequential random access needs
 /// no inter-frame state, so a single frame spreads its planes over the
@@ -76,18 +82,16 @@ Buffer EncodePlaneBits(const VideoFrame& frame, int p, int quality,
 }
 
 /// Decodes one plane sub-stream straight into `frame`'s plane `p` (planes
-/// are disjoint storage, so concurrent plane tasks never alias).
+/// are disjoint storage, so concurrent plane tasks never alias). The
+/// plane starts at the centered samples' zero, 128, and each coded block
+/// is added onto it: adding with saturation onto 128 is i16_center_to_u8.
 Status DecodePlaneBits(const uint8_t* bits, size_t size, int p, int quality,
                        VideoFrame* frame) {
   VarintReader reader(bits, size);
-  BufferPool& pool = BufferPool::Shared();
-  BufferPool::I16Lease centered(&pool, frame->plane_size());
-  AVDB_RETURN_IF_ERROR(block_transform::DecodePlaneInto(
-      frame->width(), frame->height(), quality, &reader, centered->data()));
   const PlaneSpan out = frame->plane_span(p);
-  simd::ActiveKernels().i16_center_to_u8(centered->data(), out.data(),
-                                         out.size());
-  return Status::OK();
+  std::memset(out.data(), 128, out.size());
+  return block_transform::DecodePlaneOnto(frame->width(), frame->height(),
+                                          quality, &reader, out.data());
 }
 
 }  // namespace
@@ -120,25 +124,29 @@ Result<VideoFrame> IntraCodec::DecodeFrame(const Buffer& data, int width,
   VideoFrame frame(width, height, depth_bits);
   const int planes = frame.plane_count();
   // Slice the per-plane sub-streams up front (cheap, sequential), then
-  // decode each independently.
+  // decode each independently. Fixed arrays, so a frame allocates nothing
+  // beyond its own pooled storage.
   BufferReader reader(data);
-  std::vector<std::pair<size_t, size_t>> spans;  // offset, size
-  spans.reserve(static_cast<size_t>(planes));
+  std::array<std::pair<size_t, size_t>, kMaxPlanes> spans;  // offset, size
   for (int p = 0; p < planes; ++p) {
     auto size = reader.ReadU32();
     if (!size.ok()) return size.status();
     const size_t offset = reader.position();
     AVDB_RETURN_IF_ERROR(reader.Skip(size.value()));
-    spans.emplace_back(offset, size.value());
+    spans[static_cast<size_t>(p)] = {offset, size.value()};
   }
-  std::vector<Status> statuses = WorkPool::Shared().ParallelMap<Status>(
+  std::array<Status, kMaxPlanes> statuses;
+  WorkPool::Shared().ParallelFor(
       std::min(concurrency, planes), planes, [&](int64_t p) {
         const auto& span = spans[static_cast<size_t>(p)];
-        return DecodePlaneBits(data.data() + span.first, span.second,
-                               static_cast<int>(p), quality, &frame);
+        statuses[static_cast<size_t>(p)] =
+            DecodePlaneBits(data.data() + span.first, span.second,
+                            static_cast<int>(p), quality, &frame);
       });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
+  for (int p = 0; p < planes; ++p) {
+    if (!statuses[static_cast<size_t>(p)].ok()) {
+      return statuses[static_cast<size_t>(p)];
+    }
   }
   return frame;
 }

@@ -1,6 +1,7 @@
 #ifndef AVDB_CODEC_SIMD_KERNELS_H_
 #define AVDB_CODEC_SIMD_KERNELS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -40,6 +41,17 @@ inline constexpr int kIdctPass2Shift = 15;  ///< remove scale + fraction
 /// Dequantized levels are clamped to ±2^20 before the multiply so a
 /// hostile level can never overflow int32 (step ≤ 1024 ⇒ |q·step| < 2^31).
 inline constexpr int32_t kDequantClamp = 1 << 20;
+
+/// One coefficient of the `dequantize` kernel: the decoder scales the few
+/// coefficients of a sparse block with it instead of running the kernel.
+inline int32_t DequantizeLevel(int32_t level, int32_t step) {
+  return std::clamp(level, -kDequantClamp, kDequantClamp) * step;
+}
+
+/// Most nonzero coefficients a block may hold to take `idct8x8_sparse`.
+/// bench_codec_micro times the sparse transform against `idct8x8` at
+/// each count up to this one.
+inline constexpr int kSparseIdctMaxCoeffs = 2;
 
 /// Precomputed fixed-point DCT basis, shared by every implementation. The
 /// pair layouts feed PMADDWD-style multiply-accumulate directly: each i32
@@ -87,6 +99,13 @@ struct CodecKernels {
   void (*fdct8x8)(const int16_t in[kBlockArea], int32_t out[kBlockArea]);
   /// Inverse 8×8 DCT (coefficient int32 → spatial int16, saturated).
   void (*idct8x8)(const int32_t in[kBlockArea], int16_t out[kBlockArea]);
+  /// idct8x8 of a block whose only nonzero coefficients sit at the
+  /// `count` (1..kSparseIdctMaxCoeffs) distinct raster positions `pos`.
+  /// Only the columns they occupy are transformed: every other column of
+  /// the intermediate is an exact zero, and the inputs saturate and both
+  /// passes round as in idct8x8, so `out` equals idct8x8's.
+  void (*idct8x8_sparse)(const int32_t in[kBlockArea], const uint8_t* pos,
+                         int count, int16_t out[kBlockArea]);
   /// In-place divide-and-round by the per-position step. Inputs must be
   /// forward-transform outputs (|coeff| < 2^21 − 512), the exactness
   /// condition of the reciprocal multiply.
@@ -105,6 +124,11 @@ struct CodecKernels {
   /// out[i] = clamp(pred[i] + res[i], 0, 255).
   void (*reconstruct_u8)(const uint8_t* pred, const int16_t* res,
                          uint8_t* out, size_t n);
+  /// dst[y·stride + x] = clamp(dst[y·stride + x] + block[y·8 + x], 0, 255)
+  /// for x < cols and y < rows, both in 1..8: adds a decoded block onto
+  /// the prediction already in the plane.
+  void (*add_block_u8)(const int16_t block[kBlockArea], int cols, int rows,
+                       uint8_t* dst, ptrdiff_t stride);
   /// out[i] = int16(a[i] − b[i]) (two's-complement wrap, scalable-layer
   /// residuals).
   void (*sub_i16)(const int16_t* a, const int16_t* b, int16_t* out, size_t n);

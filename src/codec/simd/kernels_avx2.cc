@@ -13,6 +13,8 @@
 namespace avdb {
 namespace simd {
 
+const CodecKernels& Sse2Kernels();  // kernels_sse2.cc
+
 namespace {
 
 inline __m128i Load128(const void* p) {
@@ -269,6 +271,11 @@ const CodecKernels& Avx2Kernels() {
     k.residual_u8 = scalar.residual_u8;
     k.sub_i16 = scalar.sub_i16;
     k.add_i16 = scalar.add_i16;
+    // These two work on one 8-sample row, or two, at a time: 128-bit
+    // lanes hold them whole, so the SSE2 entries serve.
+    const CodecKernels& sse2 = Sse2Kernels();
+    k.idct8x8_sparse = sse2.idct8x8_sparse;
+    k.add_block_u8 = sse2.add_block_u8;
     return k;
   }();
   return kernels;

@@ -317,6 +317,10 @@ const CodecKernels& NeonKernels() {
     k.add_i16 = AddI16Neon;
     k.sad_u8 = SadU8Neon;
     k.sad16xh_u8 = Sad16xHU8Neon;
+    // No NEON entry yet for the sparse transform and the block add.
+    const CodecKernels& scalar = ScalarKernels();
+    k.idct8x8_sparse = scalar.idct8x8_sparse;
+    k.add_block_u8 = scalar.add_block_u8;
     return k;
   }();
   return kernels;

@@ -66,6 +66,43 @@ void Idct8x8Scalar(const int32_t in[kBlockArea], int16_t out[kBlockArea]) {
   }
 }
 
+void Idct8x8SparseScalar(const int32_t in[kBlockArea], const uint8_t* pos,
+                         int count, int16_t out[kBlockArea]) {
+  const DctTables& t = GetDctTables();
+  // The distinct columns the coefficients occupy.
+  int cols[kSparseIdctMaxCoeffs] = {};
+  int ncols = 0;
+  for (int i = 0; i < count; ++i) {
+    const int u = pos[i] % kBlockSize;
+    int j = 0;
+    while (j < ncols && cols[j] != u) ++j;
+    if (j == ncols) cols[ncols++] = u;
+  }
+  // Pass 1 over those columns only: tmp[j][y] is idct8x8's tmp[y][cols[j]].
+  int16_t tmp[kSparseIdctMaxCoeffs][kBlockSize];
+  for (int j = 0; j < ncols; ++j) {
+    for (int y = 0; y < kBlockSize; ++y) {
+      int32_t acc = 0;
+      for (int i = 0; i < count; ++i) {
+        if (pos[i] % kBlockSize != cols[j]) continue;
+        acc += static_cast<int32_t>(t.basis[pos[i] / kBlockSize][y]) *
+               Sat16(in[pos[i]]);
+      }
+      tmp[j][y] = Sat16(RoundShift(acc, kIdctPass1Shift));
+    }
+  }
+  // Pass 2 sums the occupied columns; the zero ones add nothing.
+  for (int y = 0; y < kBlockSize; ++y) {
+    for (int x = 0; x < kBlockSize; ++x) {
+      int32_t acc = 0;
+      for (int j = 0; j < ncols; ++j) {
+        acc += static_cast<int32_t>(t.basis[cols[j]][x]) * tmp[j][y];
+      }
+      out[y * kBlockSize + x] = Sat16(RoundShift(acc, kIdctPass2Shift));
+    }
+  }
+}
+
 void QuantizeScalar(int32_t coeffs[kBlockArea], const QuantTable& qt) {
   for (int i = 0; i < kBlockArea; ++i) {
     const int32_t v = coeffs[i];
@@ -86,8 +123,7 @@ void QuantizeScalar(int32_t coeffs[kBlockArea], const QuantTable& qt) {
 
 void DequantizeScalar(int32_t coeffs[kBlockArea], const QuantTable& qt) {
   for (int i = 0; i < kBlockArea; ++i) {
-    const int32_t q = std::clamp(coeffs[i], -kDequantClamp, kDequantClamp);
-    coeffs[i] = q * qt.step[i];
+    coeffs[i] = DequantizeLevel(coeffs[i], qt.step[i]);
   }
 }
 
@@ -117,6 +153,18 @@ void ReconstructU8Scalar(const uint8_t* pred, const int16_t* res, uint8_t* out,
   for (size_t i = 0; i < n; ++i) {
     const int32_t v = static_cast<int32_t>(pred[i]) + res[i];
     out[i] = static_cast<uint8_t>(std::clamp(v, 0, 255));
+  }
+}
+
+void AddBlockU8Scalar(const int16_t block[kBlockArea], int cols, int rows,
+                      uint8_t* dst, ptrdiff_t stride) {
+  for (int y = 0; y < rows; ++y) {
+    uint8_t* row = dst + y * stride;
+    for (int x = 0; x < cols; ++x) {
+      const int32_t v =
+          static_cast<int32_t>(row[x]) + block[y * kBlockSize + x];
+      row[x] = static_cast<uint8_t>(std::clamp(v, 0, 255));
+    }
   }
 }
 
@@ -160,12 +208,14 @@ const CodecKernels& ScalarKernels() {
     k.level = KernelLevel::kScalar;
     k.fdct8x8 = Fdct8x8Scalar;
     k.idct8x8 = Idct8x8Scalar;
+    k.idct8x8_sparse = Idct8x8SparseScalar;
     k.quantize = QuantizeScalar;
     k.dequantize = DequantizeScalar;
     k.u8_to_i16_center = U8ToI16CenterScalar;
     k.i16_center_to_u8 = I16CenterToU8Scalar;
     k.residual_u8 = ResidualU8Scalar;
     k.reconstruct_u8 = ReconstructU8Scalar;
+    k.add_block_u8 = AddBlockU8Scalar;
     k.sub_i16 = SubI16Scalar;
     k.add_i16 = AddI16Scalar;
     k.sad_u8 = SadU8Scalar;

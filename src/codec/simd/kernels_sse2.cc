@@ -120,6 +120,75 @@ void Idct8x8Sse2(const int32_t in[kBlockArea], int16_t out[kBlockArea]) {
   }
 }
 
+/// One coefficient saturated to int16, as idct8x8's `packs` saturates it.
+inline int16_t Sat16(int32_t v) {
+  return static_cast<int16_t>(v < -32768 ? -32768 : (v > 32767 ? 32767 : v));
+}
+
+/// Two int16 in one i32 lane, `lo` in the low half: a `madd` operand.
+inline int32_t PackPair(int16_t lo, int16_t hi) {
+  return static_cast<int32_t>(
+      (static_cast<uint32_t>(static_cast<uint16_t>(hi)) << 16) |
+      static_cast<uint16_t>(lo));
+}
+
+/// Output row Y (of the four in `pairs`) of the sparse pass 2:
+/// sat16((B[u0][x]·col0[y] + B[u1][x]·col1[y] + 2^14) >> 15) over x.
+template <int Y>
+inline void SparseRow(__m128i pairs, __m128i basis_lo, __m128i basis_hi,
+                      int16_t* out) {
+  const __m128i d = _mm_shuffle_epi32(pairs, _MM_SHUFFLE(Y, Y, Y, Y));
+  StoreU(out, _mm_packs_epi32(
+                  RoundShift32<kIdctPass2Shift>(_mm_madd_epi16(d, basis_lo)),
+                  RoundShift32<kIdctPass2Shift>(_mm_madd_epi16(d, basis_hi))));
+}
+
+void Idct8x8SparseSse2(const int32_t in[kBlockArea], const uint8_t* pos,
+                       int count, int16_t out[kBlockArea]) {
+  static_assert(kSparseIdctMaxCoeffs == 2,
+                "the two columns below hold at most two coefficients");
+  const DctTables& t = GetDctTables();
+  // Coefficient 0 sits at row v0, column u0; coefficient 1 at (v1, u1).
+  // A lone coefficient is paired with a zero at its own position.
+  const int p0 = pos[0];
+  const int p1 = count > 1 ? pos[1] : p0;
+  const int16_t c0 = Sat16(in[p0]);
+  const int16_t c1 = count > 1 ? Sat16(in[p1]) : int16_t{0};
+  const int u0 = p0 % kBlockSize;
+  const int u1 = p1 % kBlockSize;
+  const bool same_column = u0 == u1;
+  // Pass 1, columns u0 and u1 of tmp as 8×i16 over y:
+  // sat16((B[v0][y]·w0 + B[v1][y]·w1 + 2^10) >> 11). Coefficients that
+  // share a column both feed col0, and col1 is then exactly zero.
+  const __m128i b0 = LoadU(t.basis[p0 / kBlockSize]);
+  const __m128i b1 = LoadU(t.basis[p1 / kBlockSize]);
+  const __m128i rows_lo = _mm_unpacklo_epi16(b0, b1);  // y0..3
+  const __m128i rows_hi = _mm_unpackhi_epi16(b0, b1);  // y4..7
+  const __m128i w0 = _mm_set1_epi32(PackPair(c0, same_column ? c1 : 0));
+  const __m128i w1 = _mm_set1_epi32(PackPair(0, same_column ? 0 : c1));
+  const __m128i col0 = _mm_packs_epi32(
+      RoundShift32<kIdctPass1Shift>(_mm_madd_epi16(rows_lo, w0)),
+      RoundShift32<kIdctPass1Shift>(_mm_madd_epi16(rows_hi, w0)));
+  const __m128i col1 = _mm_packs_epi32(
+      RoundShift32<kIdctPass1Shift>(_mm_madd_epi16(rows_lo, w1)),
+      RoundShift32<kIdctPass1Shift>(_mm_madd_epi16(rows_hi, w1)));
+  // Pass 2 over the two columns; the other six are zero and add nothing.
+  const __m128i a0 = LoadU(t.basis[u0]);
+  const __m128i a1 = LoadU(t.basis[u1]);
+  const __m128i basis_lo = _mm_unpacklo_epi16(a0, a1);  // x0..3
+  const __m128i basis_hi = _mm_unpackhi_epi16(a0, a1);  // x4..7
+  const __m128i pairs_lo = _mm_unpacklo_epi16(col0, col1);  // y0..3
+  const __m128i pairs_hi = _mm_unpackhi_epi16(col0, col1);  // y4..7
+  SparseRow<0>(pairs_lo, basis_lo, basis_hi, out + 0 * kBlockSize);
+  SparseRow<1>(pairs_lo, basis_lo, basis_hi, out + 1 * kBlockSize);
+  SparseRow<2>(pairs_lo, basis_lo, basis_hi, out + 2 * kBlockSize);
+  SparseRow<3>(pairs_lo, basis_lo, basis_hi, out + 3 * kBlockSize);
+  SparseRow<0>(pairs_hi, basis_lo, basis_hi, out + 4 * kBlockSize);
+  SparseRow<1>(pairs_hi, basis_lo, basis_hi, out + 5 * kBlockSize);
+  SparseRow<2>(pairs_hi, basis_lo, basis_hi, out + 6 * kBlockSize);
+  SparseRow<3>(pairs_hi, basis_lo, basis_hi, out + 7 * kBlockSize);
+}
+
 /// Unsigned per-lane (n·m) >> 32 for 4×u32.
 inline __m128i MulHiU32(__m128i n, __m128i m) {
   const __m128i prod_even = _mm_mul_epu32(n, m);  // lanes 0,2 → 64-bit
@@ -182,6 +251,37 @@ void ReconstructU8Sse2(const uint8_t* pred, const int16_t* res, uint8_t* out,
   }
 }
 
+/// Rows y and y + 1 of an 8-wide block added onto `dst`: two 8-byte rows
+/// per register, and adds_epi16 + packus is add-then-clamp.
+inline void AddRowPair(const int16_t* block, int y, uint8_t* dst,
+                       ptrdiff_t stride) {
+  auto* d0 = reinterpret_cast<__m128i*>(dst + y * stride);
+  auto* d1 = reinterpret_cast<__m128i*>(dst + (y + 1) * stride);
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i p = _mm_unpacklo_epi64(_mm_loadl_epi64(d0),
+                                       _mm_loadl_epi64(d1));
+  const __m128i lo = _mm_adds_epi16(_mm_unpacklo_epi8(p, zero),
+                                    LoadU(block + y * kBlockSize));
+  const __m128i hi = _mm_adds_epi16(_mm_unpackhi_epi8(p, zero),
+                                    LoadU(block + (y + 1) * kBlockSize));
+  const __m128i sum = _mm_packus_epi16(lo, hi);
+  _mm_storel_epi64(d0, sum);
+  _mm_storel_epi64(d1, _mm_unpackhi_epi64(sum, sum));
+}
+
+void AddBlockU8Sse2(const int16_t block[kBlockArea], int cols, int rows,
+                    uint8_t* dst, ptrdiff_t stride) {
+  if (cols == kBlockSize && rows == kBlockSize) {  // every interior block
+    AddRowPair(block, 0, dst, stride);
+    AddRowPair(block, 2, dst, stride);
+    AddRowPair(block, 4, dst, stride);
+    AddRowPair(block, 6, dst, stride);
+    return;
+  }
+  // An edge block: the lanes would reach past the plane.
+  ScalarKernels().add_block_u8(block, cols, rows, dst, stride);
+}
+
 inline uint32_t ReduceSad(__m128i acc) {
   return static_cast<uint32_t>(_mm_cvtsi128_si32(acc)) +
          static_cast<uint32_t>(
@@ -206,9 +306,11 @@ const CodecKernels& Sse2Kernels() {
     k.level = KernelLevel::kSse2;
     k.fdct8x8 = Fdct8x8Sse2;
     k.idct8x8 = Idct8x8Sse2;
+    k.idct8x8_sparse = Idct8x8SparseSse2;
     k.quantize = QuantizeSse2;
     k.i16_center_to_u8 = I16CenterToU8Sse2;
     k.reconstruct_u8 = ReconstructU8Sse2;
+    k.add_block_u8 = AddBlockU8Sse2;
     k.sad16xh_u8 = Sad16xHU8Sse2;
     // The compiler vectorizes these scalar loops as well as hand-written
     // SSE2 does: bench_codec_micro's medians never beat scalar, so the

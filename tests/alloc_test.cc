@@ -173,7 +173,7 @@ TEST(AllocationPinTest, CachedInterVideoSession) {
   // Two whole GOPs after the first, so I- and P-frames keep their share.
   const double per_element =
       AllocationsPerElement(&deployment.engine, *window, 12, 24);
-  EXPECT_LE(per_element, 3.21);
+  EXPECT_LE(per_element, 2.05);
   EXPECT_EQ(deployment.router.stats().fetches, 48);
   EXPECT_EQ(deployment.cache->stats().misses, 0);
 }

@@ -19,6 +19,7 @@
 #include "codec/intra_codec.h"
 #include "codec/registry.h"
 #include "codec/scalable_codec.h"
+#include "codec/simd/kernels.h"
 #include "codec/varint.h"
 #include "media/synthetic.h"
 
@@ -29,6 +30,11 @@ using synthetic::AudioPattern;
 using synthetic::GenerateAudio;
 using synthetic::GenerateVideo;
 using synthetic::VideoPattern;
+
+/// Restores runtime kernel dispatch however a test exits.
+struct KernelGuard {
+  ~KernelGuard() { simd::ResetKernelsForTest(); }
+};
 
 // ----------------------------------------------------------------- Varint --
 
@@ -152,6 +158,91 @@ TEST(BlockTransformTest, TruncatedStreamFailsCleanly) {
       block_transform::DecodePlaneInto(8, 8, 75, &reader, decoded.data());
   // A varint stream has no padding, so a cut one never decodes by luck.
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  VarintReader onto_reader(truncated);
+  std::vector<uint8_t> predicted(64, 128);
+  EXPECT_EQ(block_transform::DecodePlaneOnto(8, 8, 75, &onto_reader,
+                                             predicted.data())
+                .code(),
+            StatusCode::kDataLoss);
+}
+
+// The in-place decoder against the scalar DecodePlaneInto + reconstruct_u8
+// at every kernel level, on a hand-built stream no encoder writes: levels
+// up to int32's ends (dequantize clamps them, the transforms saturate
+// them), sparse blocks of every shape — one coefficient, two in one
+// column, two in two columns — and dense ones, in a plane with edge
+// blocks, onto a random prediction and onto the intra codec's 128.
+TEST(BlockTransformTest, InPlaceDecodeEqualsDecodeThenReconstruct) {
+  constexpr int kWidth = 36, kHeight = 20;  // 5×3 blocks, both edges cut
+  constexpr int kQuality = 60;
+  Rng rng(11);
+  const auto hostile = [&rng] {
+    return static_cast<int32_t>(rng.NextInRange(INT32_MIN + 1, INT32_MAX));
+  };
+  VarintWriter writer;
+  int32_t dc_predictor = 0;
+  for (int b = 0; b < 15; ++b) {
+    block_transform::CoeffBlock coeffs{};
+    switch (b % 8) {
+      case 0:  // all zero: the prediction stands
+        break;
+      case 1:
+        coeffs[0] = static_cast<int32_t>(rng.NextInRange(-4000, 4000));
+        break;
+      case 2:
+        coeffs[63] = INT32_MAX;
+        break;
+      case 3:  // one column, two rows
+        coeffs[9] = -5;
+        coeffs[57] = 7;
+        break;
+      case 4:  // two columns
+        coeffs[0] = -3;
+        coeffs[18] = hostile();
+        break;
+      case 5:
+        coeffs[1] = 2;
+        coeffs[8] = -2;
+        coeffs[27] = hostile();
+        break;
+      case 6:
+        for (int i = 1; i < block_transform::kBlockArea; ++i) {
+          coeffs[i] = hostile();
+        }
+        break;
+      default:
+        coeffs[static_cast<size_t>(rng.NextBelow(64))] =
+            static_cast<int32_t>(rng.NextInRange(-40, 40)) | 1;
+        break;
+    }
+    block_transform::EncodeBlock(coeffs, &dc_predictor, &writer);
+  }
+  const Buffer bits = writer.Finish();
+
+  KernelGuard guard;
+  ASSERT_TRUE(simd::ForceKernelsForTest(simd::KernelLevel::kScalar));
+  VarintReader reader(bits);
+  std::vector<int16_t> residual(kWidth * kHeight);
+  ASSERT_TRUE(block_transform::DecodePlaneInto(kWidth, kHeight, kQuality,
+                                               &reader, residual.data())
+                  .ok());
+  std::vector<uint8_t> random_pred(residual.size());
+  for (auto& v : random_pred) v = static_cast<uint8_t>(rng.NextBelow(256));
+  for (const std::vector<uint8_t>& pred :
+       {random_pred, std::vector<uint8_t>(residual.size(), 128)}) {
+    std::vector<uint8_t> want(residual.size());
+    simd::ScalarKernels().reconstruct_u8(pred.data(), residual.data(),
+                                         want.data(), want.size());
+    for (simd::KernelLevel level : simd::AvailableKernelLevels()) {
+      ASSERT_TRUE(simd::ForceKernelsForTest(level));
+      std::vector<uint8_t> got = pred;
+      VarintReader onto_reader(bits);
+      ASSERT_TRUE(block_transform::DecodePlaneOnto(kWidth, kHeight, kQuality,
+                                                   &onto_reader, got.data())
+                      .ok());
+      EXPECT_EQ(want, got) << simd::KernelLevelName(level);
+    }
+  }
 }
 
 // ------------------------------------------------------------ Video codecs --

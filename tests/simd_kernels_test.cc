@@ -36,6 +36,48 @@ std::vector<KernelLevel> SimdLevels() {
   return levels;
 }
 
+/// Fills `order` with the 64 raster positions, the first `count` of them
+/// a random choice of distinct ones (a partial Fisher-Yates shuffle).
+void ShufflePositions(Rng* rng, int count, uint8_t order[kBlockArea]) {
+  for (int i = 0; i < kBlockArea; ++i) order[i] = static_cast<uint8_t>(i);
+  for (int i = 0; i < count; ++i) {
+    std::swap(order[i],
+              order[i + rng->NextBelow(static_cast<uint64_t>(kBlockArea - i))]);
+  }
+}
+
+/// A residual-like width×height plane for EncodePlane at `quality`. Each
+/// block is the inverse transform of `*next_count % 65` random levels of
+/// ±1 to ±3 steps, the counter advancing per block, so over enough blocks
+/// the coded counts sweep 0 to 64 and both in-place decode paths run.
+std::vector<int16_t> ResidualLikePlane(int width, int height, int quality,
+                                       Rng* rng, int* next_count) {
+  const simd::QuantTable& qt = block_transform::QualityQuantTable(quality);
+  std::vector<int16_t> plane(static_cast<size_t>(width) * height);
+  for (int by = 0; by < height; by += 8) {
+    for (int bx = 0; bx < width; bx += 8) {
+      const int count = (*next_count)++ % (kBlockArea + 1);
+      uint8_t order[kBlockArea];
+      ShufflePositions(rng, count, order);
+      int32_t coeffs[kBlockArea] = {};
+      for (int i = 0; i < count; ++i) {
+        const int32_t level = static_cast<int32_t>(rng->NextInRange(1, 3)) *
+                              (rng->NextBool() ? 1 : -1);
+        coeffs[order[i]] = simd::DequantizeLevel(level, qt.step[order[i]]);
+      }
+      int16_t block[kBlockArea];
+      simd::ScalarKernels().idct8x8(coeffs, block);
+      for (int y = 0; y < 8 && by + y < height; ++y) {
+        for (int x = 0; x < 8 && bx + x < width; ++x) {
+          plane[static_cast<size_t>(by + y) * width + bx + x] =
+              block[y * 8 + x];
+        }
+      }
+    }
+  }
+  return plane;
+}
+
 TEST(SimdDispatch, ScalarAlwaysAvailableAndForceable) {
   KernelGuard guard;
   ASSERT_TRUE(simd::ForceKernelsForTest(KernelLevel::kScalar));
@@ -103,6 +145,104 @@ TEST(SimdKernels, IdctMatchesScalarOnHostileInt32Range) {
       ASSERT_EQ(0, std::memcmp(want, got, sizeof(want)))
           << "idct mismatch at " << KernelLevelName(level) << " iter "
           << iter;
+    }
+  }
+}
+
+// idct8x8_sparse stands in for idct8x8 on a block of at most
+// kSparseIdctMaxCoeffs nonzero coefficients, so at each level it must give
+// exactly that level's idct8x8 output. Returns whether it did; the caller
+// fails the test with what it was comparing.
+bool SparseEqualsDense(const CodecKernels& k, const int32_t in[kBlockArea],
+                       const uint8_t* pos, int count) {
+  int16_t want[kBlockArea], got[kBlockArea];
+  k.idct8x8(in, want);
+  k.idct8x8_sparse(in, pos, count, got);
+  return std::memcmp(want, got, sizeof(want)) == 0;
+}
+
+TEST(SimdKernels, SparseIdctEqualsIdctAtEveryPositionAndValue) {
+  // Every int16 value at every raster position, then values beyond int16:
+  // dequantized levels reach ±2^30 (kDequantClamp times the largest step),
+  // and both transforms saturate them to int16 first.
+  Rng rng(7009);
+  KernelGuard guard;
+  std::vector<int32_t> values;
+  for (int32_t v = INT16_MIN; v <= INT16_MAX; ++v) values.push_back(v);
+  for (int bit = 15; bit <= 30; ++bit) {
+    for (int32_t d : {-1, 0, 1}) {
+      values.push_back((int32_t{1} << bit) + d);
+      values.push_back(-(int32_t{1} << bit) + d);
+    }
+  }
+  for (int i = 0; i < 64; ++i) {
+    values.push_back(static_cast<int32_t>(
+        rng.NextInRange(-(int64_t{1} << 30), int64_t{1} << 30)));
+  }
+  for (KernelLevel level : simd::AvailableKernelLevels()) {
+    ASSERT_TRUE(simd::ForceKernelsForTest(level));
+    const CodecKernels& k = simd::ActiveKernels();
+    int32_t in[kBlockArea] = {};
+    for (int p = 0; p < kBlockArea; ++p) {
+      const uint8_t pos = static_cast<uint8_t>(p);
+      for (int32_t v : values) {
+        in[p] = v;
+        if (!SparseEqualsDense(k, in, &pos, 1)) {
+          FAIL() << KernelLevelName(level) << " position " << p << " value "
+                 << v;
+        }
+      }
+      in[p] = 0;
+    }
+  }
+}
+
+TEST(SimdKernels, SparseIdctEqualsIdctOnBlocksOfSeveralCoefficients) {
+  // Every ordered pair of positions (two in one column share its pass 1),
+  // then seeded random blocks of 2 up to kSparseIdctMaxCoeffs coefficients.
+  // Values mix dequantized-size levels, the whole int16 range and beyond.
+  Rng rng(7010);
+  KernelGuard guard;
+  auto value = [&rng] {
+    switch (rng.NextBelow(3)) {
+      case 0:
+        return static_cast<int32_t>(rng.NextInRange(-2048, 2048));
+      case 1:
+        return static_cast<int32_t>(rng.NextInRange(INT16_MIN, INT16_MAX));
+      default:
+        return static_cast<int32_t>(
+            rng.NextInRange(-(int64_t{1} << 30), int64_t{1} << 30));
+    }
+  };
+  for (KernelLevel level : simd::AvailableKernelLevels()) {
+    ASSERT_TRUE(simd::ForceKernelsForTest(level));
+    const CodecKernels& k = simd::ActiveKernels();
+    int32_t in[kBlockArea] = {};
+    for (int a = 0; a < kBlockArea; ++a) {
+      for (int b = 0; b < kBlockArea; ++b) {
+        if (a == b) continue;
+        const uint8_t pos[2] = {static_cast<uint8_t>(a),
+                                static_cast<uint8_t>(b)};
+        for (int iter = 0; iter < 4; ++iter) {
+          in[a] = value();
+          in[b] = value();
+          ASSERT_TRUE(SparseEqualsDense(k, in, pos, 2))
+              << KernelLevelName(level) << " positions " << a << ", " << b
+              << " values " << in[a] << ", " << in[b];
+        }
+        in[a] = in[b] = 0;
+      }
+    }
+    for (int count = 2; count <= simd::kSparseIdctMaxCoeffs; ++count) {
+      for (int iter = 0; iter < 20000; ++iter) {
+        uint8_t order[kBlockArea];
+        ShufflePositions(&rng, count, order);
+        for (int i = 0; i < count; ++i) in[order[i]] = value();
+        ASSERT_TRUE(SparseEqualsDense(k, in, order, count))
+            << KernelLevelName(level) << " count " << count << " iter "
+            << iter;
+        for (int i = 0; i < count; ++i) in[order[i]] = 0;
+      }
     }
   }
 }
@@ -239,6 +379,26 @@ TEST(SimdKernels, ElementwiseKernelsMatchScalarAcrossLaneTails) {
       EXPECT_EQ(ref.sad_u8(u8a.data(), u8b.data(), n),
                 k.sad_u8(u8a.data(), u8b.data(), n))
           << "sad_u8 n=" << n;
+
+      // The block add at every cols × rows geometry (n = 0..63 covers all
+      // 64), onto a plane whose stride leaves bytes past the block that
+      // must stay as they are. Block values are residual-sized or any
+      // int16, so both the clamp and the saturating add are exercised.
+      const int cols = 1 + static_cast<int>(n % 8);
+      const int rows = 1 + static_cast<int>(n / 8 % 8);
+      const ptrdiff_t stride = cols + static_cast<ptrdiff_t>(n % 5);
+      int16_t block[kBlockArea];
+      for (auto& v : block) {
+        v = static_cast<int16_t>(rng.NextBool() ? rng.NextInRange(-300, 300)
+                                                : rng.NextBelow(65536) - 32768);
+      }
+      std::vector<uint8_t> want_plane(static_cast<size_t>(rows * stride + 8));
+      for (auto& v : want_plane) v = static_cast<uint8_t>(rng.NextBelow(256));
+      std::vector<uint8_t> got_plane = want_plane;
+      ref.add_block_u8(block, cols, rows, want_plane.data(), stride);
+      k.add_block_u8(block, cols, rows, got_plane.data(), stride);
+      EXPECT_EQ(want_plane, got_plane) << "add_block_u8 " << cols << "x"
+                                       << rows << " stride " << stride;
     }
   }
 }
@@ -267,8 +427,12 @@ TEST(SimdKernels, PlaneStreamsAreByteIdenticalAcrossLevels) {
   // End-to-end: the full EncodePlane/DecodePlaneInto path (gather,
   // transform, quant, entropy) must emit identical bytes at every dispatch
   // level, for plane shapes exercising every edge-block geometry; the
-  // encoder's reconstruction must equal the decoded plane.
+  // encoder's reconstruction must equal the decoded plane. Then the
+  // in-place decoder, at every level scalar included, on residual-like
+  // planes: onto a random prediction it must give what the scalar
+  // DecodePlaneInto + reconstruct_u8 give.
   Rng rng(7007);
+  int next_count = 0;
   KernelGuard guard;
   const struct {
     int width, height;
@@ -318,8 +482,41 @@ TEST(SimdKernels, PlaneStreamsAreByteIdenticalAcrossLevels) {
         ASSERT_EQ(recon, decoded)
             << "reconstruction differs at " << KernelLevelName(level);
       }
+
+      const std::vector<int16_t> residual = ResidualLikePlane(
+          shape.width, shape.height, quality, &rng, &next_count);
+      ASSERT_TRUE(simd::ForceKernelsForTest(KernelLevel::kScalar));
+      VarintWriter res_writer;
+      block_transform::EncodePlane(residual.data(), shape.width, shape.height,
+                                   quality, &res_writer);
+      const Buffer res_bytes = res_writer.Finish();
+      VarintReader res_reader(res_bytes);
+      std::vector<int16_t> res_decoded(plane.size());
+      ASSERT_TRUE(block_transform::DecodePlaneInto(shape.width, shape.height,
+                                                   quality, &res_reader,
+                                                   res_decoded.data())
+                      .ok());
+      std::vector<uint8_t> pred(plane.size());
+      for (auto& v : pred) v = static_cast<uint8_t>(rng.NextBelow(256));
+      std::vector<uint8_t> want(plane.size());
+      simd::ScalarKernels().reconstruct_u8(pred.data(), res_decoded.data(),
+                                           want.data(), want.size());
+      for (KernelLevel level : simd::AvailableKernelLevels()) {
+        ASSERT_TRUE(simd::ForceKernelsForTest(level));
+        std::vector<uint8_t> got = pred;
+        VarintReader reader(res_bytes);
+        ASSERT_TRUE(block_transform::DecodePlaneOnto(shape.width,
+                                                     shape.height, quality,
+                                                     &reader, got.data())
+                        .ok());
+        ASSERT_EQ(want, got)
+            << "in-place decode differs at " << KernelLevelName(level) << " "
+            << shape.width << "x" << shape.height << " q" << quality;
+      }
     }
   }
+  // 86 blocks per quality: every count from 0 to 64 came up.
+  EXPECT_GT(next_count, 2 * kBlockArea);
 }
 
 TEST(SimdKernels, DctRoundTripStaysWithinIntegerTolerance) {
