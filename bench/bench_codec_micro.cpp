@@ -100,8 +100,8 @@ void Sink(uint32_t v) { g_sink = g_sink + v; }
 // ---------------------------------------------------------------------------
 // Pre-PR baseline, verbatim from the old block_transform.cc: float DCT-II
 // basis, naive triple-loop transform, divide-and-round quantizer, and a
-// fresh heap copy of every plane (the ExtractPlane pattern the zero-copy
-// pipeline removed). The entropy coder (EncodeBlock) is shared with the
+// fresh heap copy of every plane (the pattern the zero-copy pipeline
+// removed). The entropy coder (EncodeBlock) is shared with the
 // current pipeline, so the comparison isolates transform + memory traffic.
 
 using Block = block_transform::Block;
@@ -178,8 +178,10 @@ void LegacyEncodePlane(const std::vector<int16_t>& plane, int width,
 Buffer LegacyEncodeFrame(const VideoFrame& frame, int quality) {
   VarintWriter writer;
   for (int p = 0; p < frame.plane_count(); ++p) {
-    const std::vector<uint8_t> bytes = frame.ExtractPlane(p);  // heap copy
-    std::vector<int16_t> centered(bytes.size());               // heap alloc
+    const PlaneView plane = frame.plane(p);
+    const std::vector<uint8_t> bytes(plane.data(),
+                                     plane.data() + plane.size());  // copy
+    std::vector<int16_t> centered(bytes.size());  // heap alloc
     for (size_t i = 0; i < bytes.size(); ++i) {
       centered[i] = static_cast<int16_t>(static_cast<int>(bytes[i]) - 128);
     }

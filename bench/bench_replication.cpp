@@ -172,20 +172,21 @@ ClusterReport RunCluster(const std::shared_ptr<EncodedVideoValue>& clip,
   std::vector<std::shared_ptr<VideoWindow>> windows;
 
   for (int s = 0; s < kSessions; ++s) {
-    RouterPolicy policy;  // defaults: 3 attempts, hedging armed at 8 samples
-    routers.push_back(std::make_unique<StreamRouter>(
-        "client" + std::to_string(s), policy, [&engine] {
-          return engine.now_ns();
-        }));
-    StreamRouter* router = routers.back().get();
+    // Each session routes over its own set: a private health view.
+    auto session_set = std::make_shared<ReplicaSet>(BreakerPolicy{});
     for (int i = 0; i < kReplicas; ++i) {
       // Per-(session, server) ATM link: transfer cost and link faults are
       // private to the pair, like a switched fabric.
       auto channel = std::make_shared<Channel>(
           "lan." + std::to_string(s) + "." + std::to_string(i),
           Channel::Profile::Atm155());
-      router->AddReplica(replicas[static_cast<size_t>(i)].node, channel);
+      session_set->Add(replicas[static_cast<size_t>(i)].node, channel);
     }
+    RouterPolicy policy;  // defaults: 3 attempts, hedging armed at 8 samples
+    routers.push_back(std::make_unique<StreamRouter>(
+        "client" + std::to_string(s), policy,
+        [&engine] { return engine.now_ns(); }, session_set));
+    StreamRouter* router = routers.back().get();
     router->BindObservability(&registry, &tracer);
 
     degraders.push_back(std::make_unique<DegradationController>());
@@ -279,9 +280,11 @@ StreamStats RunSingleNode(const std::shared_ptr<EncodedVideoValue>& clip,
   SourceOptions source_options;
   source_options.blob_name = "clip";
   if (routed) {
+    auto solo = std::make_shared<ReplicaSet>(BreakerPolicy{});
+    solo->Add(machine.node, nullptr);  // co-located: no link
     router = std::make_unique<StreamRouter>(
-        "solo-client", RouterPolicy{}, [&engine] { return engine.now_ns(); });
-    router->AddReplica(machine.node, nullptr);  // co-located: no link
+        "solo-client", RouterPolicy{}, [&engine] { return engine.now_ns(); },
+        solo);
     StreamRouter* raw = router.get();
     source_options.fetcher = [raw](const std::string& blob_name,
                                    int64_t offset, int64_t length,

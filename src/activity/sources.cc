@@ -593,6 +593,56 @@ Status TextSource::OnStart() {
   return Status::OK();
 }
 
+// ------------------------------------------------------------- LiveSource --
+
+LiveSource::LiveSource(const std::string& name, ActivityLocation location,
+                       ActivityEnv env, MediaDataType type, const char* port,
+                       const char* each_event, int64_t element_limit)
+    : MediaActivity(name, location, env),
+      type_(std::move(type)),
+      each_event_(each_event),
+      element_limit_(element_limit) {
+  out_ = DeclarePort(port, PortDirection::kOut, type_);
+  DeclareEvent(each_event_);
+}
+
+Status LiveSource::OnStart() {
+  auto period_ns = Prepare();
+  if (!period_ns.ok()) return period_ns.status();
+  period_ns_ = period_ns.value();
+  const int64_t stream_start_ns = engine()->now_ns();
+  const int64_t gen = generation();
+  ScheduleOwned(stream_start_ns, [this, stream_start_ns, gen] {
+    Tick(0, stream_start_ns, gen);
+  });
+  return Status::OK();
+}
+
+void LiveSource::Tick(int64_t index, int64_t stream_start_ns, int64_t gen) {
+  if (state() != State::kRunning || gen != generation()) return;
+  const int64_t ideal = stream_start_ns + index * period_ns_;
+  if (element_limit_ >= 0 && index >= element_limit_) {
+    Emit(out_, StreamElement::EndOfStream(index, ideal));
+    SelfStop();
+    return;
+  }
+  StreamElement element;
+  element.index = index;
+  element.ideal_time_ns = ideal;
+  const Status made = Generate(index, &element);
+  if (!made.ok()) {
+    AVDB_LOG(Error) << name() << ": capture failed: " << made;
+    SelfStop();
+    return;
+  }
+  Emit(out_, std::move(element));
+  Raise(each_event_, index);
+  ScheduleOwned(ideal + period_ns_,
+                [this, next = index + 1, stream_start_ns, gen] {
+                  Tick(next, stream_start_ns, gen);
+                });
+}
+
 // --------------------------------------------------------- VideoDigitizer --
 
 VideoDigitizer::VideoDigitizer(const std::string& name,
@@ -600,14 +650,10 @@ VideoDigitizer::VideoDigitizer(const std::string& name,
                                MediaDataType type,
                                synthetic::VideoPattern pattern,
                                int64_t frame_limit, uint64_t seed)
-    : MediaActivity(name, location, env),
-      type_(std::move(type)),
+    : LiveSource(name, location, env, std::move(type), kPortOut, kEachFrame,
+                 frame_limit),
       pattern_(pattern),
-      frame_limit_(frame_limit),
-      seed_(seed) {
-  out_ = DeclarePort(kPortOut, PortDirection::kOut, type_);
-  DeclareEvent(kEachFrame);
-}
+      seed_(seed) {}
 
 std::shared_ptr<VideoDigitizer> VideoDigitizer::Create(
     const std::string& name, ActivityLocation location, ActivityEnv env,
@@ -617,42 +663,20 @@ std::shared_ptr<VideoDigitizer> VideoDigitizer::Create(
       name, location, env, std::move(type), pattern, frame_limit, seed));
 }
 
-Status VideoDigitizer::OnStart() {
+Result<int64_t> VideoDigitizer::Prepare() {
   if (type_.kind() != MediaKind::kVideo || type_.IsCompressed()) {
     return Status::FailedPrecondition("digitizer needs a raw video type");
   }
-  const int64_t stream_start_ns = engine()->now_ns();
-  const int64_t gen = generation();
-  ScheduleOwned(stream_start_ns, [this, stream_start_ns, gen] {
-    Tick(0, stream_start_ns, gen);
-  });
-  return Status::OK();
+  return RateToPeriodNs(type_.element_rate());
 }
 
-void VideoDigitizer::Tick(int64_t index, int64_t stream_start_ns,
-                          int64_t gen) {
-  if (state() != State::kRunning || gen != generation()) return;
-  const int64_t period_ns = RateToPeriodNs(type_.element_rate());
-  const int64_t ideal = stream_start_ns + index * period_ns;
-  if (frame_limit_ >= 0 && index >= frame_limit_) {
-    Emit(out_, StreamElement::EndOfStream(index, ideal));
-    SelfStop();
-    return;
-  }
-  StreamElement element;
-  element.index = index;
-  element.ideal_time_ns = ideal;
-  element.frame = std::make_shared<const VideoFrame>(
+Status VideoDigitizer::Generate(int64_t index, StreamElement* element) {
+  element->frame = std::make_shared<const VideoFrame>(
       synthetic::GeneratePatternFrame(type_.width(), type_.height(),
                                       type_.depth_bits(), index, pattern_,
                                       seed_));
-  element.size_bytes = static_cast<int64_t>(element.frame->SizeBytes());
-  Emit(out_, std::move(element));
-  Raise(kEachFrame, index);
-  ScheduleOwned(ideal + period_ns,
-                       [this, next = index + 1, stream_start_ns, gen] {
-                         Tick(next, stream_start_ns, gen);
-                       });
+  element->size_bytes = static_cast<int64_t>(element->frame->SizeBytes());
+  return Status::OK();
 }
 
 // ----------------------------------------------------------- AudioCapture --
@@ -661,14 +685,13 @@ AudioCapture::AudioCapture(const std::string& name, ActivityLocation location,
                            ActivityEnv env, MediaDataType type,
                            synthetic::AudioPattern pattern,
                            int64_t sample_limit, uint64_t seed)
-    : MediaActivity(name, location, env),
-      type_(std::move(type)),
+    : LiveSource(name, location, env, std::move(type), kPortOut, kEachBlock,
+                 sample_limit < 0
+                     ? -1
+                     : (sample_limit + kBlockFrames - 1) / kBlockFrames),
       pattern_(pattern),
       sample_limit_(sample_limit),
-      seed_(seed) {
-  out_ = DeclarePort(kPortOut, PortDirection::kOut, type_);
-  DeclareEvent(kEachBlock);
-}
+      seed_(seed) {}
 
 std::shared_ptr<AudioCapture> AudioCapture::Create(
     const std::string& name, ActivityLocation location, ActivityEnv env,
@@ -678,7 +701,7 @@ std::shared_ptr<AudioCapture> AudioCapture::Create(
       name, location, env, std::move(type), pattern, sample_limit, seed));
 }
 
-Status AudioCapture::OnStart() {
+Result<int64_t> AudioCapture::Prepare() {
   if (type_.kind() != MediaKind::kAudio || type_.IsCompressed()) {
     return Status::FailedPrecondition("capture needs a raw audio type");
   }
@@ -690,57 +713,34 @@ Status AudioCapture::OnStart() {
     if (!generated.ok()) return generated.status();
     generated_ = std::move(generated).value();
   }
-  const int64_t start_ns = engine()->now_ns();
-  const int64_t gen = generation();
-  ScheduleOwned(start_ns,
-                       [this, start_ns, gen] { Tick(0, start_ns, gen); });
-  return Status::OK();
+  return (Rational(kBlockFrames) / type_.element_rate() *
+          Rational(1000000000))
+      .Rounded();
 }
 
-void AudioCapture::Tick(int64_t block_index, int64_t stream_start_ns,
-                        int64_t gen) {
-  if (state() != State::kRunning || gen != generation()) return;
-  const int64_t period_ns =
-      (Rational(kBlockFrames) / type_.element_rate() * Rational(1000000000))
-          .Rounded();
-  const int64_t ideal = stream_start_ns + block_index * period_ns;
-  const int64_t first = block_index * kBlockFrames;
-  if (sample_limit_ >= 0 && first >= sample_limit_) {
-    Emit(out_, StreamElement::EndOfStream(block_index, ideal));
-    SelfStop();
-    return;
-  }
+Status AudioCapture::Generate(int64_t index, StreamElement* element) {
+  const int64_t first = index * kBlockFrames;
   int64_t count = kBlockFrames;
   if (sample_limit_ >= 0) {
     count = std::min<int64_t>(count, sample_limit_ - first);
   }
-  Result<AudioBlock> block = Status::Internal("uninitialized");
-  if (generated_ != nullptr) {
-    block = generated_->Samples(first, count);
-  } else {
+  std::shared_ptr<RawAudioValue> signal = generated_;
+  int64_t from = first;
+  if (signal == nullptr) {
     // Unbounded capture: generate this block standalone (deterministic by
     // block index).
     auto value = synthetic::GenerateAudio(
         type_, count, pattern_,
-        seed_ * 0x9E3779B97F4A7C15ULL + static_cast<uint64_t>(block_index));
-    if (value.ok()) block = value.value()->Samples(0, count);
+        seed_ * 0x9E3779B97F4A7C15ULL + static_cast<uint64_t>(index));
+    if (!value.ok()) return value.status();
+    signal = std::move(value).value();
+    from = 0;
   }
-  if (!block.ok()) {
-    AVDB_LOG(Error) << name() << ": capture failed: " << block.status();
-    SelfStop();
-    return;
-  }
-  StreamElement element;
-  element.index = block_index;
-  element.ideal_time_ns = ideal;
-  element.audio = std::make_shared<const AudioBlock>(std::move(block).value());
-  element.size_bytes = static_cast<int64_t>(element.audio->SizeBytes());
-  Emit(out_, std::move(element));
-  Raise(kEachBlock, block_index);
-  ScheduleOwned(ideal + period_ns,
-                       [this, next = block_index + 1, stream_start_ns, gen] {
-                         Tick(next, stream_start_ns, gen);
-                       });
+  auto block = signal->Samples(from, count);
+  if (!block.ok()) return block.status();
+  element->audio = std::make_shared<const AudioBlock>(std::move(block).value());
+  element->size_bytes = static_cast<int64_t>(element->audio->SizeBytes());
+  return Status::OK();
 }
 
 }  // namespace avdb

@@ -330,11 +330,42 @@ class TextSource : public MediaActivity {
   size_t next_span_ = 0;
 };
 
+/// The live-source role: elements that do not exist in advance, made at
+/// rate from the start through one output port until stopped or until
+/// `element_limit` elements (< 0: no limit). The base owns the start, the
+/// generation check, the end at the limit, the emit, the each-element event
+/// and the next tick; a kind checks its type and makes each element. A
+/// failure to make one is logged and stops the source.
+class LiveSource : public MediaActivity {
+ protected:
+  LiveSource(const std::string& name, ActivityLocation location,
+             ActivityEnv env, MediaDataType type, const char* port,
+             const char* each_event, int64_t element_limit);
+
+  Status OnStart() override;
+
+  /// Checks the type and readies a run; returns the virtual time between
+  /// two elements.
+  virtual Result<int64_t> Prepare() = 0;
+  /// Fills element `index`'s media and size.
+  virtual Status Generate(int64_t index, StreamElement* element) = 0;
+
+  MediaDataType type_;
+
+ private:
+  void Tick(int64_t index, int64_t stream_start_ns, int64_t gen);
+
+  Port* out_;
+  const char* each_event_;
+  int64_t element_limit_;
+  int64_t period_ns_ = 0;
+};
+
 /// Table 1's "video digitizer": a live source producing synthetic camera
 /// frames at rate through "video_out" until stopped — the paper's example
 /// of a value that "is impossible to compress prior to exchange" because it
 /// does not exist in advance.
-class VideoDigitizer : public MediaActivity {
+class VideoDigitizer : public LiveSource {
  public:
   static constexpr const char* kPortOut = "video_out";
   static constexpr const char* kEachFrame = "EACH_FRAME";
@@ -347,7 +378,8 @@ class VideoDigitizer : public MediaActivity {
       int64_t frame_limit = -1, uint64_t seed = 1);
 
  protected:
-  Status OnStart() override;
+  Result<int64_t> Prepare() override;
+  Status Generate(int64_t index, StreamElement* element) override;
 
  private:
   VideoDigitizer(const std::string& name, ActivityLocation location,
@@ -355,12 +387,7 @@ class VideoDigitizer : public MediaActivity {
                  synthetic::VideoPattern pattern, int64_t frame_limit,
                  uint64_t seed);
 
-  void Tick(int64_t index, int64_t stream_start_ns, int64_t gen);
-
-  Port* out_;
-  MediaDataType type_;
   synthetic::VideoPattern pattern_;
-  int64_t frame_limit_;
   uint64_t seed_;
 };
 
@@ -368,7 +395,7 @@ class VideoDigitizer : public MediaActivity {
 /// PCM blocks at rate until stopped or `sample_limit` is reached — the
 /// audio analogue of VideoDigitizer and the other half of the paper's
 /// "live sources" footnote (values that cannot be compressed in advance).
-class AudioCapture : public MediaActivity {
+class AudioCapture : public LiveSource {
  public:
   static constexpr const char* kPortOut = "audio_out";
   static constexpr const char* kEachBlock = "EACH_BLOCK";
@@ -382,7 +409,8 @@ class AudioCapture : public MediaActivity {
       int64_t sample_limit = -1, uint64_t seed = 1);
 
  protected:
-  Status OnStart() override;
+  Result<int64_t> Prepare() override;
+  Status Generate(int64_t index, StreamElement* element) override;
 
  private:
   AudioCapture(const std::string& name, ActivityLocation location,
@@ -390,10 +418,6 @@ class AudioCapture : public MediaActivity {
                synthetic::AudioPattern pattern, int64_t sample_limit,
                uint64_t seed);
 
-  void Tick(int64_t block_index, int64_t stream_start_ns, int64_t gen);
-
-  Port* out_;
-  MediaDataType type_;
   synthetic::AudioPattern pattern_;
   int64_t sample_limit_;
   uint64_t seed_;

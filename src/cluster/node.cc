@@ -15,52 +15,6 @@ ServerNode::ServerNode(std::string name, std::shared_ptr<MediaStore> store)
   AVDB_CHECK(store_ != nullptr) << "server node needs a store replica";
 }
 
-Result<MediaStore::ReadResult> ServerNode::ServeRead(const std::string& blob,
-                                                     int64_t offset,
-                                                     int64_t length,
-                                                     int64_t request_ns,
-                                                     DeadlineBudget* budget,
-                                                     int64_t* latency_ns) {
-  ++stats_.requests;
-  double slow_factor = 1.0;
-  AVDB_RETURN_IF_ERROR(AdmitRequest(budget, latency_ns, &slow_factor));
-
-  auto read = store_->ReadRange(blob, offset, length, *budget);
-  if (!read.ok()) {
-    // The store worked on a budget *copy*; reflect what it burned here. A
-    // deadline failure means the read ran the budget dry; any other error
-    // (quarantine, retry exhaustion surfacing fast) costs a refusal's
-    // worth, so failover is cheap but never free.
-    int64_t spent = kRefusalNs;
-    if (read.status().code() == StatusCode::kDeadlineExceeded &&
-        !budget->unlimited()) {
-      spent = budget->remaining_ns();
-    } else if (!budget->unlimited()) {
-      spent = std::min(budget->remaining_ns(), kRefusalNs);
-    }
-    *latency_ns = spent > 0 ? spent : 0;
-    budget->Charge(*latency_ns);
-    return read.status();
-  }
-
-  int64_t service_ns = VirtualClock::ToNs(read.value().duration);
-  if (slow_factor > 1.0) {
-    service_ns =
-        static_cast<int64_t>(static_cast<double>(service_ns) * slow_factor);
-  }
-  // Requests serialize on this replica's device arm: a second stream
-  // arriving mid-service waits, exactly like the single-store path.
-  const int64_t done = device_queue_.Submit(request_ns, service_ns);
-  *latency_ns = done - request_ns;
-  budget->Charge(*latency_ns);
-  stats_.busy_ns += *latency_ns;
-  ++stats_.served;
-
-  MediaStore::ReadResult result = std::move(read).value();
-  result.duration = WorldTime::FromNanos(*latency_ns);
-  return result;
-}
-
 Status ServerNode::AdmitRequest(DeadlineBudget* budget, int64_t* latency_ns,
                                 double* slow_factor) {
   *latency_ns = 0;
@@ -94,35 +48,73 @@ Status ServerNode::AdmitRequest(DeadlineBudget* budget, int64_t* latency_ns,
   return Status::OK();
 }
 
-Status ServerNode::ServeWrite(const std::string& blob, const Buffer& data,
-                              int64_t request_ns, DeadlineBudget* budget,
-                              int64_t* latency_ns) {
+template <typename Op>
+Status ServerNode::Serve(int64_t request_ns, DeadlineBudget* budget,
+                         int64_t* latency_ns, Op op) {
   ++stats_.requests;
   double slow_factor = 1.0;
   AVDB_RETURN_IF_ERROR(AdmitRequest(budget, latency_ns, &slow_factor));
 
-  auto put = store_->Put(blob, data);
-  if (!put.ok()) {
-    // Refusal-priced failure, same shape as a failed read: failover to the
-    // next replica is cheap but never free.
+  const Result<int64_t> service = op();
+  if (!service.ok()) {
+    // A read works on a budget *copy*, a write or delete on none; reflect
+    // what the failure burned here. A deadline failure means the read ran
+    // the budget dry (Put and Delete never return one); any other error
+    // (quarantine, retry exhaustion surfacing fast, a refused write) costs
+    // a refusal's worth, so failover is cheap but never free.
     int64_t spent = kRefusalNs;
     if (!budget->unlimited()) {
-      spent = std::min(budget->remaining_ns(), kRefusalNs);
+      spent = service.status().code() == StatusCode::kDeadlineExceeded
+                  ? budget->remaining_ns()
+                  : std::min(budget->remaining_ns(), kRefusalNs);
     }
     *latency_ns = spent > 0 ? spent : 0;
     budget->Charge(*latency_ns);
-    return put.status();
+    return service.status();
   }
 
-  int64_t service_ns = VirtualClock::ToNs(put.value());
+  int64_t service_ns = service.value();
   if (slow_factor > 1.0) {
     service_ns =
         static_cast<int64_t>(static_cast<double>(service_ns) * slow_factor);
   }
+  // Requests serialize on this replica's device arm: a second stream
+  // arriving mid-service waits, exactly like the single-store path.
   const int64_t done = device_queue_.Submit(request_ns, service_ns);
   *latency_ns = done - request_ns;
   budget->Charge(*latency_ns);
   stats_.busy_ns += *latency_ns;
+  return Status::OK();
+}
+
+Result<MediaStore::ReadResult> ServerNode::ServeRead(const std::string& blob,
+                                                     int64_t offset,
+                                                     int64_t length,
+                                                     int64_t request_ns,
+                                                     DeadlineBudget* budget,
+                                                     int64_t* latency_ns) {
+  MediaStore::ReadResult read;
+  AVDB_RETURN_IF_ERROR(
+      Serve(request_ns, budget, latency_ns, [&]() -> Result<int64_t> {
+        auto got = store_->ReadRange(blob, offset, length, *budget);
+        if (!got.ok()) return got.status();
+        read = std::move(got).value();
+        return VirtualClock::ToNs(read.duration);
+      }));
+  ++stats_.served;
+  read.duration = WorldTime::FromNanos(*latency_ns);
+  return read;
+}
+
+Status ServerNode::ServeWrite(const std::string& blob, const Buffer& data,
+                              int64_t request_ns, DeadlineBudget* budget,
+                              int64_t* latency_ns) {
+  AVDB_RETURN_IF_ERROR(
+      Serve(request_ns, budget, latency_ns, [&]() -> Result<int64_t> {
+        auto put = store_->Put(blob, data);
+        if (!put.ok()) return put.status();
+        return VirtualClock::ToNs(put.value());
+      }));
   if (budget->expired()) {
     // The bytes persisted but the ack is late: the client must not count
     // this replica toward its quorum. Anti-entropy reconciles the copy.
@@ -136,32 +128,17 @@ Status ServerNode::ServeWrite(const std::string& blob, const Buffer& data,
 
 Status ServerNode::ServeDelete(const std::string& blob, int64_t request_ns,
                                DeadlineBudget* budget, int64_t* latency_ns) {
-  ++stats_.requests;
-  double slow_factor = 1.0;
-  AVDB_RETURN_IF_ERROR(AdmitRequest(budget, latency_ns, &slow_factor));
-
-  const Status deleted = store_->Delete(blob);
-  if (!deleted.ok() && deleted.code() != StatusCode::kNotFound) {
-    int64_t spent = kRefusalNs;
-    if (!budget->unlimited()) {
-      spent = std::min(budget->remaining_ns(), kRefusalNs);
-    }
-    *latency_ns = spent > 0 ? spent : 0;
-    budget->Charge(*latency_ns);
-    return deleted;
-  }
-
-  // A delete is a directory/journal mutation with no payload; NotFound
-  // (already gone — the outcome the caller wanted) costs the same lookup.
-  int64_t service_ns = kMetadataOpNs;
-  if (slow_factor > 1.0) {
-    service_ns =
-        static_cast<int64_t>(static_cast<double>(service_ns) * slow_factor);
-  }
-  const int64_t done = device_queue_.Submit(request_ns, service_ns);
-  *latency_ns = done - request_ns;
-  budget->Charge(*latency_ns);
-  stats_.busy_ns += *latency_ns;
+  AVDB_RETURN_IF_ERROR(
+      Serve(request_ns, budget, latency_ns, [&]() -> Result<int64_t> {
+        const Status deleted = store_->Delete(blob);
+        if (!deleted.ok() && deleted.code() != StatusCode::kNotFound) {
+          return deleted;
+        }
+        // A delete is a directory/journal mutation with no payload;
+        // NotFound (already gone — the outcome the caller wanted) costs the
+        // same lookup.
+        return kMetadataOpNs;
+      }));
   if (budget->expired()) {
     return Status::DeadlineExceeded("delete of '" + blob + "' on " + name_ +
                                     " persisted past its deadline");

@@ -122,11 +122,22 @@ class ServerNode {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// Node-fault preamble shared by the serving arms: consults the injector
-  /// once, charges the budget for a partition stall or crash refusal, and
-  /// reports the slow-node factor for served requests.
+  /// Node-fault preamble of Serve: consults the injector once, charges the
+  /// budget for a partition stall or crash refusal, and reports the
+  /// slow-node factor for served requests.
   Status AdmitRequest(DeadlineBudget* budget, int64_t* latency_ns,
                       double* slow_factor);
+
+  /// The serving arm of ServeRead, ServeWrite and ServeDelete: counts the
+  /// request, admits it past the node faults, runs `op` (the store call,
+  /// returning its modeled service time in ns or an error), prices a
+  /// failure (a limited DeadlineExceeded costs the whole remaining budget,
+  /// any other limited error the smaller of that and kRefusalNs, an
+  /// unlimited one kRefusalNs), applies the slow-node factor, queues the
+  /// service on the device arm, and charges the budget with `*latency_ns`.
+  template <typename Op>
+  Status Serve(int64_t request_ns, DeadlineBudget* budget, int64_t* latency_ns,
+               Op op);
 
   std::string name_;
   std::shared_ptr<MediaStore> store_;

@@ -1,5 +1,9 @@
 #include "cluster/replica_set.h"
 
+#include <utility>
+
+#include "base/logging.h"
+
 namespace avdb {
 
 void ReplicaHealth::Admit(int64_t now_ns) {
@@ -43,6 +47,12 @@ bool ReplicaHealth::RecordFailure(int64_t now_ns) {
     return true;
   }
   return false;
+}
+
+void ReplicaSet::Add(ServerNodePtr server, ChannelPtr channel) {
+  AVDB_CHECK(size() < 64) << "replica mask is 64 bits wide";
+  replicas_.push_back(
+      Replica{std::move(server), std::move(channel), ReplicaHealth(policy_)});
 }
 
 int64_t ReplicaSet::Pick(int64_t now_ns, uint64_t exclude_mask) const {

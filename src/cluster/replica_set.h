@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "base/deadline.h"
 #include "cluster/node.h"
 #include "net/channel.h"
 
@@ -98,14 +99,46 @@ class ReplicaSet {
     /// Link from the client; nullptr = co-located (no transfer cost).
     ChannelPtr channel;
     ReplicaHealth health;
+
+    /// One request to this replica at `at_ns`: `up_bytes` over the channel,
+    /// then `serve(arrive_ns, &serve_ns)` on the node, then `down_bytes`
+    /// back. Both link legs are charged to `budget`; `serve` charges the
+    /// node's own time. `*latency_ns` is 0 when the request never left, the
+    /// request leg plus the serve time when the serve or the reply leg
+    /// fails, and the reply's arrival less `at_ns` otherwise. Returns what
+    /// `serve` returns (a Status or a Result), or the failed leg's status.
+    template <typename Serve>
+    auto RoundTrip(int64_t at_ns, int64_t up_bytes, int64_t down_bytes,
+                   DeadlineBudget* budget, int64_t* latency_ns, Serve serve)
+        -> decltype(serve(at_ns, latency_ns)) {
+      Channel* link = channel.get();
+      int64_t elapsed = 0;
+      *latency_ns = 0;
+      if (link != nullptr) {
+        auto up = link->TransferWithDeadline(at_ns, up_bytes, *budget);
+        if (!up.ok()) return up.status();
+        elapsed = up.value() - at_ns;
+        budget->Charge(elapsed);
+      }
+      int64_t serve_ns = 0;
+      auto reply = serve(at_ns + elapsed, &serve_ns);
+      elapsed += serve_ns;
+      *latency_ns = elapsed;
+      if (!reply.ok() || link == nullptr) return reply;
+      const int64_t reply_ns = at_ns + elapsed;
+      auto down = link->TransferWithDeadline(reply_ns, down_bytes, *budget);
+      if (!down.ok()) return down.status();
+      budget->Charge(down.value() - reply_ns);
+      *latency_ns = down.value() - at_ns;
+      return reply;
+    }
   };
 
   explicit ReplicaSet(BreakerPolicy policy) : policy_(policy) {}
 
-  void Add(ServerNodePtr server, ChannelPtr channel) {
-    replicas_.push_back(
-        Replica{std::move(server), std::move(channel), ReplicaHealth(policy_)});
-  }
+  /// Adds a replica; nullptr channel = co-located. At most 64 replicas:
+  /// routers and donor picks track them in a 64-bit mask.
+  void Add(ServerNodePtr server, ChannelPtr channel);
 
   int64_t size() const { return static_cast<int64_t>(replicas_.size()); }
   Replica& at(int64_t i) { return replicas_[static_cast<size_t>(i)]; }

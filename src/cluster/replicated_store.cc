@@ -62,55 +62,6 @@ void ReplicatedStore::RecordHint(int64_t idx, const Hint& op) {
   ++stats_.hints_recorded;
 }
 
-Status ReplicatedStore::WriteAttempt(int64_t idx, const Hint& op,
-                                     DeadlineBudget* budget, int64_t at_ns,
-                                     int64_t* latency_ns) {
-  ReplicaSet::Replica& replica = replicas_->at(idx);
-  Channel* link = replica.channel.get();
-  int64_t elapsed = 0;
-
-  if (link != nullptr) {
-    const int64_t payload =
-        StreamRouter::kRequestBytes +
-        (op.is_delete ? 0 : static_cast<int64_t>(op.data.size()));
-    auto up = link->TransferWithDeadline(at_ns, payload, *budget);
-    if (!up.ok()) {
-      *latency_ns = 0;
-      return up.status();
-    }
-    elapsed = up.value() - at_ns;
-    budget->Charge(elapsed);
-  }
-
-  int64_t serve_latency = 0;
-  Status served =
-      op.is_delete
-          ? replica.server->ServeDelete(op.blob, at_ns + elapsed, budget,
-                                        &serve_latency)
-          : replica.server->ServeWrite(op.blob, op.data, at_ns + elapsed,
-                                       budget, &serve_latency);
-  elapsed += serve_latency;
-  if (!served.ok()) {
-    *latency_ns = elapsed;
-    return served;
-  }
-
-  if (link != nullptr) {
-    const int64_t ack_at = at_ns + elapsed;
-    auto down = link->TransferWithDeadline(
-        ack_at, StreamRouter::kRequestBytes, *budget);
-    if (!down.ok()) {
-      *latency_ns = elapsed;
-      return down.status();
-    }
-    budget->Charge(down.value() - ack_at);
-    elapsed = down.value() - at_ns;
-  }
-
-  *latency_ns = elapsed;
-  return Status::OK();
-}
-
 Status ReplicatedStore::WriteToReplica(int64_t idx, const Hint& op,
                                        DeadlineBudget* budget,
                                        int64_t start_ns,
@@ -122,12 +73,27 @@ Status ReplicatedStore::WriteToReplica(int64_t idx, const Hint& op,
     retry.jitter_seed += static_cast<uint64_t>(idx) * 0x9E3779B97F4A7C15ULL +
                          static_cast<uint64_t>(op_seq_) * 0x2545F4914F6CDD1DULL;
   }
+  // One attempt: the write (or delete) envelope up the replica's link, the
+  // node's serving arm, a request-sized ack back.
+  ReplicaSet::Replica& replica = replicas_->at(idx);
+  const int64_t up_bytes =
+      StreamRouter::kRequestBytes +
+      (op.is_delete ? 0 : static_cast<int64_t>(op.data.size()));
+  const auto serve = [&](int64_t arrive_ns, int64_t* serve_ns) {
+    return op.is_delete ? replica.server->ServeDelete(op.blob, arrive_ns,
+                                                      budget, serve_ns)
+                        : replica.server->ServeWrite(op.blob, op.data,
+                                                     arrive_ns, budget,
+                                                     serve_ns);
+  };
   RetryState state(retry);
   int64_t elapsed = 0;
   for (;;) {
     int64_t attempt_latency = 0;
-    const Status attempt = WriteAttempt(idx, op, budget, start_ns + elapsed,
-                                        &attempt_latency);
+    const Status attempt =
+        replica.RoundTrip(start_ns + elapsed, up_bytes,
+                          StreamRouter::kRequestBytes, budget,
+                          &attempt_latency, serve);
     elapsed += attempt_latency;
     if (attempt.ok()) {
       *latency_ns = elapsed;
@@ -262,24 +228,14 @@ Result<Buffer> ReplicatedStore::FetchFromDonor(int64_t donor_idx,
                                                int64_t length) {
   ReplicaSet::Replica& donor = replicas_->at(donor_idx);
   DeadlineBudget budget = DeadlineBudget::Unlimited();
-  const int64_t at_ns = now_fn_();
-  int64_t elapsed = 0;
-  Channel* link = donor.channel.get();
-  if (link != nullptr) {
-    auto up = link->TransferWithDeadline(at_ns, StreamRouter::kRequestBytes,
-                                         budget);
-    if (!up.ok()) return up.status();
-    elapsed = up.value() - at_ns;
-  }
-  int64_t serve_latency = 0;
-  auto read = donor.server->ServeRead(blob, offset, length, at_ns + elapsed,
-                                      &budget, &serve_latency);
+  int64_t latency_ns = 0;
+  auto read = donor.RoundTrip(
+      now_fn_(), StreamRouter::kRequestBytes, length, &budget, &latency_ns,
+      [&](int64_t arrive_ns, int64_t* serve_ns) {
+        return donor.server->ServeRead(blob, offset, length, arrive_ns,
+                                       &budget, serve_ns);
+      });
   if (!read.ok()) return read.status();
-  elapsed += serve_latency;
-  if (link != nullptr) {
-    auto down = link->TransferWithDeadline(at_ns + elapsed, length, budget);
-    if (!down.ok()) return down.status();
-  }
   return std::move(read).value().data;
 }
 

@@ -30,9 +30,8 @@ struct ReplicationPolicy {
   /// concurrent writers hitting the same struggling replica desynchronize
   /// (the PR 7 decorrelated-jitter schedule).
   RetryPolicy retry;
-  /// Routing policy of the embedded self-healing read router. Its breaker
-  /// settings are ignored when the replica set is shared (the set owns the
-  /// breaker policy).
+  /// Routing policy of the embedded self-healing read router (the shared
+  /// replica set owns the breaker policy).
   RouterPolicy router;
   /// Hinted-handoff queue cap per replica; overflow drops the hint (the
   /// write is NOT lost — it acked elsewhere — anti-entropy re-converges).
@@ -217,13 +216,11 @@ class ReplicatedStore {
   };
 
   /// One deadline-budgeted, retried write (or delete) against replica
-  /// `idx`, starting at `start_ns`. `*latency_ns` is the full modeled cost
-  /// including transfers, refusals, and backoff.
+  /// `idx`, starting at `start_ns`: each attempt is one round trip of the
+  /// replica. `*latency_ns` is the full modeled cost including transfers,
+  /// refusals, and backoff.
   Status WriteToReplica(int64_t idx, const Hint& op, DeadlineBudget* budget,
                         int64_t start_ns, int64_t* latency_ns);
-  /// A single un-retried attempt of the above.
-  Status WriteAttempt(int64_t idx, const Hint& op, DeadlineBudget* budget,
-                      int64_t at_ns, int64_t* latency_ns);
 
   /// Shared fan-out body of Put/Delete.
   Result<WriteResult> QuorumWrite(const Hint& op, int64_t budget_ns);
@@ -243,7 +240,7 @@ class ReplicatedStore {
                       const StoredBlob& winner, int64_t donor_idx,
                       int64_t* pages_streamed);
 
-  /// One page fetched from a donor replica over its link.
+  /// One page fetched from a donor replica: a round trip with no deadline.
   Result<Buffer> FetchFromDonor(int64_t donor_idx, const std::string& blob,
                                 int64_t offset, int64_t length);
 

@@ -17,11 +17,6 @@ constexpr int64_t kHedgeFloorNs = 1000 * 1000;  // 1 ms
 }  // namespace
 
 StreamRouter::StreamRouter(std::string name, RouterPolicy policy,
-                           std::function<int64_t()> now_fn)
-    : StreamRouter(std::move(name), policy, std::move(now_fn),
-                   std::make_shared<ReplicaSet>(policy.breaker)) {}
-
-StreamRouter::StreamRouter(std::string name, RouterPolicy policy,
                            std::function<int64_t()> now_fn,
                            std::shared_ptr<ReplicaSet> replicas)
     : name_(std::move(name)),
@@ -33,11 +28,6 @@ StreamRouter::StreamRouter(std::string name, RouterPolicy policy,
   AVDB_CHECK(replicas_ != nullptr) << "router needs a replica set";
   latency_window_.reserve(static_cast<size_t>(kLatencyWindow));
   latency_sorted_.reserve(static_cast<size_t>(kLatencyWindow));
-}
-
-void StreamRouter::AddReplica(ServerNodePtr server, ChannelPtr channel) {
-  AVDB_CHECK(replicas_->size() < 64) << "replica mask is 64 bits wide";
-  replicas_->Add(std::move(server), std::move(channel));
 }
 
 void StreamRouter::ObserveAttemptLatency(int64_t latency_ns) {
@@ -77,33 +67,15 @@ StreamRouter::AttemptOutcome StreamRouter::Attempt(
     int64_t idx, const std::string& blob, int64_t offset, int64_t length,
     DeadlineBudget budget, int64_t start_ns) {
   ReplicaSet::Replica& replica = replicas_->at(idx);
-  Channel* link = replica.channel.get();
-  int64_t elapsed = 0;
-
-  if (link != nullptr) {
-    auto up = link->TransferWithDeadline(start_ns, kRequestBytes, budget);
-    if (!up.ok()) return {up.status(), 0};
-    elapsed = up.value() - start_ns;
-    budget.Charge(elapsed);
-  }
-
-  int64_t serve_latency = 0;
-  auto reply = replica.server->ServeRead(blob, offset, length,
-                                         start_ns + elapsed, &budget,
-                                         &serve_latency);
-  elapsed += serve_latency;
-  if (!reply.ok()) return {reply.status(), elapsed};
-
-  if (link != nullptr) {
-    const int64_t response_at = start_ns + elapsed;
-    auto down = link->TransferWithDeadline(response_at, length, budget);
-    if (!down.ok()) return {down.status(), elapsed};
-    elapsed = down.value() - start_ns;
-  }
-
-  MediaStore::ReadResult result = std::move(reply).value();
-  result.duration = WorldTime::FromNanos(elapsed);
-  return {std::move(result), elapsed};
+  int64_t latency_ns = 0;
+  auto result = replica.RoundTrip(
+      start_ns, kRequestBytes, length, &budget, &latency_ns,
+      [&](int64_t arrive_ns, int64_t* serve_ns) {
+        return replica.server->ServeRead(blob, offset, length, arrive_ns,
+                                         &budget, serve_ns);
+      });
+  if (result.ok()) result.value().duration = WorldTime::FromNanos(latency_ns);
+  return {std::move(result), latency_ns};
 }
 
 Result<MediaStore::ReadResult> StreamRouter::Fetch(const std::string& blob,
@@ -237,8 +209,14 @@ Result<MediaStore::ReadResult> StreamRouter::Fetch(const std::string& blob,
   }
 
   ++stats_.exhausted;
-  if (last_error.ok()) return Status::Unavailable("no replicas configured");
-  return last_error;
+  if (!last_error.ok()) return last_error;
+  // No attempt ran: the set is empty, or every breaker refuses traffic.
+  if (replicas_->size() == 0) {
+    return Status::Unavailable("no replicas configured");
+  }
+  return Status::Unavailable("fetch of '" + blob + "' found all " +
+                             std::to_string(replicas_->size()) +
+                             " replicas refusing traffic (breakers open)");
 }
 
 void StreamRouter::BindObservability(obs::MetricsRegistry* registry,

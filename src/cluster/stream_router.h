@@ -20,7 +20,6 @@ namespace avdb {
 struct RouterPolicy {
   /// Distinct replicas tried per fetch before the error surfaces.
   int max_attempts = 3;
-  BreakerPolicy breaker;
   /// Hedged reads: when the primary attempt's latency exceeds the hedge
   /// delay (p95 of recent attempt latencies), a second copy of the request
   /// is sent to the next-best replica and the faster answer wins. Hedging
@@ -50,25 +49,19 @@ class StreamRouter {
   /// envelopes in ReplicatedStore).
   static constexpr int64_t kRequestBytes = 256;
 
-  /// `now_fn` supplies virtual time (the event engine's now); the router
+  /// Routes over `replicas`, which may be shared: several session routers
+  /// (and the ReplicatedStore write path) then see one health view, so a
+  /// breaker opened by one session shields the node from all of them — and
+  /// the half-open probe slot is single across sessions. A co-located
+  /// replica (nullptr channel) costs no transfer: routed reads through a
+  /// single one are byte-identical to direct MediaStore reads. `now_fn`
+  /// supplies virtual time (the event engine's now); the router
   /// deliberately does not depend on the activity layer.
-  StreamRouter(std::string name, RouterPolicy policy,
-               std::function<int64_t()> now_fn);
-
-  /// Same, but routing over a *shared* replica set: several session
-  /// routers (and the ReplicatedStore write path) see one health view, so
-  /// a breaker opened by one session shields the node from all of them —
-  /// and the half-open probe slot is single across sessions.
   StreamRouter(std::string name, RouterPolicy policy,
                std::function<int64_t()> now_fn,
                std::shared_ptr<ReplicaSet> replicas);
 
   const std::string& name() const { return name_; }
-
-  /// Adds a replica; nullptr channel = co-located (no transfer cost —
-  /// routed reads through a single co-located replica are byte-identical
-  /// to direct MediaStore reads).
-  void AddReplica(ServerNodePtr server, ChannelPtr channel = nullptr);
 
   /// Hooks the self-healing read path in: when an attempt fails with
   /// DataLoss (corrupt page, quarantined blob), the router calls
@@ -116,9 +109,9 @@ class StreamRouter {
     int64_t latency_ns = 0;
   };
 
-  /// One attempt against replica `idx` starting at `start_ns`: request
-  /// transfer (when linked), server-side read, response transfer. The
-  /// budget copy decrements per hop so downstream layers fast-fail.
+  /// One attempt against replica `idx` starting at `start_ns`: the
+  /// replica's round trip with a server-side read. The budget copy
+  /// decrements per hop so downstream layers fast-fail.
   AttemptOutcome Attempt(int64_t idx, const std::string& blob, int64_t offset,
                          int64_t length, DeadlineBudget budget,
                          int64_t start_ns);

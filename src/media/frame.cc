@@ -10,12 +10,6 @@
 
 namespace avdb {
 
-namespace {
-
-std::atomic<int64_t> g_plane_copies{0};
-
-}  // namespace
-
 VideoFrame::VideoFrame(int width, int height, int depth_bits)
     : width_(width), height_(height), depth_bits_(depth_bits) {
   AVDB_CHECK(width >= 0 && height >= 0) << "negative frame geometry";
@@ -73,39 +67,6 @@ VideoFrame& VideoFrame::operator=(VideoFrame&& other) noexcept {
   other.height_ = 0;
   other.data_.clear();
   return *this;
-}
-
-std::vector<uint8_t> VideoFrame::ExtractPlane(int p) const {
-  std::vector<uint8_t> plane;
-  ExtractPlaneInto(p, &plane);
-  return plane;
-}
-
-void VideoFrame::ExtractPlaneInto(int p, std::vector<uint8_t>* out) const {
-  AVDB_CHECK(p >= 0 && p < bytes_per_pixel()) << "plane index out of range";
-  g_plane_copies.fetch_add(1, std::memory_order_relaxed);
-  out->resize(plane_size());
-  if (plane_size() > 0) {
-    std::memcpy(out->data(), data_.data() + plane_size() * p, plane_size());
-  }
-}
-
-Status VideoFrame::SetPlane(int p, const std::vector<uint8_t>& plane) {
-  if (p < 0 || p >= bytes_per_pixel()) {
-    return Status::InvalidArgument("plane index");
-  }
-  if (plane.size() != plane_size()) {
-    return Status::InvalidArgument("plane size mismatch");
-  }
-  g_plane_copies.fetch_add(1, std::memory_order_relaxed);
-  if (!plane.empty()) {
-    std::memcpy(data_.data() + plane_size() * p, plane.data(), plane.size());
-  }
-  return Status::OK();
-}
-
-int64_t VideoFrame::plane_copies() {
-  return g_plane_copies.load(std::memory_order_relaxed);
 }
 
 Result<double> VideoFrame::MeanAbsoluteError(const VideoFrame& other) const {

@@ -1,7 +1,6 @@
 #ifndef AVDB_MEDIA_FRAME_H_
 #define AVDB_MEDIA_FRAME_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -113,21 +112,6 @@ class VideoFrame {
   void Set(int x, int y, uint8_t v, int c = 0) {
     data_[plane_size() * c + static_cast<size_t>(y) * width_ + x] = v;
   }
-
-  /// Copies out component plane `p` as a width×height byte array. Prefer
-  /// plane() — these copying accessors remain for tests and cold paths and
-  /// are counted (see plane_copies()) so hot paths can prove they avoid
-  /// them.
-  std::vector<uint8_t> ExtractPlane(int p) const;
-  /// Same, but into a caller-provided (possibly pooled) block, which is
-  /// resized to width·height.
-  void ExtractPlaneInto(int p, std::vector<uint8_t>* out) const;
-  /// Overwrites component plane `p`; `plane` must have width·height bytes.
-  Status SetPlane(int p, const std::vector<uint8_t>& plane);
-
-  /// Process-wide count of plane copies (ExtractPlane/ExtractPlaneInto/
-  /// SetPlane calls). Regression tests pin hot-path counts to zero.
-  static int64_t plane_copies();
 
   /// Mean absolute per-component difference against `other`; used as the
   /// distortion measure in codec tests and the quality bench. Frames must

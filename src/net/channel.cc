@@ -92,23 +92,9 @@ int64_t Channel::SerializationNs(int64_t bytes) const {
 }
 
 int64_t Channel::Transfer(int64_t request_ns, int64_t bytes) {
-  int64_t serialization_ns = SerializationNs(bytes);
-  if (fault_injector_ != nullptr) {
-    const double slowdown = fault_injector_->OnTransfer();
-    if (slowdown > 1.0) {
-      serialization_ns = static_cast<int64_t>(
-          static_cast<double>(serialization_ns) * slowdown);
-      ++stats_.collapsed_transfers;
-      if (tracer_ != nullptr) {
-        tracer_->EventAt(request_ns, "net", "bandwidth_collapse", name_,
-                         "x" + std::to_string(slowdown));
-      }
-    }
-  }
-  const int64_t done = link_.Submit(request_ns, serialization_ns);
-  ++stats_.transfers;
-  stats_.bytes += bytes;
-  return done + profile_.propagation_delay_ns;
+  // An unlimited budget never expires and affords any delivery time.
+  return TransferWithDeadline(request_ns, bytes, DeadlineBudget::Unlimited())
+      .value();
 }
 
 Result<int64_t> Channel::TransferWithDeadline(int64_t request_ns,

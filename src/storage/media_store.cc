@@ -741,7 +741,7 @@ Result<MediaStore::ReadResult> MediaStore::ReadRangeUncached(
 Result<MediaStore::ReadResult> MediaStore::ReadRange(const std::string& name,
                                                      int64_t offset,
                                                      int64_t length) {
-  return ReadRangeImpl(name, offset, length, nullptr);
+  return ReadRange(name, offset, length, DeadlineBudget::Unlimited());
 }
 
 Result<MediaStore::ReadResult> MediaStore::ReadRangeUnverified(
@@ -773,24 +773,6 @@ Result<MediaStore::ReadResult> MediaStore::ReadRange(const std::string& name,
         "deadline budget already spent; read of '" + name +
         "' not attempted");
   }
-  return ReadRangeImpl(name, offset, length, &budget);
-}
-
-const std::string& MediaStore::PageKey(const std::string& name,
-                                      int64_t page) {
-  page_key_.assign(device_->name());
-  page_key_ += '/';
-  page_key_ += name;
-  page_key_ += '#';
-  char digits[20];
-  const char* end = std::to_chars(digits, digits + sizeof(digits), page).ptr;
-  page_key_.append(digits, static_cast<size_t>(end - digits));
-  return page_key_;
-}
-
-Result<MediaStore::ReadResult> MediaStore::ReadRangeImpl(
-    const std::string& name, int64_t offset, int64_t length,
-    DeadlineBudget* budget) {
   ++stats_.reads;
   auto blob = Lookup(name);
   if (!blob.ok()) return blob.status();
@@ -803,7 +785,7 @@ Result<MediaStore::ReadResult> MediaStore::ReadRangeImpl(
     return Status::DataLoss("blob quarantined by scrub: " + name);
   }
   if (cache_ == nullptr) {
-    auto result = ReadRangeUncached(*blob.value(), offset, length, budget);
+    auto result = ReadRangeUncached(*blob.value(), offset, length, &budget);
     if (!result.ok()) return result.status();
     // The uncached path reads exactly the requested bytes (its I/O pattern
     // is part of the admission model), so only pages the range fully covers
@@ -843,7 +825,7 @@ Result<MediaStore::ReadResult> MediaStore::ReadRangeImpl(
       const int64_t page_start = page * kCachePageBytes;
       const int64_t page_len =
           std::min(kCachePageBytes, entry.size_bytes - page_start);
-      auto fetched = ReadRangeUncached(entry, page_start, page_len, budget);
+      auto fetched = ReadRangeUncached(entry, page_start, page_len, &budget);
       if (!fetched.ok()) return fetched.status();
       out.duration += fetched.value().duration;
       out.retries += fetched.value().retries;
@@ -863,6 +845,18 @@ Result<MediaStore::ReadResult> MediaStore::ReadRangeImpl(
                          static_cast<size_t>(slice_end - slice_start));
   }
   return out;
+}
+
+const std::string& MediaStore::PageKey(const std::string& name,
+                                      int64_t page) {
+  page_key_.assign(device_->name());
+  page_key_ += '/';
+  page_key_ += name;
+  page_key_ += '#';
+  char digits[20];
+  const char* end = std::to_chars(digits, digits + sizeof(digits), page).ptr;
+  page_key_.append(digits, static_cast<size_t>(end - digits));
+  return page_key_;
 }
 
 Status MediaStore::Delete(const std::string& name) {

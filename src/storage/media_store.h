@@ -89,6 +89,7 @@ class MediaStore {
   /// fetched from the device, then cached tagged with that digest. A hit
   /// whose tag equals the directory's digest is served without hashing;
   /// any other hit is hashed again. A corrupt page surfaces as DataLoss.
+  /// Runs the budgeted overload under DeadlineBudget::Unlimited().
   Result<ReadResult> ReadRange(const std::string& name, int64_t offset,
                                int64_t length);
 
@@ -98,8 +99,8 @@ class MediaStore {
   /// clamped to what remains, the modeled duration is charged against the
   /// budget as it accrues, and a read whose device time overruns the budget
   /// fails with DeadlineExceeded instead of delivering bytes nobody can
-  /// present on time. With an Unlimited budget this is byte- and
-  /// cost-identical to the plain overload.
+  /// present on time. An Unlimited budget never expires and clamps nothing,
+  /// so it reads and costs exactly what a deadline-free read would.
   Result<ReadResult> ReadRange(const std::string& name, int64_t offset,
                                int64_t length, DeadlineBudget budget);
 
@@ -206,11 +207,6 @@ class MediaStore {
   void BindObservability(obs::MetricsRegistry* registry, obs::Tracer* tracer);
 
  private:
-  /// ReadRange body shared by both public overloads; `budget` may be
-  /// nullptr (no deadline).
-  Result<ReadResult> ReadRangeImpl(const std::string& name, int64_t offset,
-                                   int64_t length, DeadlineBudget* budget);
-
   /// The cache key of page `page` of blob `name`, "device/name#page",
   /// written into page_key_ (whose capacity every later key reuses).
   const std::string& PageKey(const std::string& name, int64_t page);

@@ -62,16 +62,18 @@ struct CachedDeployment {
                                              DeviceProfile::MagneticDisk())),
         cache(std::make_shared<BufferCache>(16 * 1024 * 1024)),
         store(std::make_shared<MediaStore>(device, cache)),
-        router("client0", RouterPolicy{}, [this] { return engine.now_ns(); }) {
+        replicas(std::make_shared<ReplicaSet>(BreakerPolicy{})),
+        router("client0", RouterPolicy{}, [this] { return engine.now_ns(); },
+               replicas) {
     EXPECT_TRUE(store->Mount().ok());
     const Buffer bytes = value_serializer::Serialize(title).value();
     EXPECT_TRUE(store->Put(kBlob, bytes).ok());
     EXPECT_TRUE(
         store->ReadRange(kBlob, 0, static_cast<int64_t>(bytes.size())).ok());
     cache->ResetStats();
-    router.AddReplica(std::make_shared<ServerNode>("node0", store),
-                      std::make_shared<Channel>("node0.atm",
-                                                Channel::Profile::Atm155()));
+    replicas->Add(std::make_shared<ServerNode>("node0", store),
+                  std::make_shared<Channel>("node0.atm",
+                                            Channel::Profile::Atm155()));
   }
 
   SourceOptions Source() {
@@ -89,6 +91,7 @@ struct CachedDeployment {
   std::shared_ptr<BlockDevice> device;
   std::shared_ptr<BufferCache> cache;
   std::shared_ptr<MediaStore> store;
+  std::shared_ptr<ReplicaSet> replicas;
   StreamRouter router;
 };
 

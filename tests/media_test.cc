@@ -29,21 +29,14 @@ TEST(VideoFrameTest, RgbPlanes) {
   f.Set(1, 0, 10, 0);
   f.Set(1, 0, 20, 1);
   f.Set(1, 0, 30, 2);
-  auto r = f.ExtractPlane(0);
-  auto g = f.ExtractPlane(1);
-  auto b = f.ExtractPlane(2);
-  EXPECT_EQ(r[1], 10);
-  EXPECT_EQ(g[1], 20);
-  EXPECT_EQ(b[1], 30);
-}
-
-TEST(VideoFrameTest, SetPlaneRoundTrip) {
-  VideoFrame f(3, 2, 24);
-  std::vector<uint8_t> plane = {1, 2, 3, 4, 5, 6};
-  ASSERT_TRUE(f.SetPlane(1, plane).ok());
-  EXPECT_EQ(f.ExtractPlane(1), plane);
-  EXPECT_FALSE(f.SetPlane(3, plane).ok());
-  EXPECT_FALSE(f.SetPlane(0, {1, 2}).ok());
+  const PlaneView r = f.plane(0);
+  const PlaneView g = f.plane(1);
+  const PlaneView b = f.plane(2);
+  EXPECT_EQ(r.size(), 4u);
+  EXPECT_EQ(r.at(1, 0), 10);
+  EXPECT_EQ(g.at(1, 0), 20);
+  EXPECT_EQ(b.at(1, 0), 30);
+  EXPECT_EQ(b.at(0, 0), 0);
 }
 
 TEST(VideoFrameTest, MeanAbsoluteError) {

@@ -33,37 +33,6 @@ std::shared_ptr<VideoValue> TestVideo(int width, int height, int depth_bits,
   return GenerateVideo(type, frames, VideoPattern::kMovingBox).value();
 }
 
-// The original inter codec extracted every reference plane afresh for every
-// frame of a GOP (7 ExtractPlane/SetPlane calls per P-frame). With planar
-// frames the codecs borrow views instead; this pins the copy count at zero
-// for the whole encode+decode cycle of every codec family.
-TEST(ZeroCopyTest, CodecHotPathsPerformNoPlaneCopies) {
-  auto video = TestVideo(48, 32, 8, 8);
-  VideoCodecParams params;
-  params.gop_size = 4;
-
-  const int64_t before = VideoFrame::plane_copies();
-
-  auto inter = InterCodec().Encode(*video, params).value();
-  auto session = InterCodec().NewDecoder(inter).value();
-  for (int64_t i = 0; i < 8; ++i) ASSERT_TRUE(session->DecodeFrame(i).ok());
-
-  auto intra = IntraCodec().Encode(*video, params).value();
-  auto intra_session = IntraCodec().NewDecoder(intra).value();
-  ASSERT_TRUE(intra_session->DecodeRange(0, 8).ok());
-
-  VideoCodecParams scalable_params;
-  scalable_params.layer_count = 3;
-  auto scalable = ScalableCodec().Encode(*video, scalable_params).value();
-  auto scalable_session = ScalableCodec().NewDecoder(scalable).value();
-  for (int64_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(scalable_session->DecodeFrame(i).ok());
-  }
-
-  EXPECT_EQ(VideoFrame::plane_copies() - before, 0)
-      << "a codec hot path fell back to a copying plane accessor";
-}
-
 // Once the shared pool is warm, a full inter encode + decode cycle must be
 // served entirely from recycled blocks: zero pool misses. This is the
 // steady-state zero-allocation guarantee the bench gates on, read from the

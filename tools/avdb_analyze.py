@@ -35,12 +35,12 @@ Line rules look at one file at a time; each finding names one line:
                      (include-DAG directory) of the defining file, so a
                      metric's name always says which layer owns it.
   plane-copy         No per-frame byte-plane copies in the codec/activity
-                     hot paths (src/codec, src/activity): the copying
-                     frame accessors (ExtractPlane / ExtractPlaneInto /
-                     SetPlane) and by-value `std::vector<uint8_t>` objects
-                     allocate per frame. Use PlaneView / PlaneSpan over the
-                     frame's planar storage, or lease scratch from
-                     BufferPool (BytesLease / AcquireBuffer).
+                     hot paths (src/codec, src/activity): by-value
+                     `std::vector<uint8_t>` objects allocate per frame
+                     (VideoFrame has no copying plane accessor). Use
+                     PlaneView / PlaneSpan over the frame's planar storage,
+                     or lease scratch from BufferPool (BytesLease /
+                     AcquireBuffer).
   naked-retry        In src/cluster and src/storage, every retry loop (see
                      below) must be driven by a RetryState named in the
                      loop or just above it, so every retry charges virtual
@@ -189,7 +189,6 @@ WALLCLOCK_CALLS = frozenset({
 WALLCLOCK_STD_CALLS = frozenset({"clock", "time"})
 ALLOC_CALLS = frozenset({"malloc", "calloc", "realloc", "free"})
 CHECK_MACROS = frozenset({"AVDB_CHECK", "AVDB_DCHECK"})
-PLANE_ACCESSORS = frozenset({"ExtractPlane", "ExtractPlaneInto", "SetPlane"})
 # An instrument name inside a string literal: "avdb_<layer>_..."
 METRIC_LITERAL_RE = re.compile(r'"(avdb_([a-z0-9]+)_[a-z0-9_]+)')
 
@@ -220,7 +219,7 @@ SAFE_CALLEES = frozenset({
 # (ReadU32, ReadBytes, ReadString, …) loop legitimately over a buffer.
 RETRYABLE_CALLEES = frozenset({
     "Read", "ReadRange", "Transfer", "TransferWithDeadline", "ServeRead",
-    "ServeWrite", "WriteAttempt",
+    "ServeWrite", "RoundTrip",
 })
 CONTROL_KEYWORDS = frozenset({
     "if", "for", "while", "switch", "catch", "return", "sizeof", "do",
@@ -574,11 +573,9 @@ def line_findings(path, toks, lines):
         if hot_path and call and w in CHECK_MACROS:
             hit("check-in-hot-path", t.line)
         # A by-value byte plane; references borrow and are fine.
-        if plane_path and (
-                (call and w in PLANE_ACCESSORS)
-                or (w == "std" and texts[i + 1:i + 6] == [
-                    "::", "vector", "<", "uint8_t", ">"]
-                    and texts[i + 6] not in ("&", "&&"))):
+        if plane_path and w == "std" and texts[i + 1:i + 6] == [
+                "::", "vector", "<", "uint8_t", ">"] \
+                and texts[i + 6] not in ("&", "&&"):
             hit("plane-copy", t.line)
         if write_path and call and w in ("Put", "Delete") \
                 and _on_store(texts, i):
