@@ -42,6 +42,13 @@
 //      kSparseGateMinSpeedup times idct8x8's at every count (exit 1). The
 //      ratio is taken inside one process, so it holds at either of a
 //      host's speeds.
+//   8. The scalable codec's resampler: both upsample steps of one vod_cold
+//      frame (16x12 onto 32x24, 32x24 onto 64x48) through LayerUpsampler,
+//      interleaved with the resampler it replaced (kept below as
+//      LegacyUpsampleTo) and the wrapping add the decoder ran after it.
+//      Acceptance gates: both add the same samples, and at the AVX2 level
+//      the current median runs at least kResamplerGateMinSpeedup times
+//      legacy (exit 1).
 //
 // Output: BENCH_codec_micro.json; timings, the SIMD levels and the gate
 // verdicts that depend on them sit under its `host` member.
@@ -64,6 +71,7 @@
 #include "codec/inter_codec.h"
 #include "codec/intra_codec.h"
 #include "codec/registry.h"
+#include "codec/scalable_codec.h"
 #include "codec/simd/kernels.h"
 #include "codec/varint.h"
 #include "harness.h"
@@ -85,6 +93,8 @@ constexpr int kDecodeReps = 15;    // interleaved whole-clip decodes
 constexpr int kAdpcmChunks = 16;   // 1024-frame chunks per ADPCM clip
 constexpr int kAdpcmReps = 41;     // interleaved whole-clip ADPCM decodes
 constexpr int kSparseBlocks = 256;  // seeded blocks per sparse-IDCT count
+constexpr int kResamplerReps = 41;   // interleaved legacy/current rounds
+constexpr int kResamplerIters = 50;  // frames' upsample steps per round
 constexpr double kKernelGateMinSpeedup = 1.0;
 constexpr double kFpsGateMinSpeedup = 2.0;
 // Eight runs on a 4-CPU AVX2 host read the sparse transform at a median
@@ -92,6 +102,11 @@ constexpr double kFpsGateMinSpeedup = 2.0;
 // [2.10, 2.57] on two, never below 1.93x; 1.5x keeps the branch worth
 // taking at either host speed.
 constexpr double kSparseGateMinSpeedup = 1.5;
+// Five runs on a 4-CPU AVX2 host read the resampler at medians of 3.24x
+// to 3.48x legacy, each run's quartiles within 0.1 of its median (4.2 to
+// 4.8 us against 13.8 to 15.6 us per frame at the host's faster speed,
+// 6.2 against 20.6 at its slower); 2.5x holds at either speed.
+constexpr double kResamplerGateMinSpeedup = 2.5;
 
 // Defeats dead-code elimination without fencing the timed region.
 volatile uint32_t g_sink = 0;
@@ -278,6 +293,63 @@ Result<AudioBlock> LegacyAdpcmDecodeChunk(const EncodedAudio& audio,
   return block;
 }
 
+// ---------------------------------------------------------------------------
+// The scalable codec's resampler before LayerUpsampler, verbatim from the
+// old scalable_codec.cc: taps computed on every call, all four products
+// of a sample computed for every output row, and a fresh output plane,
+// which the decoder then added onto the decoded residual with the scalar
+// add_i16 kernel (LegacyAddI16) that every table dispatched.
+
+struct PlaneI16 {
+  int width = 0;
+  int height = 0;
+  std::vector<int16_t> data;
+};
+
+PlaneI16 LegacyUpsampleTo(const PlaneI16& src, int width, int height) {
+  struct Tap {
+    int i0, i1;
+    double w0, w1;  // w0 = 1 - w1
+  };
+  const auto tap_at = [](int i, int n, int src_n) {
+    const double f =
+        n > 1 ? static_cast<double>(i) * (src_n - 1) / (n - 1) : 0.0;
+    const int i0 = static_cast<int>(f);
+    return Tap{i0, i0 + 1 < src_n ? i0 + 1 : i0, 1 - (f - i0), f - i0};
+  };
+  PlaneI16 out{width, height,
+               std::vector<int16_t>(static_cast<size_t>(width) * height)};
+  if (src.width == 0 || src.height == 0) return out;
+  std::vector<Tap> cols(static_cast<size_t>(width));
+  for (int x = 0; x < width; ++x) cols[x] = tap_at(x, width, src.width);
+  for (int y = 0; y < height; ++y) {
+    const Tap row = tap_at(y, height, src.height);
+    const int16_t* r0 = &src.data[static_cast<size_t>(row.i0) * src.width];
+    const int16_t* r1 = &src.data[static_cast<size_t>(row.i1) * src.width];
+    int16_t* dst = &out.data[static_cast<size_t>(y) * width];
+    for (int x = 0; x < width; ++x) {
+      const Tap& col = cols[x];
+      const double v00 = r0[col.i0];
+      const double v01 = r0[col.i1];
+      const double v10 = r1[col.i0];
+      const double v11 = r1[col.i1];
+      const double v = v00 * col.w0 * row.w0 + v01 * col.w1 * row.w0 +
+                       v10 * col.w0 * row.w1 + v11 * col.w1 * row.w1;
+      dst[x] = static_cast<int16_t>(v >= 0 ? v + 0.5 : v - 0.5);
+    }
+  }
+  return out;
+}
+
+void LegacyAddI16(const int16_t* a, const int16_t* b, int16_t* out,
+                  size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<int16_t>(static_cast<int32_t>(a[i]) + b[i]);
+  }
+}
+
+// ---------------------------------------------------------------------------
+
 struct KernelPoint {
   const char* name;
   const char* level;        // the table's level
@@ -331,6 +403,18 @@ std::vector<KernelPoint> MeasureKernels(
   alignas(32) int32_t sparse[kBA] = {};
   const uint8_t sparse_pos[2] = {1, 18};
   for (uint8_t p : sparse_pos) sparse[p] = coeffs[p];
+  // One luma-wide upsample row: the column products of luma rows 0 and 1,
+  // each column's left and right tap weighted 1 - w and w.
+  std::vector<double> products(4 * kWidth);
+  for (int r = 0; r < 2; ++r) {
+    const uint8_t* row = luma.row(r);
+    for (int x = 0; x < kWidth; ++x) {
+      const double w = (x % 8) / 8.0;
+      const int right = std::min(x + 1, kWidth - 1);
+      products[(2 * r) * kWidth + x] = (row[x] - 128) * (1 - w);
+      products[(2 * r + 1) * kWidth + x] = (row[right] - 128) * w;
+    }
+  }
 
   using K = simd::CodecKernels;
   std::vector<std::vector<KernelPoint>> by_table(tables.size());
@@ -433,9 +517,11 @@ std::vector<KernelPoint> MeasureKernels(
       Sink(static_cast<uint32_t>(i16_out[0]));
     };
   });
-  measure("add_i16", &K::add_i16, [&](const K& k) {
-    return [&k, &i16_a, &i16_b, &i16_out, n] {
-      k.add_i16(i16_a.data(), i16_b.data(), i16_out.data(), n);
+  measure("upsample_add_row", &K::upsample_add_row, [&](const K& k) {
+    return [&k, &products, &i16_out] {
+      const double* p = products.data();
+      k.upsample_add_row(p, p + kWidth, p + 2 * kWidth, p + 3 * kWidth,
+                         0.625, 0.375, i16_out.data(), kWidth);
       Sink(static_cast<uint32_t>(i16_out[0]));
     };
   });
@@ -779,6 +865,86 @@ std::vector<AdpcmPoint> MeasureAdpcm() {
   return points;
 }
 
+struct ResamplerPoint {
+  bool legacy_identical = true;   // both resamplers add the same samples
+  bench::Summary frame_ns;        // LayerUpsampler, per frame's two steps
+  bench::Summary legacy_frame_ns;  // LegacyUpsampleTo + LegacyAddI16
+  double speedup() const { return legacy_frame_ns.median / frame_ns.median; }
+};
+
+// Both upsample steps of one vod_cold frame, from seeded centered-pixel
+// source layers onto seeded residual-sized planes: through LayerUpsampler
+// at the dispatched level, and through LegacyUpsampleTo plus the add,
+// interleaved on bench::Measure. Each variant adds onto its own planes,
+// round after round; the sums wrap, which is the arithmetic under test.
+ResamplerPoint MeasureResampler() {
+  struct Step {
+    int src_width, src_height, width, height;
+  };
+  constexpr Step kSteps[] = {{16, 12, 32, 24}, {32, 24, 64, 48}};
+  Rng rng(3001);
+  std::vector<PlaneI16> sources;
+  std::vector<std::vector<int16_t>> residuals;
+  std::vector<LayerUpsampler> upsamplers;
+  size_t window_size = 0;
+  for (const Step& step : kSteps) {
+    PlaneI16 src{step.src_width, step.src_height,
+                 std::vector<int16_t>(static_cast<size_t>(step.src_width) *
+                                      step.src_height)};
+    for (int16_t& v : src.data) {
+      v = static_cast<int16_t>(rng.NextInRange(-128, 127));
+    }
+    sources.push_back(std::move(src));
+    std::vector<int16_t> residual(static_cast<size_t>(step.width) *
+                                  step.height);
+    for (int16_t& v : residual) {
+      v = static_cast<int16_t>(rng.NextInRange(-40, 40));
+    }
+    residuals.push_back(std::move(residual));
+    upsamplers.emplace_back(step.src_width, step.src_height, step.width,
+                            step.height);
+    window_size = std::max(window_size, upsamplers.back().window_size());
+  }
+  std::vector<double> window(window_size);
+  const auto current = [&](std::vector<std::vector<int16_t>>* planes) {
+    for (size_t s = 0; s < upsamplers.size(); ++s) {
+      upsamplers[s].AddOnto(sources[s].data.data(), window.data(),
+                            (*planes)[s].data());
+    }
+  };
+  const auto legacy = [&](std::vector<std::vector<int16_t>>* planes) {
+    for (size_t s = 0; s < upsamplers.size(); ++s) {
+      const PlaneI16 pred =
+          LegacyUpsampleTo(sources[s], kSteps[s].width, kSteps[s].height);
+      LegacyAddI16(pred.data.data(), (*planes)[s].data(), (*planes)[s].data(),
+                   pred.data.size());
+    }
+  };
+  ResamplerPoint point;
+  std::vector<std::vector<int16_t>> current_planes = residuals;
+  std::vector<std::vector<int16_t>> legacy_planes = residuals;
+  current(&current_planes);
+  legacy(&legacy_planes);
+  point.legacy_identical = current_planes == legacy_planes;
+  const std::vector<bench::Summary> timings = bench::Measure(
+      kResamplerReps,
+      {[&] {
+         for (int i = 0; i < kResamplerIters; ++i) current(&current_planes);
+         Sink(static_cast<uint32_t>(current_planes.back()[0]));
+       },
+       [&] {
+         for (int i = 0; i < kResamplerIters; ++i) legacy(&legacy_planes);
+         Sink(static_cast<uint32_t>(legacy_planes.back()[0]));
+       }});
+  const auto per_frame = [](bench::Summary s) {
+    return bench::Summary{s.median / kResamplerIters, s.q1 / kResamplerIters,
+                          s.q3 / kResamplerIters, s.min / kResamplerIters};
+  };
+  point.frame_ns = per_frame(timings[0]);
+  point.legacy_frame_ns = per_frame(timings[1]);
+  return point;
+}
+
 }  // namespace
 
 int main() {
@@ -795,6 +961,9 @@ int main() {
       tables.empty() ? simd::ScalarKernels() : *tables.front();
   const std::vector<SparseIdctPoint> sparse_idct = MeasureSparseIdct(widest);
   const bool sparse_gate_enforced = widest.level == simd::KernelLevel::kAvx2;
+  const ResamplerPoint resampler = MeasureResampler();
+  const bool resampler_gate_enforced =
+      simd::ActiveKernels().level == simd::KernelLevel::kAvx2;
 
   // The 2x gate prices the *dispatched SIMD* pipeline; in a scalar-only
   // build (AVDB_SIMD=OFF or an unsupported CPU) the fps is reported but
@@ -866,6 +1035,7 @@ int main() {
                            {"speedup", bench::Fixed(p.speedup(), 2)},
                            {"gate_enforced", sparse_gate_enforced}});
   }
+  const auto us = [](double ns) { return bench::Fixed(ns / 1e3, 2); };
   const bench::Object doc = {
       {"intra_fps", bench::Object{{"gate_min_speedup",
                                    bench::Fixed(kFpsGateMinSpeedup, 1)}}},
@@ -873,6 +1043,11 @@ int main() {
        bench::Object{{"max_coeffs", simd::kSparseIdctMaxCoeffs},
                      {"gate_min_speedup",
                       bench::Fixed(kSparseGateMinSpeedup, 2)}}},
+      {"resampler",
+       bench::Object{{"steps", "16x12->32x24, 32x24->64x48"},
+                     {"legacy_identical", resampler.legacy_identical},
+                     {"gate_min_speedup",
+                      bench::Fixed(kResamplerGateMinSpeedup, 1)}}},
       {"decode", decode_rows},
       {"adpcm_decode", adpcm_rows},
       {"byte_identity", bench::Object{{"identical", identity.pass}}},
@@ -892,6 +1067,17 @@ int main() {
                      {"gate_enforced", fps_gate_enforced}}},
       {"byte_identity", bench::Object{{"levels", identity.levels}}},
       {"sparse_idct", sparse_rows},
+      {"resampler",
+       bench::Object{
+           {"level", simd::KernelLevelName(simd::ActiveKernels().level)},
+           {"us_per_frame", us(resampler.frame_ns.median)},
+           {"q1", us(resampler.frame_ns.q1)},
+           {"q3", us(resampler.frame_ns.q3)},
+           {"legacy_us_per_frame", us(resampler.legacy_frame_ns.median)},
+           {"legacy_q1", us(resampler.legacy_frame_ns.q1)},
+           {"legacy_q3", us(resampler.legacy_frame_ns.q3)},
+           {"speedup", bench::Fixed(resampler.speedup(), 2)},
+           {"gate_enforced", resampler_gate_enforced}}},
       {"decode", decode_timing_rows},
       {"adpcm_decode", adpcm_timing_rows}};
 
@@ -916,6 +1102,15 @@ int main() {
                     p.speedup() >= kSparseGateMinSpeedup,
                 gate);
   }
+  gates.Check(resampler.legacy_identical,
+              "resampler adds the samples LegacyUpsampleTo does");
+  char resampler_gate[64];
+  std::snprintf(resampler_gate, sizeof(resampler_gate),
+                "resampler median at least %.1fx legacy",
+                kResamplerGateMinSpeedup);
+  gates.Check(!resampler_gate_enforced ||
+                  resampler.speedup() >= kResamplerGateMinSpeedup,
+              resampler_gate);
   gates.Check(identity.pass, "kernel levels are byte-identical");
   gates.Check(steady.allocations == 0, "zero steady-state pool misses");
   for (const DecodePoint& p : decode) {

@@ -15,9 +15,6 @@ namespace avdb {
 
 namespace {
 
-// A VideoFrame holds 8-bit (one plane) or 24-bit (three planes) pixels.
-constexpr int kMaxPlanes = 3;
-
 /// Decoder over independently coded frames. Sequential random access needs
 /// no inter-frame state, so a single frame spreads its planes over the
 /// stream's concurrency and a range spreads its frames.
@@ -127,7 +124,8 @@ Result<VideoFrame> IntraCodec::DecodeFrame(const Buffer& data, int width,
   // decode each independently. Fixed arrays, so a frame allocates nothing
   // beyond its own pooled storage.
   BufferReader reader(data);
-  std::array<std::pair<size_t, size_t>, kMaxPlanes> spans;  // offset, size
+  // Each plane's offset and size.
+  std::array<std::pair<size_t, size_t>, VideoFrame::kMaxPlanes> spans;
   for (int p = 0; p < planes; ++p) {
     auto size = reader.ReadU32();
     if (!size.ok()) return size.status();
@@ -135,7 +133,7 @@ Result<VideoFrame> IntraCodec::DecodeFrame(const Buffer& data, int width,
     AVDB_RETURN_IF_ERROR(reader.Skip(size.value()));
     spans[static_cast<size_t>(p)] = {offset, size.value()};
   }
-  std::array<Status, kMaxPlanes> statuses;
+  std::array<Status, VideoFrame::kMaxPlanes> statuses;
   WorkPool::Shared().ParallelFor(
       std::min(concurrency, planes), planes, [&](int64_t p) {
         const auto& span = spans[static_cast<size_t>(p)];

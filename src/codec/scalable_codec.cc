@@ -1,6 +1,7 @@
 #include "codec/scalable_codec.h"
 
 #include <algorithm>
+#include <array>
 
 #include "base/work_pool.h"
 #include "codec/block_transform.h"
@@ -53,46 +54,6 @@ PlaneI16 Downsample2(const PlaneI16& src) {
   return out;
 }
 
-// Bilinear upsample to an exact target geometry. A sample's taps (the two
-// source samples it lies between, the second clamped to the edge, and
-// their weights) depend only on the geometry, so the column taps are
-// computed once per call and the row taps once per row. Each sample still
-// evaluates the same double expression, in the same order.
-PlaneI16 UpsampleTo(const PlaneI16& src, int width, int height) {
-  struct Tap {
-    int i0, i1;
-    double w0, w1;  // w0 = 1 - w1
-  };
-  const auto tap_at = [](int i, int n, int src_n) {
-    const double f =
-        n > 1 ? static_cast<double>(i) * (src_n - 1) / (n - 1) : 0.0;
-    const int i0 = static_cast<int>(f);
-    return Tap{i0, i0 + 1 < src_n ? i0 + 1 : i0, 1 - (f - i0), f - i0};
-  };
-  PlaneI16 out{width, height,
-               std::vector<int16_t>(static_cast<size_t>(width) * height)};
-  if (src.width == 0 || src.height == 0) return out;
-  std::vector<Tap> cols(static_cast<size_t>(width));
-  for (int x = 0; x < width; ++x) cols[x] = tap_at(x, width, src.width);
-  for (int y = 0; y < height; ++y) {
-    const Tap row = tap_at(y, height, src.height);
-    const int16_t* r0 = &src.data[static_cast<size_t>(row.i0) * src.width];
-    const int16_t* r1 = &src.data[static_cast<size_t>(row.i1) * src.width];
-    int16_t* dst = &out.data[static_cast<size_t>(y) * width];
-    for (int x = 0; x < width; ++x) {
-      const Tap& col = cols[x];
-      const double v00 = r0[col.i0];
-      const double v01 = r0[col.i1];
-      const double v10 = r1[col.i0];
-      const double v11 = r1[col.i1];
-      const double v = v00 * col.w0 * row.w0 + v01 * col.w1 * row.w0 +
-                       v10 * col.w0 * row.w1 + v11 * col.w1 * row.w1;
-      dst[x] = static_cast<int16_t>(v >= 0 ? v + 0.5 : v - 0.5);
-    }
-  }
-  return out;
-}
-
 // Bytes a decode of `layers` layers reads from one stored frame: the base
 // layers and the first (layers - 1) * planes enhancement layers.
 int64_t FrameBytesAtLayers(const EncodedFrame& ef, int planes, int layers) {
@@ -140,16 +101,18 @@ std::vector<Buffer> EncodePlaneLayers(const PlaneI16& full, int layer_count,
                                    target.height, quality, &writer,
                                    new_recon.data.data());
     } else {
-      const PlaneI16 pred = UpsampleTo(recon, target.width, target.height);
-      PlaneI16 residual{target.width, target.height,
-                        std::vector<int16_t>(n)};
-      k.sub_i16(target.data.data(), pred.data.data(), residual.data.data(),
-                n);
-      block_transform::EncodePlane(residual.data.data(), target.width,
+      const LayerUpsampler up(recon.width, recon.height, target.width,
+                              target.height);
+      std::vector<double> window(up.window_size());
+      std::vector<int16_t> residual(n);  // the prediction, then the residual
+      up.AddOnto(recon.data.data(), window.data(), residual.data());
+      k.sub_i16(target.data.data(), residual.data(), residual.data(), n);
+      block_transform::EncodePlane(residual.data(), target.width,
                                    target.height, quality, &writer,
                                    new_recon.data.data());
-      k.add_i16(pred.data.data(), new_recon.data.data(),
-                new_recon.data.data(), n);
+      // new_recon holds the decoded residual; the decoder's own step adds
+      // the prediction onto it.
+      up.AddOnto(recon.data.data(), window.data(), new_recon.data.data());
     }
     recon = std::move(new_recon);
     layers.push_back(writer.Finish());
@@ -189,33 +152,13 @@ struct LayerBits {
   size_t size = 0;
 };
 
-// Decodes layers [0, bits.size()) of one plane and upsamples to full
-// geometry.
-Result<PlaneI16> DecodePlaneLayers(const std::vector<LayerBits>& bits,
-                                   int full_width, int full_height,
-                                   int quality, int stored_layers) {
-  PlaneI16 recon;
-  for (size_t l = 0; l < bits.size(); ++l) {
-    const int layer = static_cast<int>(l) + ScalableCodec::kMaxLayers -
-                      stored_layers;
-    const int w = LayerDim(full_width, layer);
-    const int h = LayerDim(full_height, layer);
-    VarintReader reader(bits[l].data, bits[l].size);
-    PlaneI16 decoded{w, h, std::vector<int16_t>(static_cast<size_t>(w) * h)};
-    AVDB_RETURN_IF_ERROR(block_transform::DecodePlaneInto(
-        w, h, quality, &reader, decoded.data.data()));
-    if (l > 0) {
-      const PlaneI16 pred = UpsampleTo(recon, w, h);
-      simd::ActiveKernels().add_i16(pred.data.data(), decoded.data.data(),
-                                    decoded.data.data(), decoded.data.size());
-    }
-    recon = std::move(decoded);
-  }
-  // At full size every tap weight is exactly 0, so the upsample would
-  // copy `recon` sample for sample.
-  if (recon.width == full_width && recon.height == full_height) return recon;
-  return UpsampleTo(recon, full_width, full_height);
-}
+// Where one plane's layer chain works: the two int16 planes it alternates
+// between, each a full plane, and the upsample's product window. Sized at
+// the first frame that uses it.
+struct LayerScratch {
+  std::array<std::vector<int16_t>, 2> planes;
+  std::vector<double> window;
+};
 
 class ScalableDecoderSession final : public VideoDecoderSession {
  public:
@@ -223,80 +166,213 @@ class ScalableDecoderSession final : public VideoDecoderSession {
       : video_(video), layers_(layers) {}
 
   Result<VideoFrame> DecodeFrame(int64_t index) override {
-    AVDB_ASSIGN_OR_RETURN(VideoFrame frame,
-                          DecodeOne(index, video_.params.concurrency));
+    Prepare();
+    AVDB_ASSIGN_OR_RETURN(
+        VideoFrame frame,
+        DecodeOne(index, video_.params.concurrency, scratch_.data()));
     ++decoded_;
     return frame;
   }
 
   Result<std::vector<VideoFrame>> DecodeRange(int64_t first,
                                               int64_t count) override {
+    Prepare();
     // Every frame is intra-coded, so frames are the parallel grain here
-    // (planes stay serial inside each task).
+    // (planes stay serial inside each task), and each task works in its
+    // own scratch.
     return DecodeEach(video_, first, count, &decoded_, [this](int64_t i) {
-      return DecodeOne(i, /*plane_concurrency=*/1);
+      LayerScratch scratch;
+      return DecodeOne(i, /*plane_concurrency=*/1, &scratch);
     });
   }
 
   int64_t FramesDecodedInternally() const override { return decoded_; }
 
  private:
-  Result<VideoFrame> DecodeOne(int64_t index, int plane_concurrency) const {
+  // Builds, once, what the stream fixes: the geometry of each decoded
+  // layer and the upsample taps between them. Decoding the first layers_
+  // of `stored` layers puts layer l at pyramid level
+  // l + kMaxLayers - stored; steps_[l - 1] upsamples layer l - 1 onto
+  // layer l, and a chain that ends short of full size gets one more step
+  // to it.
+  void Prepare() {
+    if (prepared_) return;
+    prepared_ = true;
+    const int width = video_.raw_type.width();
+    const int height = video_.raw_type.height();
+    const int base = ScalableCodec::kMaxLayers - video_.params.layer_count;
+    for (int l = 0; l < layers_; ++l) {
+      dims_[static_cast<size_t>(l)] = {LayerDim(width, base + l),
+                                       LayerDim(height, base + l)};
+    }
+    steps_.reserve(static_cast<size_t>(layers_));
+    for (int l = 1; l < layers_; ++l) {
+      const Dims& from = dims_[static_cast<size_t>(l - 1)];
+      const Dims& to = dims_[static_cast<size_t>(l)];
+      steps_.emplace_back(from.width, from.height, to.width, to.height);
+    }
+    // At full size every tap weight is exactly 0: no step to take.
+    const Dims& last = dims_[static_cast<size_t>(layers_ - 1)];
+    if (last.width != width || last.height != height) {
+      steps_.emplace_back(last.width, last.height, width, height);
+    }
+    for (const LayerUpsampler& step : steps_) {
+      window_size_ = std::max(window_size_, step.window_size());
+    }
+  }
+
+  // Decodes frame `index` with its planes over `plane_concurrency` lanes.
+  // Plane p works in scratch[p] when planes run concurrently, else all
+  // share scratch[0].
+  Result<VideoFrame> DecodeOne(int64_t index, int plane_concurrency,
+                               LayerScratch* scratch) const {
     if (index < 0 || index >= static_cast<int64_t>(video_.frames.size())) {
       return Status::InvalidArgument("frame index out of range");
     }
     const auto& ef = video_.frames[static_cast<size_t>(index)];
     const auto& t = video_.raw_type;
-    const int stored = video_.params.layer_count;
-    const int use = layers_ < stored ? layers_ : stored;
     const int planes = t.depth_bits() / 8;
-
-    VideoFrame frame(t.width(), t.height(), t.depth_bits());
     // Layer 0 of every plane is packed in ef.data, plane after plane, each
     // behind a u32 byte size; enhancement layer L >= 1 of plane p is
     // ef.layers[(L-1)*planes + p]. Every layer is read in place.
+    std::array<std::array<LayerBits, ScalableCodec::kMaxLayers>,
+               VideoFrame::kMaxPlanes>
+        bits;
     BufferReader base_reader(ef.data);
-    std::vector<LayerBits> base(static_cast<size_t>(planes));
-    for (LayerBits& bits : base) {
+    for (int p = 0; p < planes; ++p) {
       auto size = base_reader.ReadU32();
       if (!size.ok()) return size.status();
-      bits = {ef.data.data() + base_reader.position(), size.value()};
+      LayerBits* plane_bits = bits[static_cast<size_t>(p)].data();
+      plane_bits[0] = {ef.data.data() + base_reader.position(), size.value()};
       AVDB_RETURN_IF_ERROR(base_reader.Skip(size.value()));
+      for (int l = 1; l < layers_; ++l) {
+        const size_t li = static_cast<size_t>(l - 1) * planes + p;
+        if (li >= ef.layers.size()) {
+          return Status::DataLoss("missing enhancement layer");
+        }
+        plane_bits[l] = {ef.layers[li].data(), ef.layers[li].size()};
+      }
     }
+    VideoFrame frame(t.width(), t.height(), t.depth_bits());
     // Planes chain layers internally but are independent of each other;
     // storage is planar, so concurrent plane tasks write disjoint
     // contiguous runs and never touch the same byte.
-    std::vector<Status> statuses = WorkPool::Shared().ParallelMap<Status>(
-        std::min(plane_concurrency, planes), planes, [&](int64_t p64) {
-          const int p = static_cast<int>(p64);
-          std::vector<LayerBits> bits = {base[static_cast<size_t>(p)]};
-          for (int l = 1; l < use; ++l) {
-            const size_t li = static_cast<size_t>(l - 1) * planes + p;
-            if (li >= ef.layers.size()) {
-              return Status::DataLoss("missing enhancement layer");
-            }
-            bits.push_back({ef.layers[li].data(), ef.layers[li].size()});
-          }
-          auto plane = DecodePlaneLayers(bits, t.width(), t.height(),
-                                         video_.params.quality, stored);
-          if (!plane.ok()) return plane.status();
-          const PlaneSpan out = frame.plane_span(p);
-          simd::ActiveKernels().i16_center_to_u8(plane.value().data.data(),
-                                                 out.data(), out.size());
-          return Status::OK();
-        });
-    for (const Status& s : statuses) {
-      if (!s.ok()) return s;
+    const int lanes = std::min(plane_concurrency, planes);
+    std::array<Status, VideoFrame::kMaxPlanes> statuses;
+    WorkPool::Shared().ParallelFor(lanes, planes, [&](int64_t p) {
+      const size_t i = static_cast<size_t>(p);
+      statuses[i] = DecodePlane(bits[i].data(), &scratch[lanes > 1 ? i : 0],
+                                frame.plane_span(static_cast<int>(p)));
+    });
+    for (int p = 0; p < planes; ++p) {
+      if (!statuses[static_cast<size_t>(p)].ok()) {
+        return statuses[static_cast<size_t>(p)];
+      }
     }
     return frame;
   }
 
+  // Decodes the session's layers of one plane into `out`. Each layer is
+  // decoded into one scratch plane and the layer below, upsampled, is
+  // added onto it there; a chain that ends short of full size is
+  // upsampled onto zeros in the other.
+  Status DecodePlane(const LayerBits* bits, LayerScratch* scratch,
+                     const PlaneSpan& out) const {
+    for (std::vector<int16_t>& plane : scratch->planes) {
+      plane.resize(out.size());
+    }
+    scratch->window.resize(window_size_);
+    const int16_t* below = nullptr;
+    for (int l = 0; l < layers_; ++l) {
+      int16_t* layer = scratch->planes[static_cast<size_t>(l % 2)].data();
+      const Dims& dims = dims_[static_cast<size_t>(l)];
+      VarintReader reader(bits[l].data, bits[l].size);
+      AVDB_RETURN_IF_ERROR(block_transform::DecodePlaneInto(
+          dims.width, dims.height, video_.params.quality, &reader, layer));
+      if (l > 0) {
+        steps_[static_cast<size_t>(l - 1)].AddOnto(
+            below, scratch->window.data(), layer);
+      }
+      below = layer;
+    }
+    if (steps_.size() == static_cast<size_t>(layers_)) {
+      int16_t* full = scratch->planes[static_cast<size_t>(layers_ % 2)].data();
+      std::fill_n(full, out.size(), int16_t{0});
+      steps_.back().AddOnto(below, scratch->window.data(), full);
+      below = full;
+    }
+    simd::ActiveKernels().i16_center_to_u8(below, out.data(), out.size());
+    return Status::OK();
+  }
+
+  struct Dims {
+    int width = 0;
+    int height = 0;
+  };
+
   const EncodedVideo& video_;
   const int layers_;
   int64_t decoded_ = 0;
+  bool prepared_ = false;
+  std::array<Dims, ScalableCodec::kMaxLayers> dims_;
+  std::vector<LayerUpsampler> steps_;
+  size_t window_size_ = 0;
+  std::array<LayerScratch, VideoFrame::kMaxPlanes> scratch_;
 };
 
 }  // namespace
+
+LayerUpsampler::LayerUpsampler(int src_width, int src_height, int width,
+                               int height)
+    : src_width_(src_width) {
+  cols_.reserve(static_cast<size_t>(width));
+  for (int x = 0; x < width; ++x) cols_.push_back(TapAt(x, width, src_width));
+  rows_.reserve(static_cast<size_t>(height));
+  for (int y = 0; y < height; ++y) {
+    rows_.push_back(TapAt(y, height, src_height));
+  }
+}
+
+LayerUpsampler::Tap LayerUpsampler::TapAt(int i, int n, int src_n) {
+  const double f =
+      n > 1 ? static_cast<double>(i) * (src_n - 1) / (n - 1) : 0.0;
+  const int i0 = static_cast<int>(f);
+  return Tap{i0, i0 + 1 < src_n ? i0 + 1 : i0, 1 - (f - i0), f - i0};
+}
+
+void LayerUpsampler::AddOnto(const int16_t* src, double* window,
+                             int16_t* dst) const {
+  const simd::CodecKernels& k = simd::ActiveKernels();
+  const size_t width = cols_.size();
+  // Source row r's products sit in slot r % 2 of the window: [0, width)
+  // each column's left tap times its weight, [width, 2 width) its right
+  // tap's. An output row reads rows i0 and i1 <= i0 + 1, which never
+  // share a slot, and i0 never decreases down the plane, so each source
+  // row's products are computed once. The row's samples are converted to
+  // double once, into the window's tail.
+  double* samples = window + 4 * width;
+  int held[2] = {-1, -1};
+  const auto products = [&](int r) {
+    double* slot = window + static_cast<size_t>(r % 2) * 2 * width;
+    if (held[r % 2] != r) {
+      held[r % 2] = r;
+      std::copy_n(src + static_cast<size_t>(r) * src_width_, src_width_,
+                  samples);
+      for (size_t x = 0; x < width; ++x) {
+        slot[x] = samples[cols_[x].i0] * cols_[x].w0;
+        slot[width + x] = samples[cols_[x].i1] * cols_[x].w1;
+      }
+    }
+    return slot;
+  };
+  for (size_t y = 0; y < rows_.size(); ++y) {
+    const Tap& row = rows_[y];
+    const double* top = products(row.i0);
+    const double* bottom = products(row.i1);
+    k.upsample_add_row(top, top + width, bottom, bottom + width, row.w0,
+                       row.w1, dst + y * width, width);
+  }
+}
 
 Result<EncodedVideo> ScalableCodec::Encode(
     const VideoValue& value, const VideoCodecParams& params) const {
@@ -328,6 +404,9 @@ Result<std::unique_ptr<VideoDecoderSession>> ScalableCodec::NewDecoderWithLayers
     const EncodedVideo& video, int layers) const {
   if (video.family != EncodingFamily::kScalable) {
     return Status::InvalidArgument("stream is not scalable-coded");
+  }
+  if (video.params.layer_count < 1 || video.params.layer_count > kMaxLayers) {
+    return Status::DataLoss("stored layer count out of range");
   }
   if (layers < 1 || layers > video.params.layer_count) {
     return Status::InvalidArgument("requested layer count not stored");

@@ -1,10 +1,52 @@
 #ifndef AVDB_CODEC_SCALABLE_CODEC_H_
 #define AVDB_CODEC_SCALABLE_CODEC_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "codec/encoded_value.h"
 #include "codec/video_codec.h"
 
 namespace avdb {
+
+/// The bilinear upsample that predicts each scalable enhancement layer
+/// from the layer below, from `src_width`×`src_height` to
+/// `width`×`height`. An output sample lies between two source samples in
+/// each direction, the second clamped to the edge; those taps and their
+/// weights depend only on the two geometries, so they are computed once,
+/// here. The encoder and the decoder both predict through AddOnto, so a
+/// stored stream decodes to the encoder's reconstruction.
+class LayerUpsampler {
+ public:
+  LayerUpsampler(int src_width, int src_height, int width, int height);
+
+  /// Doubles of working storage AddOnto needs: two source rows' column
+  /// products and one source row.
+  size_t window_size() const {
+    return 4 * cols_.size() + static_cast<size_t>(src_width_);
+  }
+
+  /// Adds the upsample of `src` onto the `width`×`height` plane `dst`,
+  /// sample by sample with int16 wrap, through the dispatched
+  /// `upsample_add_row`. Each source row's column products are computed
+  /// once, into `window`. The sample between source rows r0, r1 and
+  /// columns c0, c1 is, in double and in this order,
+  ///   r0[c0]·cw0·rw0 + r0[c1]·cw1·rw0 + r1[c0]·cw0·rw1 + r1[c1]·cw1·rw1
+  /// rounded half away from zero.
+  void AddOnto(const int16_t* src, double* window, int16_t* dst) const;
+
+ private:
+  struct Tap {
+    int i0, i1;     ///< the source samples; i1 is clamped to the edge
+    double w0, w1;  ///< their weights, w0 = 1 - w1
+  };
+  static Tap TapAt(int i, int n, int src_n);
+
+  int src_width_;
+  std::vector<Tap> cols_;  ///< one per output column
+  std::vector<Tap> rows_;  ///< one per output row
+};
 
 /// Layered intra codec implementing §4.1's *scalable video* ([14] in the
 /// paper): "a video value encoded at one quality can be viewed at a lower
@@ -33,7 +75,8 @@ class ScalableCodec final : public VideoCodec {
 
   /// Decoder that reads only the first `layers` layers (1..stored count).
   /// The returned frames are always full geometry; fewer layers = less
-  /// detail and fewer bytes touched.
+  /// detail and fewer bytes touched. DataLoss when the stream's stored
+  /// layer count is outside [1, kMaxLayers].
   Result<std::unique_ptr<VideoDecoderSession>> NewDecoderWithLayers(
       const EncodedVideo& video, int layers) const;
 

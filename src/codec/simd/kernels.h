@@ -11,10 +11,12 @@ namespace simd {
 
 /// Vectorized inner loops for the transform codecs, behind a runtime
 /// dispatch table. Every implementation (scalar reference, SSE2, AVX2,
-/// NEON) computes the *same integer arithmetic* — fixed-point transforms,
+/// NEON) computes the *same arithmetic* — fixed-point transforms,
 /// saturating narrowings, reciprocal-multiply quantization — so dispatched
 /// output is byte-identical to the always-built scalar path by
-/// construction. No float enters any kernel.
+/// construction. One kernel, `upsample_add_row`, works in double: every
+/// level runs the same IEEE multiplies and adds in the same order, which
+/// the project-wide -ffp-contract=off keeps from being fused.
 ///
 /// Fixed-point model (see DESIGN.md §12):
 ///  - DCT basis B[u][x] = round(2^13 · a(u) · cos((2x+1)uπ/16)), int16.
@@ -132,8 +134,19 @@ struct CodecKernels {
   /// out[i] = int16(a[i] − b[i]) (two's-complement wrap, scalable-layer
   /// residuals).
   void (*sub_i16)(const int16_t* a, const int16_t* b, int16_t* out, size_t n);
-  /// out[i] = int16(a[i] + b[i]) (wrap, scalable-layer reconstruction).
-  void (*add_i16)(const int16_t* a, const int16_t* b, int16_t* out, size_t n);
+  /// One output row of the scalable codec's bilinear upsample, added onto
+  /// the decoded residual in `dst`. `t0`/`t1` hold the upper source row's
+  /// column products (each column's left tap sample times its weight, and
+  /// its right tap's), `b0`/`b1` the lower row's, and `wt`/`wb` are the
+  /// two rows' weights. For x < n:
+  ///   v = ((t0[x]·wt + t1[x]·wt) + b0[x]·wb) + b1[x]·wb
+  ///   dst[x] = int16(dst[x] + int16(v >= 0 ? v + 0.5 : v − 0.5))
+  /// in IEEE double, unfused and in this order, and the int16 add wraps.
+  /// v must round into int16, as a blend of int16 samples whose weights
+  /// sum to 1 always does.
+  void (*upsample_add_row)(const double* t0, const double* t1,
+                           const double* b0, const double* b1, double wt,
+                           double wb, int16_t* dst, size_t n);
 
   /// Σ |a[i] − b[i]| over a contiguous run. n must stay below 2^24 so the
   /// sum fits uint32 (callers pass at most one plane row).

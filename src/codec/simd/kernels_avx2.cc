@@ -210,6 +210,45 @@ void ReconstructU8Avx2(const uint8_t* pred, const int16_t* res, uint8_t* out,
   }
 }
 
+// Four output samples of upsample_add_row, one per double lane, through
+// the scalar entry's multiplies and adds in its order (this TU has no FMA
+// to fuse them), rounded to int32. Adding 0.5 carrying v's sign and
+// truncating gives the scalar ternary's result for every v, -0 included:
+// both round -0 to 0.
+inline __m128i UpsampleFour(const double* t0, const double* t1,
+                            const double* b0, const double* b1, __m256d wt,
+                            __m256d wb) {
+  __m256d v = _mm256_add_pd(_mm256_mul_pd(_mm256_loadu_pd(t0), wt),
+                            _mm256_mul_pd(_mm256_loadu_pd(t1), wt));
+  v = _mm256_add_pd(v, _mm256_mul_pd(_mm256_loadu_pd(b0), wb));
+  v = _mm256_add_pd(v, _mm256_mul_pd(_mm256_loadu_pd(b1), wb));
+  const __m256d half = _mm256_or_pd(_mm256_set1_pd(0.5),
+                                    _mm256_and_pd(v, _mm256_set1_pd(-0.0)));
+  return _mm256_cvttpd_epi32(_mm256_add_pd(v, half));
+}
+
+// Eight samples per step. They fit int16, so the signed pack is exact, and
+// the int16 add wraps as the scalar one does. A tail of under eight
+// samples takes the scalar entry.
+void UpsampleAddRowAvx2(const double* t0, const double* t1, const double* b0,
+                        const double* b1, double wt, double wb, int16_t* dst,
+                        size_t n) {
+  const __m256d top = _mm256_set1_pd(wt);
+  const __m256d bottom = _mm256_set1_pd(wb);
+  size_t x = 0;
+  for (; x + 8 <= n; x += 8) {
+    const __m128i samples = _mm_packs_epi32(
+        UpsampleFour(t0 + x, t1 + x, b0 + x, b1 + x, top, bottom),
+        UpsampleFour(t0 + x + 4, t1 + x + 4, b0 + x + 4, b1 + x + 4, top,
+                     bottom));
+    Store128(dst + x, _mm_add_epi16(Load128(dst + x), samples));
+  }
+  if (x < n) {
+    ScalarKernels().upsample_add_row(t0 + x, t1 + x, b0 + x, b1 + x, wt, wb,
+                                     dst + x, n - x);
+  }
+}
+
 inline uint32_t ReduceSad(__m256i acc) {
   const __m128i lo = _mm256_castsi256_si128(acc);
   const __m128i hi = _mm256_extracti128_si256(acc, 1);
@@ -265,12 +304,12 @@ const CodecKernels& Avx2Kernels() {
     k.reconstruct_u8 = ReconstructU8Avx2;
     k.sad_u8 = SadU8Avx2;
     k.sad16xh_u8 = Sad16xHU8Avx2;
+    k.upsample_add_row = UpsampleAddRowAvx2;
     // bench_codec_micro's medians for these kernels never beat the
     // compiler-vectorized scalar loops, so the table dispatches scalar.
     const CodecKernels& scalar = ScalarKernels();
     k.residual_u8 = scalar.residual_u8;
     k.sub_i16 = scalar.sub_i16;
-    k.add_i16 = scalar.add_i16;
     // These two work on one 8-sample row, or two, at a time: 128-bit
     // lanes hold them whole, so the SSE2 entries serve.
     const CodecKernels& sse2 = Sse2Kernels();

@@ -263,16 +263,6 @@ void SubI16Neon(const int16_t* a, const int16_t* b, int16_t* out, size_t n) {
   }
 }
 
-void AddI16Neon(const int16_t* a, const int16_t* b, int16_t* out, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    vst1q_s16(out + i, vaddq_s16(vld1q_s16(a + i), vld1q_s16(b + i)));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<int16_t>(static_cast<int32_t>(a[i]) + b[i]);
-  }
-}
-
 uint32_t SadU8Neon(const uint8_t* a, const uint8_t* b, size_t n) {
   uint32x4_t acc = vdupq_n_u32(0);
   size_t i = 0;
@@ -314,13 +304,14 @@ const CodecKernels& NeonKernels() {
     k.residual_u8 = ResidualU8Neon;
     k.reconstruct_u8 = ReconstructU8Neon;
     k.sub_i16 = SubI16Neon;
-    k.add_i16 = AddI16Neon;
     k.sad_u8 = SadU8Neon;
     k.sad16xh_u8 = Sad16xHU8Neon;
-    // No NEON entry yet for the sparse transform and the block add.
+    // No NEON entry yet for the sparse transform, the block add and the
+    // upsample row.
     const CodecKernels& scalar = ScalarKernels();
     k.idct8x8_sparse = scalar.idct8x8_sparse;
     k.add_block_u8 = scalar.add_block_u8;
+    k.upsample_add_row = scalar.upsample_add_row;
     return k;
   }();
   return kernels;

@@ -176,9 +176,15 @@ void SubI16Scalar(const int16_t* a, const int16_t* b, int16_t* out, size_t n) {
   }
 }
 
-void AddI16Scalar(const int16_t* a, const int16_t* b, int16_t* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<int16_t>(static_cast<int32_t>(a[i]) + b[i]);
+void UpsampleAddRowScalar(const double* t0, const double* t1,
+                          const double* b0, const double* b1, double wt,
+                          double wb, int16_t* dst, size_t n) {
+  for (size_t x = 0; x < n; ++x) {
+    const double v = ((t0[x] * wt + t1[x] * wt) + b0[x] * wb) + b1[x] * wb;
+    // v >= 0 ? v + 0.5 : v - 0.5, with the add taken out of the branches
+    // (adding -0.5 is subtracting 0.5) so that GCC vectorizes the loop.
+    const int32_t sample = static_cast<int32_t>(v + (v >= 0 ? 0.5 : -0.5));
+    dst[x] = static_cast<int16_t>(dst[x] + sample);
   }
 }
 
@@ -217,7 +223,7 @@ const CodecKernels& ScalarKernels() {
     k.reconstruct_u8 = ReconstructU8Scalar;
     k.add_block_u8 = AddBlockU8Scalar;
     k.sub_i16 = SubI16Scalar;
-    k.add_i16 = AddI16Scalar;
+    k.upsample_add_row = UpsampleAddRowScalar;
     k.sad_u8 = SadU8Scalar;
     k.sad16xh_u8 = Sad16xHU8Scalar;
     return k;

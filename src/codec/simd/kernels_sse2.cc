@@ -320,7 +320,7 @@ const CodecKernels& Sse2Kernels() {
     k.u8_to_i16_center = scalar.u8_to_i16_center;
     k.residual_u8 = scalar.residual_u8;
     k.sub_i16 = scalar.sub_i16;
-    k.add_i16 = scalar.add_i16;
+    k.upsample_add_row = scalar.upsample_add_row;
     k.sad_u8 = scalar.sad_u8;
     return k;
   }();

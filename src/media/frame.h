@@ -73,6 +73,9 @@ class PlaneSpan {
 /// churn performs no heap allocations once the pool is warm.
 class VideoFrame {
  public:
+  /// Component planes of the deepest frame (24-bit).
+  static constexpr int kMaxPlanes = 3;
+
   /// Empty 0x0 frame.
   VideoFrame() = default;
   /// Allocates a zero-filled frame. Depth must be 8 or 24 (checked).

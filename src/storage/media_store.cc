@@ -803,6 +803,8 @@ Result<MediaStore::ReadResult> MediaStore::ReadRange(const std::string& name,
   // store, or one whose digest has since changed) is hashed again.
   const StoredBlob& entry = *blob.value();
   ReadResult out;
+  // One allocation, however many pages the range spans.
+  out.data.Reserve(static_cast<size_t>(length));
   const int64_t first_page = offset / kCachePageBytes;
   const int64_t last_page = (offset + length - 1) / kCachePageBytes;
   for (int64_t page = first_page; page <= last_page; ++page) {

@@ -27,6 +27,7 @@
 #include "codec/audio_codec.h"
 #include "codec/encoded_value.h"
 #include "codec/inter_codec.h"
+#include "codec/scalable_codec.h"
 #include "media/synthetic.h"
 #include "net/channel.h"
 #include "sched/event_engine.h"
@@ -147,14 +148,16 @@ TEST(AllocationPinTest, CachedAdpcmVoiceSession) {
   EXPECT_EQ(deployment.cache->stats().misses, 0);
 }
 
-TEST(AllocationPinTest, CachedInterVideoSession) {
-  const auto type = MediaDataType::RawVideo(176, 144, 8, Rational(10));
+/// Plays a cached 48-frame title of `width`x`height` 8-bit frames through
+/// a VideoSource into a VideoWindow and returns the allocations per frame
+/// the window presents, from its 12th to its 36th.
+double CachedVideoAllocationsPerElement(
+    const std::shared_ptr<const VideoCodec>& codec,
+    const VideoCodecParams& params, int width, int height) {
+  const auto type = MediaDataType::RawVideo(width, height, 8, Rational(10));
   auto raw = synthetic::GenerateVideo(type, 48,
                                       synthetic::VideoPattern::kMovingBox)
                  .value();
-  auto codec = std::make_shared<InterCodec>();
-  VideoCodecParams params;
-  params.gop_size = 12;
   auto title =
       EncodedVideoValue::Create(codec, codec->Encode(*raw, params).value())
           .value();
@@ -163,22 +166,41 @@ TEST(AllocationPinTest, CachedInterVideoSession) {
   ActivityGraph graph(env);
   auto source = VideoSource::Create("src0", ActivityLocation::kDatabase, env,
                                     deployment.Source());
-  ASSERT_TRUE(source->Bind(title, VideoSource::kPortOut).ok());
+  EXPECT_TRUE(source->Bind(title, VideoSource::kPortOut).ok());
   auto window = VideoWindow::Create("sink0", ActivityLocation::kClient, env,
-                                    VideoQuality(176, 144, 8, Rational(10)));
-  ASSERT_TRUE(graph.Add(source).ok());
-  ASSERT_TRUE(graph.Add(window).ok());
-  ASSERT_TRUE(graph
+                                    VideoQuality(width, height, 8,
+                                                 Rational(10)));
+  EXPECT_TRUE(graph.Add(source).ok());
+  EXPECT_TRUE(graph.Add(window).ok());
+  EXPECT_TRUE(graph
                   .Connect(source.get(), VideoSource::kPortOut, window.get(),
                            VideoWindow::kPortIn)
                   .ok());
-  ASSERT_TRUE(graph.StartAll().ok());
-  // Two whole GOPs after the first, so I- and P-frames keep their share.
+  EXPECT_TRUE(graph.StartAll().ok());
   const double per_element =
       AllocationsPerElement(&deployment.engine, *window, 12, 24);
-  EXPECT_LE(per_element, 2.05);
   EXPECT_EQ(deployment.router.stats().fetches, 48);
   EXPECT_EQ(deployment.cache->stats().misses, 0);
+  return per_element;
+}
+
+TEST(AllocationPinTest, CachedInterVideoSession) {
+  // Two whole GOPs after the first, so I- and P-frames keep their share.
+  VideoCodecParams params;
+  params.gop_size = 12;
+  EXPECT_LE(CachedVideoAllocationsPerElement(std::make_shared<InterCodec>(),
+                                             params, 176, 144),
+            2.00);
+}
+
+TEST(AllocationPinTest, CachedScalableVideoSession) {
+  // The e2e vod_cold titles' shape: 64x48 at q95 in three layers.
+  VideoCodecParams params;
+  params.quality = 95;
+  params.layer_count = ScalableCodec::kMaxLayers;
+  EXPECT_LE(CachedVideoAllocationsPerElement(
+                std::make_shared<ScalableCodec>(), params, 64, 48),
+            2.00);
 }
 
 }  // namespace

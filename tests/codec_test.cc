@@ -298,8 +298,9 @@ INSTANTIATE_TEST_SUITE_P(
 // planes. The 50x38 clip leaves partial 8x8 and 16x16 blocks on both edges,
 // and 26 frames at gop 6 end in a short GOP of two. Concurrency is an
 // execution policy, so both widths must reproduce the same answers. The
-// scalable codec resamples in double precision, so its answers also assume
-// a build that does not contract those multiply-adds (x86-64 without FMA).
+// scalable codec resamples in double precision; the project builds with
+// -ffp-contract=off, so no target fuses its multiply-adds and the answers
+// hold wherever the IEEE operations do.
 struct KnownAnswer {
   EncodingFamily family;
   uint64_t stream_hash;

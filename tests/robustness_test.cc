@@ -253,6 +253,48 @@ TEST(CorruptStreamTest, MissingEnhancementLayersAreDataLoss) {
   EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
 }
 
+// A stored stream's layer count comes from its header. One outside
+// [1, kMaxLayers] puts the decoded layers off the pyramid: a 64x48 stream
+// claiming four layers, with a fourth per frame, had its base layer read
+// as 8x6. Every way a session opens refuses it before decoding.
+TEST(CorruptStreamTest, StoredScalableLayerCountOutOfRangeIsDataLoss) {
+  const auto type = MediaDataType::RawVideo(64, 48, 8, Rational(10));
+  auto raw = GenerateVideo(type, 2, VideoPattern::kMovingBox).value();
+  VideoCodecParams params;
+  params.quality = 95;
+  params.layer_count = 3;
+  const EncodedVideo good = ScalableCodec().Encode(*raw, params).value();
+  for (int stored : {4, 0, -1, 255}) {
+    EncodedVideo bad = good;
+    bad.params.layer_count = stored;
+    if (stored == 4) {
+      for (EncodedFrame& frame : bad.frames) {
+        frame.layers.push_back(frame.layers.back());
+      }
+    }
+    auto stream = EncodedVideo::Deserialize(bad.Serialize());
+    ASSERT_TRUE(stream.ok()) << stored;
+    auto session = ScalableCodec().NewDecoder(stream.value());
+    ASSERT_FALSE(session.ok()) << stored;
+    EXPECT_EQ(session.status().code(), StatusCode::kDataLoss) << stored;
+    for (int layers = 1; layers <= ScalableCodec::kMaxLayers; ++layers) {
+      auto restricted =
+          ScalableCodec().NewDecoderWithLayers(stream.value(), layers);
+      ASSERT_FALSE(restricted.ok()) << stored << " at " << layers;
+      EXPECT_EQ(restricted.status().code(), StatusCode::kDataLoss)
+          << stored << " at " << layers;
+    }
+    if (stored < 2) continue;  // no view of two layers to open
+    auto value = EncodedVideoValue::Create(std::make_shared<ScalableCodec>(),
+                                           stream.value())
+                     .value();
+    auto view = ScalableVideoView::Create(value, 2).value();
+    auto frame = view->Frame(0);
+    ASSERT_FALSE(frame.ok()) << stored;
+    EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss) << stored;
+  }
+}
+
 // A stored encoded-audio blob of a 3000-frame voice clip whose header
 // `corrupt` edited before it was written. EncodedAudioValue::Create refuses
 // such a header, so the blob is written the way value_serializer writes

@@ -97,7 +97,8 @@ TEST(ZeroCopyTest, InterStreamsAreByteIdenticalAcrossKernelLevels) {
 }
 
 // Same identity guarantee for the layered codec, whose enhancement chain
-// runs through sub_i16/add_i16 and the encode-side reconstruction.
+// runs through sub_i16, upsample_add_row and the encode-side
+// reconstruction.
 TEST(ZeroCopyTest, ScalableStreamsAreByteIdenticalAcrossKernelLevels) {
   KernelGuard guard;
   auto video = TestVideo(33, 17, 8, 3);
